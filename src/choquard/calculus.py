@@ -215,6 +215,10 @@ def nonlocal_energy(u: Field, table: "_kernels.KernelTable", p: float) -> float:
             f"exponent p={p} must exceed (N + alpha)/N = {(u.window.dim + table.alpha) / u.window.dim}"
         )
     g = Field(u.window, np.abs(u.values) ** p)
+    if np.count_nonzero(g.values) < 2:
+        # the sum runs over pairs of distinct sites; skipping the FFT keeps
+        # its round-off from turning an exact zero into a tiny positive value
+        return 0.0
     conv = _kernels.convolve(table, g, include_diagonal=False)
     return float(conv.values @ g.values)
 

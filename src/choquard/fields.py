@@ -178,10 +178,12 @@ def load_field(path) -> Field:
     rows = [line.split() for line in lines[5:] if line.strip()]
     if len(rows) != count:
         raise InputError(f"expected {count} support rows in {path}, found {len(rows)}")
+    seen = set()
     for row in rows:
         site = tuple(int(c) for c in row[:dim])
         idx = window.index_of(site)
-        if values[idx] != 0.0:
+        if idx in seen:
             raise InputError(f"duplicate site {site} in {path}")
+        seen.add(idx)
         values[idx] = float(row[dim])
     return Field(window, values)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.special import roots_jacobi
 
 from .fields import Field
@@ -286,8 +289,7 @@ def _tail_coefficients(vs: np.ndarray, tail_order: int) -> Tuple[np.ndarray, np.
     a1 = -(msq - 1.0) / 16.0
     a2 = (msq - 1.0) * (msq - 9.0) / 512.0
     c1 = a1.sum(axis=1)
-    sum_a1 = a1.sum(axis=1)
-    c2 = a2.sum(axis=1) + 0.5 * (sum_a1**2 - (a1**2).sum(axis=1))
+    c2 = a2.sum(axis=1) + 0.5 * (c1**2 - (a1**2).sum(axis=1))
     if tail_order < 1:
         c1 = np.zeros_like(c1)
     if tail_order < 2:
@@ -352,7 +354,8 @@ class KernelTable:
     Differences of sites of a radius-R window span [-2R, 2R]^N; values are
     stored once per orbit of coordinate permutations and sign flips and
     expanded to an absolute-coordinate lookup grid.  Instances are immutable;
-    the per-window convolution matrices are cached lazily.
+    the kernel spectra that :func:`convolve` needs are cached lazily, one per
+    reach r_in + r_out of the window pairs it is called on.
     """
 
     def __init__(
@@ -397,7 +400,7 @@ class KernelTable:
         _, inverse = np.unique(sorted_abs, axis=0, return_inverse=True)
         grid[tuple(all_abs.T)] = self.orbit_values[order][inverse]
         self._grid = grid
-        self._conv_cache: dict = {}
+        self._spectra: dict = {}
 
     @property
     def diagonal(self) -> float:
@@ -528,7 +531,11 @@ def kernel_cache_path(
 
 
 def save_kernel_table(table: KernelTable, path) -> None:
-    """Write a table as plain text; values use shortest round-trip formatting."""
+    """Write a table as plain text; values use shortest round-trip formatting.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one step, so a reader never sees a partial table.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [
@@ -545,7 +552,14 @@ def save_kernel_table(table: KernelTable, path) -> None:
     for key, val in zip(table.orbit_keys, table.orbit_values):
         coords = " ".join(str(int(c)) for c in key)
         lines.append(f"{coords} {float(val)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_quad(text: str) -> QuadratureSpec:
@@ -612,22 +626,23 @@ def load_kernel_table(path) -> KernelTable:
 # ---------------------------------------------------------------------------
 
 
-def _conv_matrices(table: KernelTable, out_window: LatticeWindow, in_window: LatticeWindow):
-    """Dense kernel matrix with zeroed diagonal plus same-site index pairs."""
-    key = (out_window, in_window)
-    cached = table._conv_cache.get(key)
+def _kernel_spectrum(table: KernelTable, reach: int) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """Padded grid shape and real FFT of the kernel over [-reach, reach]^N.
+
+    The kernel, with its diagonal zeroed, sits at offset ``reach`` on each
+    axis of a grid padded to a fast FFT length of at least 2 reach + 1, so
+    no wrap-around lands on an output site.  One spectrum is cached per reach.
+    """
+    cached = table._spectra.get(reach)
     if cached is not None:
         return cached
-    out_sites = out_window.sites
-    in_sites = in_window.sites
-    diffs = out_sites[:, None, :] - in_sites[None, :, :]
-    flat = diffs.reshape(-1, table.dim)
-    matrix = table.values_at(flat).reshape(out_sites.shape[0], in_sites.shape[0])
-    same = np.nonzero((diffs == 0).all(axis=2))
-    matrix[same] = 0.0
-    result = (matrix, same)
-    table._conv_cache[key] = result
-    return result
+    fold = np.abs(np.arange(-reach, reach + 1))
+    kernel = table._grid[np.ix_(*[fold] * table.dim)]
+    kernel[(reach,) * table.dim] = 0.0
+    shape = (next_fast_len(2 * reach + 1, real=True),) * table.dim
+    cached = (shape, rfftn(kernel, s=shape))
+    table._spectra[reach] = cached
+    return cached
 
 
 def convolve(
@@ -641,17 +656,34 @@ def convolve(
     With ``include_diagonal`` the term K(0) f(x) is added back.  The output
     lives on ``out_window`` (default: the window of f); fields are zero
     outside their windows, so the sum over y runs over the window of f.
+    The sum is an exact linear convolution of the bounding boxes of the two
+    windows, evaluated by a zero-padded real FFT against the kernel spectrum
+    cached on the table, in O(n log n) time and O(n) memory.
     """
     if table.dim != f.window.dim:
         raise InputError(f"dimension mismatch: table {table.dim}, field {f.window.dim}")
     out_w = out_window or f.window
     if out_w.dim != table.dim:
         raise InputError("output window dimension does not match the table")
-    matrix, same = _conv_matrices(table, out_w, f.window)
-    values = matrix @ f.values
-    if include_diagonal and same[0].size:
-        values[same[0]] += table.diagonal * f.values[same[1]]
-    return Field(out_w, values)
+    r_in, r_out = f.window.radius, out_w.radius
+    reach = r_in + r_out
+    if reach > table.m_max:
+        raise InternalError(
+            f"kernel table (radius {table.radius}) lacks difference vectors up to {reach}"
+        )
+    shape, spectrum = _kernel_spectrum(table, reach)
+    grid = _box_embedding(f).values.reshape((2 * r_in + 1,) * table.dim)
+    full = irfftn(rfftn(grid, s=shape) * spectrum, s=shape)
+    # site x of the output box sits at index x + r_in + reach of the full grid
+    out = full[(slice(2 * r_in, 2 * reach + 1),) * table.dim]
+    if include_diagonal:
+        m = min(r_in, r_out)
+        out[(slice(r_out - m, r_out + m + 1),) * table.dim] += (
+            table.diagonal * grid[(slice(r_in - m, r_in + m + 1),) * table.dim]
+        )
+    if out_w.shape == BOX:
+        return Field(out_w, out.reshape(-1))
+    return Field(out_w, out[tuple((out_w.sites + r_out).T)])
 
 
 def asymptotics_bracket(table: KernelTable, r_min: int = 5, r_max: int = 30) -> Tuple[float, float]:

@@ -62,6 +62,11 @@ def small_table(small_window):
 
 
 @pytest.fixture(scope="session")
+def cube_table():
+    return c.build_kernel_table("green", 1.0, c.get_window(3, 4))
+
+
+@pytest.fixture(scope="session")
 def small_prob(small_window, small_table):
     return c.ProblemSpec(
         mode="full",

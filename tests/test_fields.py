@@ -123,3 +123,10 @@ def test_load_rejects_bad_files(tmp_path):
     good.write_text("\n".join(text) + "\n")
     with pytest.raises(InputError):
         load_field(good)
+
+
+def test_load_rejects_a_repeated_site_whose_first_value_is_zero(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("lattice-field v1\ndim 2\nradius 2\nshape box\nsupport 2\n0 0 0.0\n0 0 1.5\n")
+    with pytest.raises(InputError, match="duplicate site"):
+        load_field(path)

@@ -5,10 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ive
 
 import choquard as c
 from choquard import (
+    BALL,
+    BOX,
     CacheWarning,
     DomainError,
     Field,
@@ -18,6 +22,7 @@ from choquard import (
     QuadratureSpec,
     get_window,
 )
+import choquard.kernels as kernels
 from choquard.kernels import (
     GREEN,
     RIESZ,
@@ -178,6 +183,43 @@ def test_cache_values_are_trusted_not_checksummed(small_window, tmp_path):
     assert tampered.values_at(v)[0] == pytest.approx(1.5 * built.values_at(v)[0], rel=1e-12)
 
 
+class _DiskFull:
+    """File handle that writes half of what it is given, then fails."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        raise OSError("injected: disk full")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_cache_write_failure_keeps_the_existing_file(small_table, tmp_path, monkeypatch, failure):
+    path = tmp_path / "table.txt"
+    c.save_kernel_table(small_table, path)
+    before = path.read_text()
+    if failure == "write":
+        fdopen = kernels.os.fdopen
+        monkeypatch.setattr(kernels.os, "fdopen", lambda fd, mode: _DiskFull(fdopen(fd, mode)))
+    else:
+
+        def refuse(src, dst):
+            raise OSError("injected: replace refused")
+
+        monkeypatch.setattr(kernels.os, "replace", refuse)
+    with pytest.raises(OSError, match="injected"):
+        c.save_kernel_table(small_table, path)
+    assert path.read_text() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_convolve_matches_double_loop(small_table, small_window):
     rng = np.random.default_rng(11)
     w = get_window(2, 3)
@@ -207,6 +249,94 @@ def test_convolve_diagonal_and_out_window(small_table):
     wide = c.convolve(small_table, f, out_window=big)
     assert wide.window == big
     assert wide.values[big.index_of((5, 0))] == pytest.approx(green_function(1.0, (5, 0), 2), rel=1e-12)
+
+
+def _double_sum(table, f, include_diagonal=False, out_window=None):
+    """(K * f)(x) summed site pair by site pair through ``values_at``."""
+    out = out_window or f.window
+    acc = np.zeros(out.count)
+    for i, x in enumerate(out.sites):
+        diffs = x - f.window.sites
+        k = table.values_at(diffs)
+        k[(diffs == 0).all(axis=1)] = table.diagonal if include_diagonal else 0.0
+        acc[i] = k @ f.values
+    return acc
+
+
+@pytest.mark.parametrize(
+    "table_name, field_window, out_window, include_diagonal",
+    [
+        ("small_table", (2, 4, BOX), None, False),
+        ("small_table", (2, 4, BOX), None, True),
+        ("small_table", (2, 5, BALL), None, False),
+        ("small_table", (2, 5, BALL), None, True),
+        # the green suite's case: a radius-2 source read out to radius 2R - 2
+        ("small_table", (2, 2, BOX), (2, 10, BOX), True),
+        ("small_table", (2, 6, BALL), (2, 3, BOX), True),
+        ("small_table", (2, 3, BOX), (2, 6, BALL), False),
+        ("cube_table", (3, 3, BOX), None, False),
+        ("cube_table", (3, 4, BALL), None, True),
+        ("cube_table", (3, 2, BOX), (3, 6, BOX), True),
+    ],
+)
+def test_convolve_matches_pairwise_sum(request, table_name, field_window, out_window, include_diagonal):
+    table = request.getfixturevalue(table_name)
+    w = get_window(*field_window)
+    out = None if out_window is None else get_window(*out_window)
+    f = Field(w, np.random.default_rng(w.count).standard_normal(w.count))
+    got = c.convolve(table, f, include_diagonal=include_diagonal, out_window=out)
+    want = _double_sum(table, f, include_diagonal, out)
+    assert got.window == (out or w)
+    assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_convolve_rejects_windows_beyond_the_table(small_table, cube_table):
+    # the small table covers differences up to 12 = 6 + 6
+    f = Field.delta(get_window(2, 6))
+    with pytest.raises(InternalError):
+        c.convolve(small_table, f, out_window=get_window(2, 7))
+    with pytest.raises(InternalError):
+        c.convolve(small_table, Field.delta(get_window(2, 7, BALL)))
+    with pytest.raises(InternalError):
+        c.convolve(cube_table, Field.delta(get_window(3, 2)), out_window=get_window(3, 7))
+
+
+_window_specs = st.tuples(st.integers(1, 6), st.sampled_from([BOX, BALL]))
+
+
+def _random_field(window, seed):
+    return Field(window, np.random.default_rng(seed).standard_normal(window.count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_window_specs, b=_window_specs, seed=st.integers(0, 2**32 - 1), diag=st.booleans())
+def test_convolve_is_self_adjoint(small_table, a, b, seed, diag):
+    # <K * f, g> = <f, K * g> for f on one window and g on another
+    wa, wb = get_window(2, *a), get_window(2, *b)
+    f, g = _random_field(wa, seed), _random_field(wb, seed + 1)
+    lhs = c.convolve(small_table, f, include_diagonal=diag, out_window=wb).values @ g.values
+    rhs = f.values @ c.convolve(small_table, g, include_diagonal=diag, out_window=wa).values
+    absf = Field(wa, np.abs(f.values))
+    scale = c.convolve(small_table, absf, include_diagonal=diag, out_window=wb).values @ np.abs(g.values)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=_window_specs,
+    seed=st.integers(0, 2**32 - 1),
+    s=st.floats(-10.0, 10.0),
+    t=st.floats(-10.0, 10.0),
+    diag=st.booleans(),
+)
+def test_convolve_is_linear(small_table, a, seed, s, t, diag):
+    w = get_window(2, *a)
+    f, g = _random_field(w, seed), _random_field(w, seed + 1)
+    both = c.convolve(small_table, Field(w, s * f.values + t * g.values), include_diagonal=diag)
+    cf = c.convolve(small_table, f, include_diagonal=diag).values
+    cg = c.convolve(small_table, g, include_diagonal=diag).values
+    scale = abs(s) * np.abs(cf).max() + abs(t) * np.abs(cg).max()
+    assert np.abs(both.values - (s * cf + t * cg)).max() <= 1e-12 * scale
 
 
 def test_heat_semigroup_matches_brute_force():

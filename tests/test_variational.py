@@ -203,3 +203,25 @@ def test_problem_spec_repr_and_caching(small_prob):
     assert small_prob.operator_matrix() is small_prob.operator_matrix()
     assert small_prob.weight_values() is small_prob.weight_values()
     assert dataclasses.replace(small_prob, p=2.5).p == 2.5
+
+
+@pytest.mark.parametrize("dim, shape", [(2, "box"), (2, "ball"), (3, "box")])
+def test_point_mass_has_exactly_zero_pair_energy(dim, shape):
+    window = get_window(dim, 4, shape)
+    table = c.build_kernel_table(GREEN, 1.0, window)
+    prob = ProblemSpec(
+        mode="full",
+        window=window,
+        potential=PotentialSpec(well=ball((0,) * dim, 1)),
+        kernel=table,
+        p=2.0,
+        lam=1.0,
+    )
+    point = Field.delta(window)
+    assert c.nonlocal_energy(point, table, prob.p) == 0.0
+    with pytest.raises(NoProjectionError):
+        c.nehari_project(point, prob)
+    # two sites make one pair, counted once from each end
+    step = (1,) + (0,) * (dim - 1)
+    pair = Field.from_sites(window, {(0,) * dim: 1.0, step: 1.0})
+    assert c.nonlocal_energy(pair, table, prob.p) == pytest.approx(2.0 * table.value(step), rel=1e-13)
