@@ -138,12 +138,10 @@ class PotentialSpec:
             raise InputError(f"level must be >= 0, got {m}")
         if self.profile == PROFILE_CAPPED and m >= self.cap:
             raise DomainError(f"sublevel {{a <= {m}}} is infinite for cap {self.cap}")
-        if self.profile == PROFILE_DISTANCE:
-            reach = int(np.floor(m))
-        elif self.profile == PROFILE_CAPPED:
-            reach = int(np.floor(m))
-        else:
+        if self.profile == PROFILE_QUADRATIC:
             reach = int(np.floor(np.sqrt(m)))
+        else:
+            reach = int(np.floor(m))
         sites = set(self.well.sites)
         for site in self.well:
             for other in ball(site, reach) if reach > 0 else [site]:
@@ -184,11 +182,9 @@ def dirichlet_norm_sq(u: Field, well: SiteSet) -> float:
     closed = well.union(vertex_boundary(well))
     lap = laplacian(u)
     gamma = gradient_form(u, u)
-    mask = np.fromiter(
-        (tuple(int(c) for c in s) in closed for s in lap.window.sites),
-        dtype=bool,
-        count=lap.window.count,
-    )
+    idx = lap.window.indices_of(closed.as_array())
+    mask = np.zeros(lap.window.count, dtype=bool)
+    mask[idx[idx >= 0]] = True
     lap_sq = float(lap.values[mask] @ lap.values[mask])
     grad = float(gamma.values[mask].sum())
     return lap_sq + grad + float(u.values @ u.values)

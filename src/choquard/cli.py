@@ -226,7 +226,7 @@ def _cache_info(cfg: Dict[str, Dict[str, object]], table) -> Optional[Dict[str, 
     if cache_dir is None:
         return None
     path = kernel_cache_path(
-        cache_dir, table.kind, table.alpha, table.dim, table.radius, table.method, table.quad
+        cache_dir, table.kind, table.alpha, table.dim, table.radius, table.quad
     )
     return {"file": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
@@ -265,7 +265,7 @@ def cmd_kernel(cfg: Dict[str, Dict[str, object]]) -> int:
         print("cache: disabled (no cache directory configured)")
     else:
         path = kernel_cache_path(
-            cache_dir, table.kind, table.alpha, table.dim, table.radius, table.method, table.quad
+            cache_dir, table.kind, table.alpha, table.dim, table.radius, table.quad
         )
         verb = "reused cached table" if table.source == "cache" else "built and cached table"
         print(f"cache: {verb} {path.name}")

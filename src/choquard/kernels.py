@@ -10,8 +10,10 @@ lattice Green's function of the fractional Laplacian,
 
     R_alpha(v) = Gamma(alpha/2)^{-1} int_0^inf k_t(v) t^{alpha/2 - 1} dt,
 
-for 0 < alpha < N, which decays like |v|^{alpha - N}.  The module evaluates
-both stably, tabulates kernels over all difference vectors of a window
+for 0 < alpha < N, which decays like |v|^{alpha - N}.  The Bessel factors come
+from ``scipy.special.ive``, and the subordination integral from a
+Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  The
+module tabulates kernels over all difference vectors of a window
 (reduced to orbits of the coordinate-permutation-and-sign symmetry group),
 persists tables to a plain-text disk cache with bit-exact round-trips, and
 applies tabulated kernels to fields by windowed convolution.  It also
@@ -26,14 +28,14 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import roots_jacobi
+from scipy.special import ive, roots_jacobi
 
 from .fields import Field
 from .errors import (
@@ -51,19 +53,12 @@ GREEN = "green"
 RIESZ = "riesz"
 _KINDS = (GREEN, RIESZ)
 
-METHOD_BESSEL = "bessel-product"
-METHOD_SPECTRAL = "torus-spectral"
-_METHODS = (METHOD_BESSEL, METHOD_SPECTRAL)
+# the only evaluation method; kept in cache file names and headers so that
+# tables saved by earlier versions still load
+_CACHE_METHOD = "bessel-product"
 
 _CACHE_FORMAT = "lattice-kernel-table v1"
 
-# Trapezoidal evaluation of the Bessel integral aliases order m to m +/- K;
-# K - m >= sqrt(80 z) + 16 keeps the aliased terms below ~e^-40.
-_ALIAS_MARGIN = 80.0
-# Orders with m^2 >= _SERIES_SWITCH * z are evaluated by the ascending series,
-# whose terms are all positive; the oscillatory quadrature loses all relative
-# accuracy once the result is smaller than ~1e-16 times the order-0 value.
-_SERIES_SWITCH = 40.0
 _SEGMENT_RATIO = 10.0
 
 
@@ -72,50 +67,18 @@ _SEGMENT_RATIO = 10.0
 # ---------------------------------------------------------------------------
 
 
-def _scaled_bessel_series(m: int, z: float) -> float:
-    """e^{-z} I_m(z) by the ascending series; accurate for m^2 >> z."""
-    if z == 0.0:
-        return 1.0 if m == 0 else 0.0
-    log_first = m * math.log(z / 2.0) - math.lgamma(m + 1.0) - z
-    if log_first < -745.0:  # below the double-precision underflow threshold
-        return 0.0
-    term = math.exp(log_first)
-    total = term
-    quarter_z_sq = (z / 2.0) ** 2
-    for j in range(1, 1000):
-        term *= quarter_z_sq / (j * (m + j))
-        total += term
-        if term < total * 1e-18:
-            break
-    return total
-
-
 def scaled_bessel_profile(z: float, m_max: int) -> np.ndarray:
     """e^{-z} I_m(z) for all orders m = 0..m_max at a fixed argument z >= 0.
 
-    Evaluates the integral representation
-    e^{-z} I_m(z) = (1/pi) int_0^pi e^{z (cos t - 1)} cos(m t) dt
-    with a uniform (trapezoidal) rule over the full period, whose node count
-    grows with m_max + sqrt(z) to keep the aliasing error below 1e-16, and
-    switches to the ascending series for orders in the cancellation regime.
+    The values come from ``scipy.special.ive``, which keeps full relative
+    accuracy for large arguments and for orders far beyond sqrt(z), where the
+    values underflow gracefully to zero.
     """
     if z < 0.0:
         raise InputError(f"argument must be >= 0, got {z}")
     if m_max < 0:
         raise InputError(f"m_max must be >= 0, got {m_max}")
-    orders = np.arange(m_max + 1)
-    if z == 0.0:
-        out = np.zeros(m_max + 1)
-        out[0] = 1.0
-        return out
-    nodes = max(64, int(math.ceil(m_max + math.sqrt(_ALIAS_MARGIN * z) + 16)))
-    theta = (2.0 * np.pi / nodes) * np.arange(nodes)
-    weights = np.exp(z * (np.cos(theta) - 1.0)) / nodes
-    out = np.cos(np.outer(orders, theta)) @ weights
-    small = orders.astype(float) ** 2 >= _SERIES_SWITCH * z
-    for m in orders[small]:
-        out[m] = _scaled_bessel_series(int(m), z)
-    return np.maximum(out, 0.0)
+    return ive(np.arange(m_max + 1), z)
 
 
 def scaled_bessel_i(m: int, z: float) -> float:
@@ -124,9 +87,7 @@ def scaled_bessel_i(m: int, z: float) -> float:
         raise InputError(f"order must be >= 0, got {m}")
     if z < 0.0:
         raise InputError(f"argument must be >= 0, got {z}")
-    if z > 0.0 and m * m >= _SERIES_SWITCH * z:
-        return _scaled_bessel_series(m, z)
-    return float(scaled_bessel_profile(z, m)[m])
+    return float(ive(m, z))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +143,10 @@ def heat_kernel_spectral(t: float, v: Sequence[int], dim: int, torus_size: int) 
             AccuracyWarning,
             stacklevel=2,
         )
-    theta = (2.0 * np.pi / L) * np.arange(L)
-    damp = np.exp(-2.0 * t * (1.0 - np.cos(theta))) / L
+    profile = _spectral_profile(t, max_abs, L)
     out = 1.0
     for c in vec:
-        out *= float(np.cos(c * theta) @ damp)
+        out *= float(profile[abs(c)])
     return out
 
 
@@ -305,15 +265,37 @@ def _green_tail(alpha: float, dim: int, vs: np.ndarray, T: float, tail_order: in
     return base * (T**-s / s + c1 * T ** (-s - 1.0) / (s + 1.0) + c2 * T ** (-s - 2.0) / (s + 2.0))
 
 
-def _green_values(alpha: float, dim: int, vs: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """Green's function at the rows of vs (nonnegative coordinates)."""
+def _bessel_profile(t: float, m_max: int) -> np.ndarray:
+    """One-dimensional heat kernel e^{-2t} I_m(2t) for displacements 0..m_max."""
+    return scaled_bessel_profile(2.0 * t, m_max)
+
+
+def _torus_profile(t: float, m_max: int) -> np.ndarray:
+    """One-dimensional heat kernel from torus spectral sums, on a torus large
+    enough that wrap-around stays negligible."""
+    L = int(max(64, 2 * m_max + 4, math.ceil(m_max + 13.0 * math.sqrt(max(t, 1.0)))))
+    return _spectral_profile(t, m_max, L)
+
+
+def _green_values(
+    alpha: float,
+    dim: int,
+    vs: np.ndarray,
+    quad: QuadratureSpec,
+    profile: Callable[[float, int], np.ndarray],
+) -> np.ndarray:
+    """Green's function at the rows of vs (nonnegative coordinates).
+
+    ``profile(t, m_max)`` gives the one-dimensional heat kernel k_t at
+    displacements 0..m_max; the product over coordinates is k_t(v).
+    """
     m_max = int(vs.max()) if vs.size else 0
     ts, ws, T = _green_plan(alpha, quad, m_max)
     kernel = np.ones((ts.size, vs.shape[0]))
     for t_idx, t in enumerate(ts):
-        profile = scaled_bessel_profile(2.0 * t, m_max)
+        row = profile(t, m_max)
         for axis in range(dim):
-            kernel[t_idx] *= profile[vs[:, axis]]
+            kernel[t_idx] *= row[vs[:, axis]]
     integral = ws @ kernel + _green_tail(alpha, dim, vs, T, quad.tail_order)
     return integral / math.gamma(alpha / 2.0)
 
@@ -327,7 +309,7 @@ def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[Quad
     vec = _check_vector(v, dim)
     quad = quad or QuadratureSpec()
     vs = np.abs(np.array([vec], dtype=np.int64))
-    return float(_green_values(alpha, dim, vs, quad)[0])
+    return float(_green_values(alpha, dim, vs, quad, _bessel_profile)[0])
 
 
 def riesz_kernel(alpha: float, v: Sequence[int], dim: int) -> float:
@@ -364,7 +346,6 @@ class KernelTable:
         alpha: float,
         dim: int,
         radius: int,
-        method: str,
         quad: QuadratureSpec,
         orbit_keys: np.ndarray,
         orbit_values: np.ndarray,
@@ -372,13 +353,10 @@ class KernelTable:
     ):
         if kind not in _KINDS:
             raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
-        if method not in _METHODS:
-            raise InputError(f"method must be one of {_METHODS}, got {method!r}")
         self.kind = kind
         self.alpha = float(alpha)
         self.dim = int(dim)
         self.radius = int(radius)
-        self.method = method
         self.quad = quad
         self.orbit_keys = np.asarray(orbit_keys, dtype=np.int64)
         self.orbit_values = np.asarray(orbit_values, dtype=np.float64)
@@ -423,7 +401,7 @@ class KernelTable:
         return float(self.values_at(np.array([vec], dtype=np.int64))[0])
 
     def header_key(self) -> Tuple:
-        return (self.kind, repr(self.alpha), self.dim, self.radius, self.method, self.quad.digest())
+        return (self.kind, repr(self.alpha), self.dim, self.radius, self.quad.digest())
 
 
 def _canonical_orbits(dim: int, m_max: int) -> np.ndarray:
@@ -439,77 +417,57 @@ def _abs_grid_coords(dim: int, m_max: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _spectral_green_values(alpha: float, dim: int, vs: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """Green's function with heat-kernel factors from torus spectral sums."""
-    m_max = int(vs.max()) if vs.size else 0
-    ts, ws, T = _green_plan(alpha, quad, m_max)
-    kernel = np.ones((ts.size, vs.shape[0]))
-    for t_idx, t in enumerate(ts):
-        L = int(max(64, 2 * m_max + 4, math.ceil(m_max + 13.0 * math.sqrt(max(t, 1.0)))))
-        profile = _spectral_profile(t, m_max, L)
-        for axis in range(dim):
-            kernel[t_idx] *= profile[vs[:, axis]]
-    integral = ws @ kernel + _green_tail(alpha, dim, vs, T, quad.tail_order)
-    return integral / math.gamma(alpha / 2.0)
-
-
 def build_kernel_table(
     kind: str,
     alpha: float,
     window: LatticeWindow,
     quad: Optional[QuadratureSpec] = None,
-    method: str = METHOD_BESSEL,
     cache_dir: Optional[str] = None,
 ) -> KernelTable:
     """Tabulate a kernel over the difference range of a window.
 
     With ``cache_dir`` set, a previously saved table with the same key
-    (kind, alpha, dim, radius, method, quadrature digest) is loaded instead of
+    (kind, alpha, dim, radius, quadrature digest) is loaded instead of
     rebuilt; unusable cache files are discarded with a warning and rewritten.
     """
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if method not in _METHODS:
-        raise InputError(f"method must be one of {_METHODS}, got {method!r}")
     if not 0.0 < alpha < window.dim:
         raise ParameterError("alpha must lie in (0, N)")
     quad = quad or QuadratureSpec()
 
     path = None
     if cache_dir is not None:
-        path = kernel_cache_path(cache_dir, kind, alpha, window.dim, window.radius, method, quad)
+        path = kernel_cache_path(cache_dir, kind, alpha, window.dim, window.radius, quad)
         if path.exists():
             try:
                 table = load_kernel_table(path)
             except CacheError as exc:
                 warnings.warn(f"discarding unusable kernel cache {path}: {exc}", CacheWarning, stacklevel=2)
             else:
-                fresh = KernelTable(kind, alpha, window.dim, window.radius, method, quad,
+                fresh = KernelTable(kind, alpha, window.dim, window.radius, quad,
                                     table.orbit_keys, table.orbit_values, source="cache")
-                if fresh.header_key() == _expected_header_key(kind, alpha, window, method, quad):
+                if fresh.header_key() == _expected_header_key(kind, alpha, window, quad):
                     return fresh
                 warnings.warn(f"kernel cache {path} does not match its key; rebuilding", CacheWarning, stacklevel=2)
 
     m_max = 2 * window.radius
     orbits = _canonical_orbits(window.dim, m_max)
     if kind == GREEN:
-        if method == METHOD_BESSEL:
-            values = _green_values(alpha, window.dim, orbits, quad)
-        else:
-            values = _spectral_green_values(alpha, window.dim, orbits, quad)
+        values = _green_values(alpha, window.dim, orbits, quad, _bessel_profile)
     else:
         norms = np.sqrt((orbits.astype(float) ** 2).sum(axis=1))
         with np.errstate(divide="ignore"):
             values = norms ** (alpha - window.dim)
         values[norms == 0.0] = 0.0  # convolutions exclude the diagonal
-    table = KernelTable(kind, alpha, window.dim, window.radius, method, quad, orbits, values)
+    table = KernelTable(kind, alpha, window.dim, window.radius, quad, orbits, values)
     if path is not None:
         save_kernel_table(table, path)
     return table
 
 
-def _expected_header_key(kind, alpha, window, method, quad) -> Tuple:
-    return (kind, repr(float(alpha)), window.dim, window.radius, method, quad.digest())
+def _expected_header_key(kind, alpha, window, quad) -> Tuple:
+    return (kind, repr(float(alpha)), window.dim, window.radius, quad.digest())
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +481,9 @@ def kernel_cache_path(
     alpha: float,
     dim: int,
     radius: int,
-    method: str,
     quad: QuadratureSpec,
 ) -> Path:
-    name = f"{kind}_alpha{float(alpha)!r}_dim{dim}_r{radius}_{method}_{quad.digest()}.table"
+    name = f"{kind}_alpha{float(alpha)!r}_dim{dim}_r{radius}_{_CACHE_METHOD}_{quad.digest()}.table"
     return Path(cache_dir) / name
 
 
@@ -544,7 +501,7 @@ def save_kernel_table(table: KernelTable, path) -> None:
         f"alpha {table.alpha!r}",
         f"dim {table.dim}",
         f"radius {table.radius}",
-        f"method {table.method}",
+        f"method {_CACHE_METHOD}",
         f"quad_digest {table.quad.digest()}",
         f"quad {table.quad.canonical_string()}",
         f"orbits {table.orbit_values.size}",
@@ -597,6 +554,8 @@ def load_kernel_table(path) -> KernelTable:
         quad = _parse_quad(header["quad"])
         if quad.digest() != header["quad_digest"]:
             raise CacheError("quadrature digest mismatch")
+        if header["method"] != _CACHE_METHOD:
+            raise CacheError(f"unsupported evaluation method {header['method']!r}")
         count = int(header["orbits"])
         dim = int(header["dim"])
         rows = [line.split() for line in lines[body_start:] if line.strip()]
@@ -609,7 +568,6 @@ def load_kernel_table(path) -> KernelTable:
             alpha=float(header["alpha"]),
             dim=dim,
             radius=int(header["radius"]),
-            method=header["method"],
             quad=quad,
             orbit_keys=keys,
             orbit_values=values,
@@ -707,7 +665,7 @@ def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
     norms = np.abs(table.orbit_keys).sum(axis=1)
     vs = table.orbit_keys[norms <= r_max]
     reference = table.values_at(vs)
-    other = _spectral_green_values(table.alpha, table.dim, np.abs(vs), table.quad)
+    other = _green_values(table.alpha, table.dim, np.abs(vs), table.quad, _torus_profile)
     return float(np.max(np.abs(other - reference) / np.maximum(np.abs(reference), 1.0e-14)))
 
 

@@ -255,6 +255,15 @@ class LatticeWindow:
             raise InputError(f"index {index} out of range 0..{self._count - 1}")
         return tuple(int(c) for c in self._sites[index])
 
+    def reach(self, coords: np.ndarray) -> int:
+        """Least radius of a window of this shape that holds the sites (0 if none)."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.size == 0:
+            return 0
+        if self._shape == BALL:
+            return int(np.abs(coords).sum(axis=1).max())
+        return int(np.abs(coords).max())
+
     def enlarged(self, extra: int) -> "LatticeWindow":
         """Window of the same shape with radius increased by ``extra``."""
         if extra < 0:

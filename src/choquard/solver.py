@@ -29,7 +29,6 @@ from .errors import (
     ParameterError,
 )
 from .fields import Field
-from .lattice import BALL
 from .variational import MODE_DIRICHLET, MODE_FULL, ProblemSpec
 
 INIT_WELL_BUMP = "well-bump"
@@ -38,6 +37,9 @@ INIT_SUPPLIED = "supplied"
 _INITIALIZERS = (INIT_WELL_BUMP, INIT_RANDOM_POSITIVE, INIT_SUPPLIED)
 
 _MIN_STEP = 1.0e-14
+# starts whose levels lie within this relative distance of the least level
+# are ties to round-off; the first of them in start order is reported
+_TIE_TOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ class SolveResult:
     start_labels: Tuple[str, ...]
     start_levels: Tuple[float, ...]
     start_index: int
+    restart_spread: float
 
 
 def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
@@ -194,6 +197,7 @@ def _descend(prob: ProblemSpec, cfg: SolverConfig, u0: Field) -> SolveResult:
                 start_labels=(),
                 start_levels=(),
                 start_index=0,
+                restart_spread=0.0,
             )
         step = 1.0
         accepted = None
@@ -237,8 +241,11 @@ def ground_state(
     """Least-level minimizer over the configured starts.
 
     Runs projected descent from the primary initializer, ``cfg.restarts``
-    random positive fields, and any extra starts, and returns the converged
-    run with the least level; per-start levels are recorded in the result.
+    random positive fields, and any extra starts, and returns the first
+    converged run, in start order, whose level is within a relative 1e-12 of
+    the least level, so that round-off among tied starts cannot change the
+    report.  Per-start levels and their relative spread (max - min)/|min|
+    are recorded in the result.
     """
     rng = np.random.default_rng(cfg.seed)
     starts = []
@@ -279,9 +286,11 @@ def ground_state(
 
     labels = tuple(label for label, _ in outcomes)
     levels = tuple(res.level for _, res in outcomes)
-    best_pos = min(range(len(outcomes)), key=lambda i: levels[i])
+    least = min(levels)
+    best_pos = next(i for i, level in enumerate(levels) if level <= least + _TIE_TOL * abs(least))
     best = outcomes[best_pos][1]
-    return replace(best, start_labels=labels, start_levels=levels, start_index=best_pos)
+    spread = (max(levels) - least) / abs(least)
+    return replace(best, start_labels=labels, start_levels=levels, start_index=best_pos, restart_spread=spread)
 
 
 def sign_aligned_distance(u: Field, ref: Field) -> float:
@@ -440,14 +449,6 @@ class SplittingRow:
     nonlocal_defect: float
 
 
-def _shape_reach(window, coords: np.ndarray) -> int:
-    if coords.size == 0:
-        return 0
-    if window.shape == BALL:
-        return int(np.abs(coords).sum(axis=1).max())
-    return int(np.abs(coords).max())
-
-
 def brezis_lieb_probe(
     u: Field,
     v: Field,
@@ -465,7 +466,7 @@ def brezis_lieb_probe(
     _var._check_window(u, prob)
     _var._check_window(v, prob)
     v_support = v.support().as_array().reshape(-1, prob.dim)
-    v_reach = _shape_reach(prob.window, v_support)
+    v_reach = prob.window.reach(v_support)
     d_u = _var.nonlocal_term(u, prob)
     lap_u = laplacian(u)
     gam_u = gradient_form(u, u)
@@ -475,7 +476,7 @@ def brezis_lieb_probe(
         if offset.shape != (prob.dim,):
             raise InputError(f"shift {shift!r} must have {prob.dim} coordinates")
         moved_support = v_support + offset
-        margin = prob.window.radius - _shape_reach(prob.window, moved_support)
+        margin = prob.window.radius - prob.window.reach(moved_support)
         if margin < v_reach:
             raise InputError(
                 f"shift {tuple(int(c) for c in offset)} leaves margin {margin}, "
@@ -518,6 +519,7 @@ def result_to_dict(result: SolveResult) -> dict:
         "start_labels": list(result.start_labels),
         "start_levels": list(result.start_levels),
         "start_index": result.start_index,
+        "restart_spread": result.restart_spread,
         "history": [
             {
                 "iteration": rec.iteration,

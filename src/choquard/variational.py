@@ -24,7 +24,7 @@ from . import calculus as _calculus
 from . import kernels as _kernels
 from .errors import InputError, NoProjectionError, ParameterError, ProbeInconclusiveError
 from .fields import Field
-from .lattice import BALL, LatticeWindow, SiteSet
+from .lattice import LatticeWindow, SiteSet
 
 MODE_FULL = "full"
 MODE_DIRICHLET = "dirichlet"
@@ -91,11 +91,7 @@ class ProblemSpec:
         idx = self.window.indices_of(coords)
         if np.any(idx < 0):
             raise InputError("the well must lie inside the window")
-        if self.window.shape == BALL:
-            reach = int(np.abs(coords).sum(axis=1).max())
-        else:
-            reach = int(np.abs(coords).max())
-        margin = self.window.radius - reach
+        margin = self.window.radius - self.window.reach(coords)
         if margin < 3:
             raise InputError(f"well needs margin >= 3 to the window edge, got {margin}")
         object.__setattr__(self, "_cache", {})

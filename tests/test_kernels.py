@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ import choquard as c
 from choquard import (
     BALL,
     BOX,
+    CacheError,
     CacheWarning,
     DomainError,
     Field,
@@ -31,6 +33,7 @@ from choquard.kernels import (
     heat_kernel_spectral,
     riesz_kernel,
     scaled_bessel_i,
+    scaled_bessel_profile,
 )
 
 
@@ -52,6 +55,21 @@ def test_scaled_bessel_small_order_series_value():
             term *= 1.0 / (k * k)
         acc += term
     assert scaled_bessel_i(0, 2.0) == pytest.approx(math.exp(-2.0) * acc, rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [1e-3, 1.0, 10.0, 100.0, 1e3, 1e6])
+def test_scaled_bessel_profile_matches_mpmath(z):
+    # 40-digit oracle over orders 0..128, for arguments from far below the
+    # orders to far above them; values below 1e-300 must underflow to ~0
+    with mpmath.workdps(40):
+        ref = [mpmath.besseli(m, z) * mpmath.exp(-z) for m in range(129)]
+        ours = scaled_bessel_profile(z, 128)
+        assert ours.shape == (129,)
+        for m, (got, want) in enumerate(zip(ours, ref)):
+            if want >= mpmath.mpf("1e-300"):
+                assert float(abs(got - want) / want) <= 2e-13, (m, got, want)
+            else:
+                assert got < 1e-290, (m, got)
 
 
 def test_heat_kernel_product_structure_and_edge_cases():
@@ -162,6 +180,32 @@ def test_cache_hit_and_corrupt_cache_rebuild(small_window, tmp_path):
     with pytest.warns(CacheWarning):
         rebuilt = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
     assert rebuilt.source == "built"
+
+
+def test_cache_file_keeps_the_v1_method_field(small_window, tmp_path):
+    # the file name and header keep the method field of the v1 format, so
+    # existing cache files keep loading; any other method is rejected
+    cache = tmp_path / "cache"
+    built = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
+    path = next(cache.iterdir())
+    assert "_bessel-product_" in path.name
+    lines = path.read_text().splitlines()
+    assert "method bessel-product" in lines
+    loaded = c.load_kernel_table(path)
+    assert np.array_equal(loaded.orbit_values, built.orbit_values)
+    assert np.array_equal(loaded.orbit_keys, built.orbit_keys)
+    assert loaded.header_key() == built.header_key()
+
+    path.write_text("\n".join(
+        "method torus-spectral" if line == "method bessel-product" else line for line in lines
+    ) + "\n")
+    with pytest.raises(CacheError, match="torus-spectral"):
+        c.load_kernel_table(path)
+    with pytest.warns(CacheWarning):
+        rebuilt = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
+    assert rebuilt.source == "built"
+    assert np.array_equal(rebuilt.orbit_values, built.orbit_values)
+    assert path.read_text().splitlines() == lines
 
 
 def test_cache_values_are_trusted_not_checksummed(small_window, tmp_path):

@@ -115,9 +115,35 @@ def test_ground_state_converges_with_certificates(small_prob):
     assert res.history[-1].step == 0.0
     assert res.start_labels[0] == "well-bump"
     assert len(res.start_labels) == len(res.start_levels) == 3
-    assert res.start_index == int(np.argmin(res.start_levels))
+    least = min(res.start_levels)
+    ties = [i for i, level in enumerate(res.start_levels) if level - least <= 1e-12 * abs(least)]
+    assert res.start_index == ties[0]
+    assert res.restart_spread == (max(res.start_levels) - least) / abs(least)
     residual = c.euler_lagrange_residual(res.u, small_prob)
     assert np.linalg.norm(residual.values) <= 1e-7 * math.sqrt(a)
+
+
+@pytest.fixture(scope="module")
+def desk_default_solve(desk_prob):
+    return c.ground_state(desk_prob, SolverConfig())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_default_solve, seed):
+    # the starts of the desk problem end at levels equal to round-off, so a
+    # 1e-13 change to the kernel must not change which start is reported
+    base = desk_default_solve
+    table = desk_prob.kernel
+    rng = np.random.default_rng(seed)
+    factors = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, table.orbit_values.size)
+    nudged = c.KernelTable(
+        table.kind, table.alpha, table.dim, table.radius, table.quad,
+        table.orbit_keys, table.orbit_values * factors,
+    )
+    res = c.ground_state(dataclasses.replace(desk_prob, kernel=nudged), SolverConfig())
+    assert res.start_index == base.start_index
+    assert res.iterations == base.iterations
+    assert res.level == pytest.approx(base.level, rel=1e-12, abs=0.0)
 
 
 def test_ground_state_supplied_start_agrees(small_prob):
