@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from . import calculus as _calculus
 from . import kernels as _kernels
@@ -160,6 +161,25 @@ class ProblemSpec:
 
         return self._cached("operator", build)
 
+    def operator_factor(self):
+        """Sparse LU factor of operator_matrix(), built on first use and cached.
+
+        The operator is symmetric positive definite, so the minimum-degree
+        ordering of A + A^T with diagonal pivots keeps the fill low: at
+        radius 32 in dimension 2 (4225 unknowns) L + U hold about 0.43M
+        nonzeros.
+        """
+
+        def build():
+            return splu(
+                self.operator_matrix().tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0,
+                options={"SymmetricMode": True},
+            )
+
+        return self._cached("factor", build)
+
     def operator_diagonal(self) -> np.ndarray:
         def build():
             d = self.operator_matrix().diagonal()
@@ -190,17 +210,31 @@ def _require_admissible(u: Field, prob: ProblemSpec) -> None:
 def norm_sq(u: Field, prob: ProblemSpec) -> float:
     """Squared problem norm as the quadratic form of the sparse operator."""
     _require_admissible(u, prob)
-    if prob.mode == MODE_FULL:
-        x = u.values
-    else:
-        x = u.values[prob.free_indices()]
+    return _quadratic_form(u.values, prob)
+
+
+def _quadratic_form(values: np.ndarray, prob: ProblemSpec) -> float:
+    x = values[prob.free_indices()]
     return float(x @ (prob.operator_matrix() @ x))
+
+
+def pair_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, float]:
+    """K * |v|^p (diagonal excluded) and the pair energy D(v) from one convolution.
+
+    D is exactly 0 when fewer than two sites are nonzero: the sum runs over
+    pairs of distinct sites, and FFT round-off must not turn that zero into
+    a tiny positive value.
+    """
+    h = np.abs(values) ** prob.p
+    conv = _kernels.convolve(prob.kernel, Field(prob.window, h)).values
+    d = float(conv @ h) if np.count_nonzero(h) >= 2 else 0.0
+    return conv, d
 
 
 def nonlocal_term(u: Field, prob: ProblemSpec) -> float:
     """Pair energy D(u) of the problem kernel."""
     _check_window(u, prob)
-    return _calculus.nonlocal_energy(u, prob.kernel, prob.p)
+    return pair_terms(u.values, prob)[1]
 
 
 def energy(u: Field, prob: ProblemSpec) -> float:
@@ -208,15 +242,19 @@ def energy(u: Field, prob: ProblemSpec) -> float:
     return 0.5 * norm_sq(u, prob) - nonlocal_term(u, prob) / (2.0 * prob.p)
 
 
-def _nonlinear_values(values: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """(K * |u|^p) |u|^{p-2} u evaluated on the window."""
-    absu = np.abs(values)
-    h = absu**prob.p
-    conv = _kernels.convolve(prob.kernel, Field(prob.window, h))
+def gradient_values(values: np.ndarray, conv: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """A v - (K * |v|^p) |v|^{p-2} v on the free sites, zero elsewhere.
+
+    ``values`` vanish off the free sites and ``conv`` is K * |v|^p, as
+    returned by pair_terms.
+    """
     factor = np.zeros_like(values)
     nz = values != 0.0
-    factor[nz] = absu[nz] ** (prob.p - 2.0) * values[nz]
-    return conv.values * factor
+    factor[nz] = np.abs(values[nz]) ** (prob.p - 2.0) * values[nz]
+    free = prob.free_indices()
+    grad = np.zeros_like(values)
+    grad[free] = prob.operator_matrix() @ values[free] - (conv * factor)[free]
+    return grad
 
 
 def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
@@ -226,21 +264,53 @@ def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
     matching the constrained unknowns.
     """
     _check_window(u, prob)
-    if prob.mode == MODE_FULL:
-        x = u.values
-        grad = prob.operator_matrix() @ x - _nonlinear_values(x, prob)
-        return Field(prob.window, grad)
     free = prob.free_indices()
     restricted = np.zeros(prob.window.count)
     restricted[free] = u.values[free]
-    grad = np.zeros(prob.window.count)
-    grad[free] = prob.operator_matrix() @ u.values[free] - _nonlinear_values(restricted, prob)[free]
-    return Field(prob.window, grad)
+    conv, _ = pair_terms(restricted, prob)
+    return Field(prob.window, gradient_values(restricted, conv, prob))
 
 
 def nehari_defect(u: Field, prob: ProblemSpec) -> float:
     """(J'(u), u) = ||u||^2 - D(u); zero exactly on the constraint set."""
     return norm_sq(u, prob) - nonlocal_term(u, prob)
+
+
+@dataclass(frozen=True)
+class Projection:
+    """A field scaled onto the constraint set, with its energy and pair terms."""
+
+    scale: float
+    values: np.ndarray
+    energy: float
+    pair_energy: float
+    conv: np.ndarray
+
+
+def project_values(values: np.ndarray, prob: ProblemSpec) -> Projection:
+    """Scale window values v (vanishing off the free sites) onto the constraint set.
+
+    With a = ||v||^2 the scale is t = (a / D(v))^(1/(2(p-1))).  Both pair
+    terms are homogeneous, K * |tv|^p = t^p K * |v|^p and
+    D(tv) = t^(2p) D(v), so the one convolution of |v|^p also gives
+    J(tv) = t^2 a / 2 - t^(2p) D(v) / (2p) and the pair terms of tv.
+    Raises NoProjectionError when D(v) vanishes (for example, single-site
+    fields).
+    """
+    a = _quadratic_form(values, prob)
+    conv, d = pair_terms(values, prob)
+    if d == 0.0:
+        raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
+    p = prob.p
+    t = (a / d) ** (1.0 / (2.0 * (p - 1.0)))
+    pair = t ** (2.0 * p) * d
+    return Projection(
+        scale=t,
+        values=t * values,
+        energy=0.5 * t * t * a - pair / (2.0 * p),
+        pair_energy=pair,
+        conv=t**p * conv,
+    )
 
 
 def nehari_project(u: Field, prob: ProblemSpec) -> Tuple[float, Field]:
@@ -249,12 +319,9 @@ def nehari_project(u: Field, prob: ProblemSpec) -> Tuple[float, Field]:
     t = (||u||^2 / D(u))^(1/(2(p-1))); fields with vanishing pair energy
     (for example, single-site fields) admit no such scale.
     """
-    a = norm_sq(u, prob)
-    d = nonlocal_term(u, prob)
-    if d == 0.0:
-        raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
-    t = (a / d) ** (1.0 / (2.0 * (prob.p - 1.0)))
-    return t, t * u
+    _require_admissible(u, prob)
+    proj = project_values(u.values, prob)
+    return proj.scale, Field(prob.window, proj.values)
 
 
 def nehari_level(u: Field, prob: ProblemSpec) -> float:

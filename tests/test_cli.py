@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from choquard import load_field
+from choquard import load_field, solver
 from choquard.cli import (
     UsageError,
     config_json,
@@ -161,6 +162,24 @@ def test_sweep_convergence_failure_exit_code(tmp_path, capsys):
     argv = ["sweep", "--config", cfg, "--radius", "6", "--lambda-grid", "1,10", "--omega-radius", "1"]
     assert main(argv) == 2
     assert "convergence failure" in capsys.readouterr().err
+
+
+def test_sweep_non_finite_direction_is_a_convergence_failure(tmp_path, monkeypatch, capsys):
+    real = solver.linear_solve
+
+    def broken(rhs, prob, cfg):
+        out = real(rhs, prob, cfg)
+        if prob.mode == "full":
+            out[:] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "linear_solve", broken)
+    out = tmp_path / "rep.json"
+    assert main(["sweep", "--radius", "8", "--lambda-grid", "1,10", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())["report"]
+    assert [row["converged"] for row in report["rows"]] == [False, False]
+    assert report["well_result"]["converged"] is True
+    assert "lambda=1: did not converge" in capsys.readouterr().out
 
 
 def test_verify_subset_passes(tmp_path, capsys):

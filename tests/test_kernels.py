@@ -369,8 +369,10 @@ def test_convolve_is_self_adjoint(small_table, a, b, seed, diag):
 @given(
     a=_window_specs,
     seed=st.integers(0, 2**32 - 1),
-    s=st.floats(-10.0, 10.0),
-    t=st.floats(-10.0, 10.0),
+    # subnormal scales round s*f to multiples of 5e-324 before convolve runs,
+    # a relative error no double can keep below the bound
+    s=st.floats(-10.0, 10.0, allow_subnormal=False),
+    t=st.floats(-10.0, 10.0, allow_subnormal=False),
     diag=st.booleans(),
 )
 def test_convolve_is_linear(small_table, a, seed, s, t, diag):

@@ -103,6 +103,81 @@ def test_dual_residual_is_directional_supremum(small_prob):
     assert max(samples) == pytest.approx(dual, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
+def test_linear_solve_factor_residual_and_agreement_with_cg(request, name):
+    prob = request.getfixturevalue(name)
+    rng = np.random.default_rng(33)
+    free = prob.free_indices()
+    rhs = np.zeros(prob.window.count)
+    rhs[free] = rng.standard_normal(free.size)
+    x = c.linear_solve(rhs, prob, SolverConfig())
+    assert prob.operator_factor() is prob.operator_factor()
+    off = np.ones(prob.window.count, dtype=bool)
+    off[free] = False
+    assert not x[off].any()
+    residual = prob.operator_matrix() @ x[free] - rhs[free]
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+    ref = c.cg_solve(Field(prob.window, rhs), prob, SolverConfig(cg_tol=1e-12)).values
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(x)
+
+
+def test_linear_solve_routes_by_dimension(small_prob, cube_table, monkeypatch):
+    cube = ProblemSpec(
+        mode="full",
+        window=get_window(3, 4),
+        potential=PotentialSpec(well=ball((0, 0, 0), 1)),
+        kernel=cube_table,
+        p=2.0,
+        lam=5.0,
+    )
+    dims = []
+    real = c.solver.cg_solve
+
+    def spy(rhs, prob, cfg):
+        dims.append(prob.dim)
+        return real(rhs, prob, cfg)
+
+    monkeypatch.setattr(c.solver, "cg_solve", spy)
+    rng = np.random.default_rng(34)
+    for prob in (small_prob, cube):
+        rhs = rng.standard_normal(prob.window.count)
+        x = c.linear_solve(rhs, prob, SolverConfig(cg_tol=1e-12))
+        assert np.linalg.norm(prob.operator_matrix() @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    assert dims == [3]
+
+
+@pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SolverConfig(restarts=0, residual_tol=1e-10),
+        # a demanding decrease test makes the line search backtrack
+        SolverConfig(
+            restarts=0, residual_tol=1e-10, initializer="random-positive",
+            sufficient_decrease=0.5, shrink=0.3,
+        ),
+    ],
+)
+def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, monkeypatch):
+    prob = request.getfixturevalue(name)
+    calls = []
+    real = c.kernels.convolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(c.kernels, "convolve", counting)
+    res = c.ground_state(prob, cfg)
+    # an accepted step s = shrink^k is the (k+1)-th trial; the last iteration
+    # converges without a line search and records step 0
+    trials = sum(
+        round(math.log(rec.step) / math.log(cfg.shrink)) + 1 for rec in res.history if rec.step > 0.0
+    )
+    assert trials >= res.iterations - 1
+    assert len(calls) == 1 + trials
+
+
 def test_ground_state_converges_with_certificates(small_prob):
     cfg = SolverConfig(restarts=2, residual_tol=1e-10)
     res = c.ground_state(small_prob, cfg)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choquard as c
 from choquard import (
@@ -138,6 +140,40 @@ def test_projection_of_random_fields(small_prob):
     off = _free_field(small_prob, rng)
     with pytest.raises(InputError, match="constraint"):
         c.nehari_level(2.0 * c.nehari_project(off, small_prob)[1], small_prob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.01, 100.0), p=st.floats(1.6, 4.0))
+def test_pair_terms_are_homogeneous(small_prob, seed, t, p):
+    prob = dataclasses.replace(small_prob, p=p)
+    v = np.random.default_rng(seed).standard_normal(prob.window.count)
+    conv, d = c.variational.pair_terms(v, prob)
+    conv_t, d_t = c.variational.pair_terms(t * v, prob)
+    assert abs(d_t - t ** (2.0 * p) * d) <= 1e-12 * t ** (2.0 * p) * d
+    assert np.abs(conv_t - t**p * conv).max() <= 1e-12 * t**p * np.abs(conv).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3), dirichlet=st.booleans())
+def test_nehari_project_lands_on_constraint(small_prob, small_dirichlet, seed, scale, dirichlet):
+    prob = small_dirichlet if dirichlet else small_prob
+    u = _free_field(prob, np.random.default_rng(seed), scale)
+    _, w = c.nehari_project(u, prob)
+    a = c.norm_sq(w, prob)
+    assert abs(a - c.nonlocal_term(w, prob)) <= 1e-10 * a
+
+
+def test_projection_closed_form_matches_direct_evaluation(small_prob, small_dirichlet):
+    rng = np.random.default_rng(24)
+    for prob in (small_prob, small_dirichlet):
+        for _ in range(20):
+            v = np.abs(_free_field(prob, rng).values)
+            proj = c.variational.project_values(v, prob)
+            candidate = Field(prob.window, proj.values)
+            assert proj.energy == pytest.approx(c.energy(candidate, prob), rel=1e-12, abs=0.0)
+            assert proj.pair_energy == pytest.approx(c.nonlocal_term(candidate, prob), rel=1e-12, abs=0.0)
+            direct, _ = c.variational.pair_terms(proj.values, prob)
+            assert np.abs(proj.conv - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 def _finite_difference_gradient(u, prob, indices, h=1e-5):
