@@ -14,7 +14,7 @@ inequality of Hardy-Littlewood-Sobolev type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -204,19 +204,38 @@ def lp_norm(u: Field, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, one per leading index.
+
+    Each row goes through the same BLAS dot as ``x[i] @ y[i]`` on contiguous
+    rows, so a row's value depends neither on the batch nor on the layout
+    (a strided BLAS dot sums in another order).
+    """
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def pair_sums(
+    table: "_kernels.KernelTable", window: LatticeWindow, h: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """K * h (diagonal excluded) and sum_x (K * h)(x) h(x), per row of h.
+
+    The last axis of h holds the sites of the window.  The pair sum runs
+    over pairs of distinct sites, so it is exactly 0 for a row with fewer
+    than two nonzero sites; FFT round-off must not turn that zero into a
+    tiny positive value.
+    """
+    conv = _kernels.convolve_values(table, window, h)
+    return conv, np.where(np.count_nonzero(h, axis=-1) >= 2, row_dot(conv, h), 0.0)
+
+
 def nonlocal_energy(u: Field, table: "_kernels.KernelTable", p: float) -> float:
     """Pair energy D(u) = sum_x (K * |u|^p)(x) |u(x)|^p, diagonal excluded."""
     if not p > (u.window.dim + table.alpha) / u.window.dim:
         raise ParameterError(
             f"exponent p={p} must exceed (N + alpha)/N = {(u.window.dim + table.alpha) / u.window.dim}"
         )
-    g = Field(u.window, np.abs(u.values) ** p)
-    if np.count_nonzero(g.values) < 2:
-        # the sum runs over pairs of distinct sites; skipping the FFT keeps
-        # its round-off from turning an exact zero into a tiny positive value
-        return 0.0
-    conv = _kernels.convolve(table, g, include_diagonal=False)
-    return float(conv.values @ g.values)
+    return float(pair_sums(table, u.window, np.abs(u.values) ** p)[1])
 
 
 def hls_ratio(u: Field, v: Field, table: "_kernels.KernelTable", r: float, s: float) -> float:

@@ -310,7 +310,10 @@ def cmd_solve(cfg: Dict[str, Dict[str, object]]) -> int:
     print(f"mode={prob.mode} lambda={prob.lam!r}")
     print(f"ground-state level m = {result.level!r}")
     print(f"dual residual = {result.dual_residual:.3e}  constraint defect = {result.nehari_defect:.3e}")
-    print(f"iterations = {result.iterations}  starts tried = {len(result.start_levels)}")
+    print(
+        f"iterations = {result.iterations}  starts tried = {len(result.starts)}"
+        f"  converged = {len(result.start_levels)}"
+    )
     return 0
 
 

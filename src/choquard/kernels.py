@@ -614,34 +614,55 @@ def convolve(
     With ``include_diagonal`` the term K(0) f(x) is added back.  The output
     lives on ``out_window`` (default: the window of f); fields are zero
     outside their windows, so the sum over y runs over the window of f.
-    The sum is an exact linear convolution of the bounding boxes of the two
-    windows, evaluated by a zero-padded real FFT against the kernel spectrum
-    cached on the table, in O(n log n) time and O(n) memory.
+    The values come from convolve_values.
     """
-    if table.dim != f.window.dim:
-        raise InputError(f"dimension mismatch: table {table.dim}, field {f.window.dim}")
     out_w = out_window or f.window
+    return Field(out_w, convolve_values(table, f.window, f.values, include_diagonal, out_w))
+
+
+def convolve_values(
+    table: KernelTable,
+    window: LatticeWindow,
+    values: np.ndarray,
+    include_diagonal: bool = False,
+    out_window: Optional[LatticeWindow] = None,
+) -> np.ndarray:
+    """Array core of convolve: one field on ``window`` per row of ``values``.
+
+    The last axis of ``values`` holds the window sites; any leading axes are
+    a batch, and the result has the same leading axes and one value per site
+    of ``out_window`` (default: ``window``).  The sum is an exact linear
+    convolution of the bounding boxes of the two windows, evaluated by a
+    zero-padded real FFT over the trailing grid axes against the kernel
+    spectrum cached on the table, in O(n log n) time and O(n) memory per row.
+    The transforms of a batch run row by row through the same operations as
+    a single field, so a row's values do not depend on the batch.
+    """
+    if table.dim != window.dim:
+        raise InputError(f"dimension mismatch: table {table.dim}, field {window.dim}")
+    out_w = out_window or window
     if out_w.dim != table.dim:
         raise InputError("output window dimension does not match the table")
-    r_in, r_out = f.window.radius, out_w.radius
+    r_in, r_out = window.radius, out_w.radius
     reach = r_in + r_out
     if reach > table.m_max:
         raise InternalError(
             f"kernel table (radius {table.radius}) lacks difference vectors up to {reach}"
         )
     shape, spectrum = _kernel_spectrum(table, reach)
-    grid = _box_embedding(f).values.reshape((2 * r_in + 1,) * table.dim)
+    lead = values.shape[:-1]
+    grid = _box_values(window, values).reshape(lead + (2 * r_in + 1,) * table.dim)
     full = irfftn(rfftn(grid, s=shape) * spectrum, s=shape)
     # site x of the output box sits at index x + r_in + reach of the full grid
-    out = full[(slice(2 * r_in, 2 * reach + 1),) * table.dim]
+    out = full[(Ellipsis,) + (slice(2 * r_in, 2 * reach + 1),) * table.dim]
     if include_diagonal:
         m = min(r_in, r_out)
-        out[(slice(r_out - m, r_out + m + 1),) * table.dim] += (
-            table.diagonal * grid[(slice(r_in - m, r_in + m + 1),) * table.dim]
+        out[(Ellipsis,) + (slice(r_out - m, r_out + m + 1),) * table.dim] += (
+            table.diagonal * grid[(Ellipsis,) + (slice(r_in - m, r_in + m + 1),) * table.dim]
         )
     if out_w.shape == BOX:
-        return Field(out_w, out.reshape(-1))
-    return Field(out_w, out[tuple((out_w.sites + r_out).T)])
+        return out.reshape(lead + (-1,))
+    return out[(Ellipsis,) + tuple((out_w.sites + r_out).T)]
 
 
 def asymptotics_bracket(table: KernelTable, r_min: int = 5, r_max: int = 30) -> Tuple[float, float]:
@@ -677,7 +698,17 @@ def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
 def _box_embedding(u: Field) -> Field:
     if u.window.shape == BOX:
         return u
-    return u.embed(get_window(u.window.dim, u.window.radius, BOX))
+    return Field(get_window(u.window.dim, u.window.radius, BOX), _box_values(u.window, u.values))
+
+
+def _box_values(window: LatticeWindow, values: np.ndarray) -> np.ndarray:
+    """Rows of window values on the bounding box of the window, zero off it."""
+    if window.shape == BOX:
+        return values
+    box = get_window(window.dim, window.radius, BOX)
+    out = np.zeros(values.shape[:-1] + (box.count,))
+    out[..., box.indices_of(window.sites)] = values
+    return out
 
 
 def _semigroup_matrix(t: float, m_max: int) -> np.ndarray:

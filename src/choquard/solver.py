@@ -3,14 +3,16 @@
 The solver minimizes J over the constraint set by projected descent: each
 step solves A r = J'(u) with the problem operator A (so r is the gradient in
 the problem inner product), backtracks along u - s r, and re-projects onto
-the constraint set.  In dimension <= 2 the solve uses a sparse LU factor of
-A, built once per problem; in dimension >= 3 it uses preconditioned CG (see
-linear_solve).  Each line-search trial costs one convolution, which also
-gives the next iterate's pair energy and Euler-Lagrange term.  Multi-start
-over a smoothed well bump plus random positive fields approximates
-minimality.  The coupling sweep solves the well problem once, then the
-weighted problem over an increasing grid with warm starts, reporting levels,
-distances, and outside-well mass.
+the constraint set.  Multi-start over a smoothed well bump plus random
+positive fields approximates minimality, and all starts descend in
+lockstep as rows of one array: each step makes one product A X, one
+linear_solve for every row still running (a sparse LU factor of A, built
+once per problem, in dimension <= 2; preconditioned CG per row in
+dimension >= 3) and one batched convolution per round of line-search
+trials.  Each trial costs one convolved row, which also gives the next
+iterate's pair energy and Euler-Lagrange term.  The coupling sweep solves
+the well problem once, then the weighted problem over an increasing grid
+with warm starts, reporting levels, distances, and outside-well mass.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import cg as _scipy_cg
 
 from . import variational as _var
-from .calculus import bump_field, gradient_form, laplacian, w22_norm_sq
+from .calculus import bump_field, gradient_form, laplacian, row_dot, w22_norm_sq
 from .errors import (
     ConvergenceError,
     InitializerError,
@@ -39,6 +41,10 @@ INIT_WELL_BUMP = "well-bump"
 INIT_RANDOM_POSITIVE = "random-positive"
 INIT_SUPPLIED = "supplied"
 _INITIALIZERS = (INIT_WELL_BUMP, INIT_RANDOM_POSITIVE, INIT_SUPPLIED)
+
+STATUS_CONVERGED = "converged"
+STATUS_STALLED = "stalled"
+STATUS_INADMISSIBLE = "inadmissible"
 
 _MIN_STEP = 1.0e-14
 # starts whose levels lie within this relative distance of the least level
@@ -109,6 +115,22 @@ class IterationRecord:
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """How one start of a ground_state ended.
+
+    ``status`` is converged, stalled (the descent failed) or inadmissible
+    (the start has no projection onto the constraint set); ``level`` is set
+    for converged starts only and ``reason`` for failed ones only.
+    """
+
+    label: str
+    status: str
+    iterations: int
+    level: Optional[float]
+    reason: Optional[str]
+
+
+@dataclass(frozen=True)
 class SolveResult:
     """Converged minimizer with its level and per-iteration history."""
 
@@ -123,28 +145,22 @@ class SolveResult:
     start_levels: Tuple[float, ...]
     start_index: int
     restart_spread: float
+    starts: Tuple[StartRecord, ...] = ()
 
 
 def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
     """A u for A = Delta^2 - Delta + weight; u' A u equals the squared norm."""
     _var._require_admissible(u, prob)
-    if prob.mode == MODE_FULL:
-        return Field(prob.window, prob.operator_matrix() @ u.values)
-    free = prob.free_indices()
-    out = np.zeros(prob.window.count)
-    out[free] = prob.operator_matrix() @ u.values[free]
-    return Field(prob.window, out)
+    return Field(prob.window, prob.extend(_var.operator_values(prob.restrict(u.values), prob)))
 
 
 def cg_solve(rhs: Field, prob: ProblemSpec, cfg: SolverConfig) -> Field:
     """Solve A r = rhs on the free sites by diagonally preconditioned CG."""
     _var._check_window(rhs, prob)
-    free = prob.free_indices()
-    b = rhs.values[free]
+    b = prob.restrict(rhs.values)
     b_norm = float(np.linalg.norm(b))
-    out = np.zeros(prob.window.count)
     if b_norm == 0.0:
-        return Field(prob.window, out)
+        return Field(prob.window, np.zeros(prob.window.count))
     matrix = prob.operator_matrix()
     precond = diags(1.0 / prob.operator_diagonal())
     x, info = _scipy_cg(matrix, b, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iterations, M=precond)
@@ -155,16 +171,21 @@ def cg_solve(rhs: Field, prob: ProblemSpec, cfg: SolverConfig) -> Field:
             f"(relative residual {residual:.3e})",
             residual=residual,
         )
-    out[free] = x
-    return Field(prob.window, out)
+    return Field(prob.window, prob.extend(x))
 
 
 def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
-    """Solve A r = rhs on the free sites; window values in and out, zero off the free sites.
+    """Solve A r = rhs on the free sites for every row of rhs.
 
-    Dimension <= 2 uses the sparse LU factor cached on the problem
-    (ProblemSpec.operator_factor); dimension >= 3 uses cg_solve.  Single runs
-    on a 2-core VM (lam = 100, random right-hand side) set the crossover:
+    ``rhs`` holds window values, one right-hand side per row of at most one
+    leading axis; the solutions come back the same way, zero off the free
+    sites.  Dimension <= 2 solves all rows at once with the sparse LU factor
+    cached on the problem (ProblemSpec.operator_factor), as one
+    (n_free, k) right-hand side whose columns the triangular solves treat
+    one at a time, so a row's solution does not depend on the batch.
+    Dimension >= 3 runs cg_solve row by row, and a row whose solve stalls
+    comes back as NaN, so that only that row fails.  Single runs on a
+    2-core VM (lam = 100, random right-hand side) set the crossover:
 
     - dimension 2: the factor takes 7 ms at radius 16, 33 ms at radius 32 and
       0.25 s at radius 64; a solve then takes 0.20, 0.98 and 7.3 ms against
@@ -175,102 +196,129 @@ def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.nd
       1.8 GB.  The whole ``solve --dim 3 --radius 8 --lambda 100`` command
       took 1.0-1.2 s and 80 MB with CG against 2.3-2.4 s and 110 MB with LU.
     """
-    if prob.dim >= 3:
-        return cg_solve(Field(prob.window, rhs), prob, cfg).values
-    free = prob.free_indices()
-    out = np.zeros(prob.window.count)
-    out[free] = prob.operator_factor().solve(rhs[free])
-    return out
+    b = prob.restrict(rhs)
+    if prob.dim <= 2:
+        return prob.extend(prob.operator_factor().solve(b.T).T)
+    rows = b.reshape(-1, b.shape[-1])
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        try:
+            out[i] = prob.restrict(cg_solve(Field(prob.window, prob.extend(row)), prob, cfg).values)
+        except ConvergenceError:
+            out[i] = np.nan
+    return prob.extend(out.reshape(b.shape))
 
 
-def _mask_to_free(values: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    if prob.mode == MODE_FULL:
-        return values
-    out = np.zeros_like(values)
-    free = prob.free_indices()
-    out[free] = values[free]
-    return out
+def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> list:
+    """Projected descent from every row of x0 (free-site values) at once.
 
-
-def _well_bump_start(prob: ProblemSpec) -> Field:
-    bump = bump_field(prob.window, prob.well, smoothing_time=1.0)
-    return Field(prob.window, _mask_to_free(bump.values, prob))
-
-
-def _random_positive_start(prob: ProblemSpec, rng: np.random.Generator) -> Field:
-    values = rng.random(prob.window.count)
-    return Field(prob.window, _mask_to_free(values, prob))
-
-
-def _descend(prob: ProblemSpec, cfg: SolverConfig, u0: Field) -> SolveResult:
-    """Projected descent from one start; raises on projection or convergence failure.
-
-    The start and every line-search trial make one convolution each: the
-    accepted trial's projection carries its pair energy and convolution to
-    the next iteration.
+    Returns one outcome per row: a SolveResult when the row converges, a
+    ConvergenceError when it stalls, and a NoProjectionError when the start
+    admits no projection.  All rows take their steps together: one A x, one
+    linear_solve and one batched convolution per step and per line-search
+    round, with a per-row Armijo test.  A row leaves the batch when it
+    converges or fails.  Rows share no arithmetic, so each start ends as it
+    would alone.  Every start and every line-search trial convolves one row.
     """
-    current = _var.project_values(u0.values, prob)
     two_p = 2.0 * prob.p
-    history = []
+    outcomes = [None] * len(x0)
+    histories = [[] for _ in x0]
+    start = _var.project_values(prob.extend(x0), prob)
+    admissible = np.isfinite(start.energy)
+    for i in np.nonzero(~admissible)[0]:
+        outcomes[i] = NoProjectionError(
+            "pair energy vanishes; no scale meets the constraint"
+            if start.vanishes[i]
+            else "squared norm or pair energy is not finite"
+        )
+    rows = np.nonzero(admissible)[0]
+    x = prob.restrict(start.values)[rows]
+    pair = start.pair_energy[rows]
+    conv = start.conv[rows]
     for it in range(1, cfg.max_iterations + 1):
-        u = current.values
-        a = _var._quadratic_form(u, prob)
-        level = 0.5 * a - current.pair_energy / two_p
-        defect = a - current.pair_energy
-        grad = _var.gradient_values(u, current.conv, prob)
-        direction = linear_solve(grad, prob, cfg)
-        if not np.all(np.isfinite(direction)):
-            raise ConvergenceError(
-                f"search direction is not finite at iteration {it}", history=tuple(history)
-            )
-        slope = float(grad @ direction)
-        dual = math.sqrt(max(slope, 0.0))
-        if dual <= cfg.residual_tol * math.sqrt(a) and abs(defect) <= cfg.nehari_tol * a:
-            history.append(IterationRecord(it, level, a, defect, dual, 0.0))
-            return SolveResult(
-                u=Field(prob.window, u),
-                level=level,
-                dual_residual=dual,
-                nehari_defect=defect,
-                iterations=it,
-                converged=True,
-                history=tuple(history),
-                start_labels=(),
-                start_levels=(),
-                start_index=0,
-                restart_spread=0.0,
-            )
-        step = 1.0
-        accepted = None
-        # near the minimizer the required decrease c*s*slope drops below the
-        # round-off of the energy itself; the allowance keeps the line search
-        # from rejecting the (locally contractive) full step on pure noise
-        noise = 64.0 * np.finfo(float).eps * (1.0 + abs(level))
-        while step >= _MIN_STEP:
-            try:
-                candidate = _var.project_values(u - step * direction, prob)
-            except NoProjectionError:
-                step *= cfg.shrink
-                continue
-            if candidate.energy <= level - cfg.sufficient_decrease * step * slope + noise:
-                accepted = candidate
+        if rows.size == 0:
+            break
+        ax = _var.operator_values(x, prob)
+        a = row_dot(x, ax)
+        level = 0.5 * a - pair / two_p
+        defect = a - pair
+        grad = _var.gradient_values(x, ax, conv, prob)
+        direction = prob.restrict(linear_solve(prob.extend(grad), prob, cfg))
+        finite = np.isfinite(direction).all(axis=1)
+        slope = row_dot(grad, direction)
+        dual = np.sqrt(np.maximum(slope, 0.0))
+        done = finite & (dual <= cfg.residual_tol * np.sqrt(a)) & (np.abs(defect) <= cfg.nehari_tol * a)
+
+        # line search, one round of trials at a time for the rows still
+        # searching; near the minimizer the required decrease c*s*slope drops
+        # below the round-off of the energy itself, and the noise allowance
+        # keeps the search from rejecting the (locally contractive) full step
+        searching = finite & ~done
+        overflow = np.zeros(rows.size, dtype=bool)
+        step = np.ones(rows.size)
+        taken = np.zeros(rows.size)
+        noise = 64.0 * np.finfo(float).eps * (1.0 + np.abs(level))
+        while True:
+            live = np.nonzero(searching & (step >= _MIN_STEP))[0]
+            if live.size == 0:
                 break
-            step *= cfg.shrink
-        if accepted is None:
-            history.append(IterationRecord(it, level, a, defect, dual, 0.0))
-            raise ConvergenceError(
-                f"line search stagnated at iteration {it} "
-                f"(relative dual residual {dual / math.sqrt(a):.3e})",
-                residual=dual / math.sqrt(a),
-                history=tuple(history),
-            )
-        history.append(IterationRecord(it, level, a, defect, dual, step))
-        current = accepted
-    raise ConvergenceError(
-        f"no convergence within {cfg.max_iterations} iterations",
-        residual=history[-1].dual_residual / math.sqrt(history[-1].norm_sq),
-        history=tuple(history),
-    )
+            trial = _var.project_values(prob.extend(x[live] - step[live, None] * direction[live]), prob)
+            ok = np.isfinite(trial.energy)
+            bad = ~ok & ~trial.vanishes
+            bound = (level - cfg.sufficient_decrease * step * slope + noise)[live]
+            passed = ok & (trial.energy <= bound)
+            # accepted rows leave the search, so their iterate is replaced in place
+            won = live[passed]
+            x[won] = prob.restrict(trial.values[passed])
+            pair[won] = trial.pair_energy[passed]
+            conv[won] = trial.conv[passed]
+            taken[won] = step[won]
+            overflow[live[bad]] = True
+            searching[live[passed | bad]] = False
+            step[live[~passed & ~bad]] *= cfg.shrink
+
+        keep = np.zeros(rows.size, dtype=bool)
+        values = zip(rows, level.tolist(), a.tolist(), defect.tolist(), dual.tolist(), taken.tolist())
+        for pos, (i, lv, av, df, du, st) in enumerate(values):
+            history = histories[i]
+            if not finite[pos]:
+                outcomes[i] = ConvergenceError(
+                    f"search direction is not finite at iteration {it}", history=tuple(history)
+                )
+                continue
+            history.append(IterationRecord(it, lv, av, df, du, st))
+            if done[pos]:
+                outcomes[i] = SolveResult(
+                    u=Field(prob.window, prob.extend(x[pos])),
+                    level=lv,
+                    dual_residual=du,
+                    nehari_defect=df,
+                    iterations=it,
+                    converged=True,
+                    history=tuple(history),
+                    start_labels=(),
+                    start_levels=(),
+                    start_index=0,
+                    restart_spread=0.0,
+                )
+            elif st > 0.0:
+                keep[pos] = True
+            else:
+                what = "a line-search trial is not finite" if overflow[pos] else "line search stagnated"
+                outcomes[i] = ConvergenceError(
+                    f"{what} at iteration {it} (relative dual residual {du / math.sqrt(av):.3e})",
+                    residual=du / math.sqrt(av),
+                    history=tuple(history),
+                )
+        rows, x, pair, conv = rows[keep], x[keep], pair[keep], conv[keep]
+    for i in rows:
+        history = histories[i]
+        outcomes[i] = ConvergenceError(
+            f"no convergence within {cfg.max_iterations} iterations",
+            residual=history[-1].dual_residual / math.sqrt(history[-1].norm_sq),
+            history=tuple(history),
+        )
+    return outcomes
 
 
 def ground_state(
@@ -281,56 +329,69 @@ def ground_state(
     """Least-level minimizer over the configured starts.
 
     Runs projected descent from the primary initializer, ``cfg.restarts``
-    random positive fields, and any extra starts, and returns the first
-    converged run, in start order, whose level is within a relative 1e-12 of
-    the least level, so that round-off among tied starts cannot change the
-    report.  Per-start levels and their relative spread (max - min)/|min|
-    are recorded in the result.
+    random positive fields, and any extra starts, all in lockstep, and
+    returns the first converged run, in start order, whose level is within a
+    relative 1e-12 of the least level, so that round-off among tied starts
+    cannot change the report.  Per-start levels of the converged starts and
+    their relative spread (max - min)/|min| are recorded in the result, and
+    ``starts`` records how every start ended, failed ones included.
     """
     rng = np.random.default_rng(cfg.seed)
-    starts = []
+    labels, starts = [], []
     if cfg.initializer == INIT_SUPPLIED:
-        first = cfg.initial_field
-        _var._check_window(first, prob)
-        starts.append(("supplied", Field(prob.window, _mask_to_free(first.values, prob))))
+        _var._check_window(cfg.initial_field, prob)
+        labels.append("supplied")
+        starts.append(cfg.initial_field.values)
     elif cfg.initializer == INIT_RANDOM_POSITIVE:
-        starts.append(("random-positive-0", _random_positive_start(prob, rng)))
+        labels.append("random-positive-0")
+        starts.append(rng.random(prob.window.count))
     else:
-        starts.append((INIT_WELL_BUMP, _well_bump_start(prob)))
+        labels.append(INIT_WELL_BUMP)
+        starts.append(bump_field(prob.window, prob.well, smoothing_time=1.0).values)
     for k in range(cfg.restarts):
-        starts.append((f"random-positive-{k + 1}", _random_positive_start(prob, rng)))
+        labels.append(f"random-positive-{k + 1}")
+        starts.append(rng.random(prob.window.count))
     for k, extra in enumerate(extra_starts):
         _var._check_window(extra, prob)
-        starts.append((f"extra-{k}", Field(prob.window, _mask_to_free(extra.values, prob))))
+        labels.append(f"extra-{k}")
+        starts.append(extra.values)
 
-    outcomes = []
-    projection_failures = []
-    convergence_failures = []
-    for label, u0 in starts:
-        try:
-            outcomes.append((label, _descend(prob, cfg, u0)))
-        except NoProjectionError as exc:
-            projection_failures.append((label, exc))
-        except ConvergenceError as exc:
-            convergence_failures.append((label, exc))
-    if not outcomes:
-        if not convergence_failures:
+    outcomes = _lockstep_descent(prob, cfg, prob.restrict(np.array(starts)))
+    records = tuple(_start_record(label, outcome) for label, outcome in zip(labels, outcomes))
+    converged = [(label, res) for label, res in zip(labels, outcomes) if isinstance(res, SolveResult)]
+    if not converged:
+        stalled = [(label, exc) for label, exc in zip(labels, outcomes) if isinstance(exc, ConvergenceError)]
+        if not stalled:
             raise InitializerError("every start has vanishing pair energy; no admissible initial field")
-        label, exc = convergence_failures[-1]
+        label, exc = stalled[-1]
         raise ConvergenceError(
-            f"no start converged ({len(convergence_failures)} stalled, "
-            f"{len(projection_failures)} inadmissible); last failure [{label}]: {exc}",
+            f"no start converged ({len(stalled)} stalled, "
+            f"{len(outcomes) - len(stalled)} inadmissible); last failure [{label}]: {exc}",
             residual=exc.residual,
             history=exc.history,
         )
 
-    labels = tuple(label for label, _ in outcomes)
-    levels = tuple(res.level for _, res in outcomes)
+    levels = tuple(res.level for _, res in converged)
     least = min(levels)
     best_pos = next(i for i, level in enumerate(levels) if level <= least + _TIE_TOL * abs(least))
-    best = outcomes[best_pos][1]
+    best = converged[best_pos][1]
     spread = (max(levels) - least) / abs(least)
-    return replace(best, start_labels=labels, start_levels=levels, start_index=best_pos, restart_spread=spread)
+    return replace(
+        best,
+        start_labels=tuple(label for label, _ in converged),
+        start_levels=levels,
+        start_index=best_pos,
+        restart_spread=spread,
+        starts=records,
+    )
+
+
+def _start_record(label: str, outcome) -> StartRecord:
+    if isinstance(outcome, SolveResult):
+        return StartRecord(label, STATUS_CONVERGED, outcome.iterations, outcome.level, None)
+    if isinstance(outcome, ConvergenceError):
+        return StartRecord(label, STATUS_STALLED, len(outcome.history), None, str(outcome))
+    return StartRecord(label, STATUS_INADMISSIBLE, 0, None, str(outcome))
 
 
 def sign_aligned_distance(u: Field, ref: Field) -> float:
@@ -560,6 +621,16 @@ def result_to_dict(result: SolveResult) -> dict:
         "start_levels": list(result.start_levels),
         "start_index": result.start_index,
         "restart_spread": result.restart_spread,
+        "starts": [
+            {
+                "label": rec.label,
+                "status": rec.status,
+                "iterations": rec.iterations,
+                "level": rec.level,
+                "reason": rec.reason,
+            }
+            for rec in result.starts
+        ],
         "history": [
             {
                 "iteration": rec.iteration,

@@ -147,6 +147,23 @@ class ProblemSpec:
 
         return self._cached("free", build)
 
+    def restrict(self, values: np.ndarray) -> np.ndarray:
+        """Values on the free sites from window values (last axis); the identity in full mode."""
+        if self.mode == MODE_FULL:
+            return values
+        return np.take(values, self.free_indices(), axis=-1)
+
+    def extend(self, values: np.ndarray) -> np.ndarray:
+        """Window values, zero off the free sites, from free-site values (last axis).
+
+        The identity in full mode.
+        """
+        if self.mode == MODE_FULL:
+            return values
+        out = np.zeros(values.shape[:-1] + (self.window.count,))
+        out[..., self.free_indices()] = values
+        return out
+
     def operator_matrix(self) -> sparse.csr_matrix:
         """CSR matrix of Delta^2 - Delta + weight on the free sites."""
 
@@ -210,31 +227,32 @@ def _require_admissible(u: Field, prob: ProblemSpec) -> None:
 def norm_sq(u: Field, prob: ProblemSpec) -> float:
     """Squared problem norm as the quadratic form of the sparse operator."""
     _require_admissible(u, prob)
-    return _quadratic_form(u.values, prob)
+    return float(_quadratic_form(prob.restrict(u.values), prob))
 
 
-def _quadratic_form(values: np.ndarray, prob: ProblemSpec) -> float:
-    x = values[prob.free_indices()]
-    return float(x @ (prob.operator_matrix() @ x))
+def operator_values(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """A x for free-site values x, one row per leading index (at most one)."""
+    return np.ascontiguousarray((prob.operator_matrix() @ x.T).T)
 
 
-def pair_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, float]:
+def _quadratic_form(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    return _calculus.row_dot(x, operator_values(x, prob))
+
+
+def pair_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
     """K * |v|^p (diagonal excluded) and the pair energy D(v) from one convolution.
 
-    D is exactly 0 when fewer than two sites are nonzero: the sum runs over
-    pairs of distinct sites, and FFT round-off must not turn that zero into
-    a tiny positive value.
+    ``values`` are window values, one field per row of any leading axes;
+    D is exactly 0 for a row with fewer than two nonzero sites
+    (calculus.pair_sums).
     """
-    h = np.abs(values) ** prob.p
-    conv = _kernels.convolve(prob.kernel, Field(prob.window, h)).values
-    d = float(conv @ h) if np.count_nonzero(h) >= 2 else 0.0
-    return conv, d
+    return _calculus.pair_sums(prob.kernel, prob.window, np.abs(values) ** prob.p)
 
 
 def nonlocal_term(u: Field, prob: ProblemSpec) -> float:
     """Pair energy D(u) of the problem kernel."""
     _check_window(u, prob)
-    return pair_terms(u.values, prob)[1]
+    return float(pair_terms(u.values, prob)[1])
 
 
 def energy(u: Field, prob: ProblemSpec) -> float:
@@ -242,19 +260,17 @@ def energy(u: Field, prob: ProblemSpec) -> float:
     return 0.5 * norm_sq(u, prob) - nonlocal_term(u, prob) / (2.0 * prob.p)
 
 
-def gradient_values(values: np.ndarray, conv: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """A v - (K * |v|^p) |v|^{p-2} v on the free sites, zero elsewhere.
+def gradient_values(x: np.ndarray, ax: np.ndarray, conv: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """A v - (K * |v|^p) |v|^{p-2} v on the free sites, one row per field.
 
-    ``values`` vanish off the free sites and ``conv`` is K * |v|^p, as
-    returned by pair_terms.
+    ``x`` holds the free-site values of v, ``ax`` is A x (operator_values)
+    and ``conv`` the window values of K * |v|^p (pair_terms).  This is the
+    only place the |v|^{p-2} v factor is written.
     """
-    factor = np.zeros_like(values)
-    nz = values != 0.0
-    factor[nz] = np.abs(values[nz]) ** (prob.p - 2.0) * values[nz]
-    free = prob.free_indices()
-    grad = np.zeros_like(values)
-    grad[free] = prob.operator_matrix() @ values[free] - (conv * factor)[free]
-    return grad
+    factor = np.zeros_like(x)
+    nz = x != 0.0
+    factor[nz] = np.abs(x[nz]) ** (prob.p - 2.0) * x[nz]
+    return ax - prob.restrict(conv) * factor
 
 
 def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
@@ -264,11 +280,9 @@ def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
     matching the constrained unknowns.
     """
     _check_window(u, prob)
-    free = prob.free_indices()
-    restricted = np.zeros(prob.window.count)
-    restricted[free] = u.values[free]
-    conv, _ = pair_terms(restricted, prob)
-    return Field(prob.window, gradient_values(restricted, conv, prob))
+    x = prob.restrict(u.values)
+    conv, _ = pair_terms(prob.extend(x), prob)
+    return Field(prob.window, prob.extend(gradient_values(x, operator_values(x, prob), conv, prob)))
 
 
 def nehari_defect(u: Field, prob: ProblemSpec) -> float:
@@ -278,50 +292,59 @@ def nehari_defect(u: Field, prob: ProblemSpec) -> float:
 
 @dataclass(frozen=True)
 class Projection:
-    """A field scaled onto the constraint set, with its energy and pair terms."""
+    """Fields scaled onto the constraint set, with their energies and pair terms.
 
-    scale: float
+    Each entry has one value (or one row) per field projected.  A field with
+    D(v) = 0 ``vanishes``: no scale lands it on the constraint set, and its
+    entries are not finite.
+    """
+
+    scale: np.ndarray
     values: np.ndarray
-    energy: float
-    pair_energy: float
+    energy: np.ndarray
+    pair_energy: np.ndarray
     conv: np.ndarray
+    vanishes: np.ndarray
 
 
 def project_values(values: np.ndarray, prob: ProblemSpec) -> Projection:
     """Scale window values v (vanishing off the free sites) onto the constraint set.
 
-    With a = ||v||^2 the scale is t = (a / D(v))^(1/(2(p-1))).  Both pair
-    terms are homogeneous, K * |tv|^p = t^p K * |v|^p and
-    D(tv) = t^(2p) D(v), so the one convolution of |v|^p also gives
-    J(tv) = t^2 a / 2 - t^(2p) D(v) / (2p) and the pair terms of tv.
-    Raises NoProjectionError when D(v) vanishes (for example, single-site
-    fields).
+    ``values`` holds one field, or one field per row.  With a = ||v||^2 the
+    scale is t = (a / D(v))^(1/(2(p-1))).  Both pair terms are homogeneous,
+    K * |tv|^p = t^p K * |v|^p and D(tv) = t^(2p) D(v), so the one
+    convolution of |v|^p also gives J(tv) = t^2 a / 2 - t^(2p) D(v) / (2p)
+    and the pair terms of tv.  A field whose squared norm or pair energy
+    overflows gets a non-finite energy.
     """
-    a = _quadratic_form(values, prob)
-    conv, d = pair_terms(values, prob)
-    if d == 0.0:
-        raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
     p = prob.p
-    t = (a / d) ** (1.0 / (2.0 * (p - 1.0)))
-    pair = t ** (2.0 * p) * d
-    return Projection(
-        scale=t,
-        values=t * values,
-        energy=0.5 * t * t * a - pair / (2.0 * p),
-        pair_energy=pair,
-        conv=t**p * conv,
-    )
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = _quadratic_form(prob.restrict(values), prob)
+        conv, d = pair_terms(values, prob)
+        t = (a / d) ** (1.0 / (2.0 * (p - 1.0)))
+        pair = t ** (2.0 * p) * d
+        return Projection(
+            scale=t,
+            values=t[..., None] * values,
+            energy=0.5 * t * t * a - pair / (2.0 * p),
+            pair_energy=pair,
+            conv=(t**p)[..., None] * conv,
+            vanishes=d == 0.0,
+        )
 
 
 def nehari_project(u: Field, prob: ProblemSpec) -> Tuple[float, Field]:
     """The unique scale t > 0 with (J'(tu), tu) = 0, and the scaled field.
 
     t = (||u||^2 / D(u))^(1/(2(p-1))); fields with vanishing pair energy
-    (for example, single-site fields) admit no such scale.
+    (for example, single-site fields) admit no such scale and raise
+    NoProjectionError.
     """
     _require_admissible(u, prob)
     proj = project_values(u.values, prob)
-    return proj.scale, Field(prob.window, proj.values)
+    if proj.vanishes:
+        raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
+    return float(proj.scale), Field(prob.window, proj.values)
 
 
 def nehari_level(u: Field, prob: ProblemSpec) -> float:

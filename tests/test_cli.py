@@ -182,6 +182,27 @@ def test_sweep_non_finite_direction_is_a_convergence_failure(tmp_path, monkeypat
     assert "lambda=1: did not converge" in capsys.readouterr().out
 
 
+def test_sweep_row_whose_every_start_is_inadmissible_fails(tmp_path, monkeypatch, capsys):
+    from choquard import variational
+
+    real = variational.pair_terms
+
+    def overflowing(values, prob):
+        conv, d = real(values, prob)
+        return conv, (d * np.inf if prob.mode == "full" else d)
+
+    monkeypatch.setattr(variational, "pair_terms", overflowing)
+    out = tmp_path / "rep.json"
+    assert main(["sweep", "--radius", "8", "--lambda-grid", "1,10", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())["report"]
+    assert [row["converged"] for row in report["rows"]] == [False, False]
+    assert report["all_converged"] is False
+    well = report["well_result"]
+    assert well["converged"] is True
+    assert [entry["status"] for entry in well["starts"]] == ["converged"] * 6
+    assert "lambda=10: did not converge" in capsys.readouterr().out
+
+
 def test_verify_subset_passes(tmp_path, capsys):
     out = tmp_path / "verify.json"
     argv = ["verify", "--radius", "6", "--suites", "ops,lions", "--out", str(out)]

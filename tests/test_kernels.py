@@ -334,6 +334,30 @@ def test_convolve_matches_pairwise_sum(request, table_name, field_window, out_wi
     assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize(
+    "table_name, field_window, out_window, include_diagonal",
+    [
+        ("small_table", (2, 4, BOX), None, False),
+        ("small_table", (2, 5, BALL), None, True),
+        ("small_table", (2, 6, BALL), (2, 3, BOX), True),
+        ("small_table", (2, 3, BOX), (2, 6, BALL), False),
+        ("cube_table", (3, 4, BALL), None, True),
+    ],
+)
+def test_convolve_values_batch_rows_match_single_fields(
+    request, table_name, field_window, out_window, include_diagonal
+):
+    table = request.getfixturevalue(table_name)
+    w = get_window(*field_window)
+    out = None if out_window is None else get_window(*out_window)
+    batch = np.random.default_rng(w.count).standard_normal((2, 3, w.count))
+    got = kernels.convolve_values(table, w, batch, include_diagonal, out)
+    assert got.shape == (2, 3, (out or w).count)
+    for index in np.ndindex(2, 3):
+        alone = c.convolve(table, Field(w, batch[index]), include_diagonal, out).values
+        assert np.abs(got[index] - alone).max() <= 1e-15 * np.abs(alone).max()
+
+
 def test_convolve_rejects_windows_beyond_the_table(small_table, cube_table):
     # the small table covers differences up to 12 = 6 + 6
     f = Field.delta(get_window(2, 6))

@@ -121,6 +121,30 @@ def test_linear_solve_factor_residual_and_agreement_with_cg(request, name):
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(x)
 
 
+def test_restrict_and_extend_move_rows_to_and_from_the_free_sites(small_prob, small_dirichlet):
+    rng = np.random.default_rng(35)
+    values = rng.standard_normal((3, small_prob.window.count))
+    assert small_prob.restrict(values) is values
+    assert small_prob.extend(values) is values
+    free = small_dirichlet.free_indices()
+    x = small_dirichlet.restrict(values)
+    assert np.array_equal(x, values[:, free])
+    back = small_dirichlet.extend(x)
+    assert back.shape == values.shape
+    assert np.array_equal(back[:, free], x)
+    assert np.count_nonzero(back) == x.size
+
+
+@pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
+def test_linear_solve_rows_match_single_solves(request, name):
+    prob = request.getfixturevalue(name)
+    rhs = prob.extend(np.random.default_rng(36).standard_normal((4, prob.free_indices().size)))
+    x = c.linear_solve(rhs, prob, SolverConfig())
+    for row, sol in zip(rhs, x):
+        alone = c.linear_solve(row, prob, SolverConfig())
+        assert np.abs(sol - alone).max() <= 1e-15 * np.abs(alone).max()
+
+
 def test_linear_solve_routes_by_dimension(small_prob, cube_table, monkeypatch):
     cube = ProblemSpec(
         mode="full",
@@ -160,14 +184,14 @@ def test_linear_solve_routes_by_dimension(small_prob, cube_table, monkeypatch):
 )
 def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, monkeypatch):
     prob = request.getfixturevalue(name)
-    calls = []
-    real = c.kernels.convolve
+    rows = []
+    real = c.kernels.convolve_values
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(table, window, values, *args, **kwargs):
+        rows.append(values.size // window.count)
+        return real(table, window, values, *args, **kwargs)
 
-    monkeypatch.setattr(c.kernels, "convolve", counting)
+    monkeypatch.setattr(c.kernels, "convolve_values", counting)
     res = c.ground_state(prob, cfg)
     # an accepted step s = shrink^k is the (k+1)-th trial; the last iteration
     # converges without a line search and records step 0
@@ -175,7 +199,8 @@ def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, mon
         round(math.log(rec.step) / math.log(cfg.shrink)) + 1 for rec in res.history if rec.step > 0.0
     )
     assert trials >= res.iterations - 1
-    assert len(calls) == 1 + trials
+    # one start: its projection, then one line-search round per trial
+    assert rows == [1] * (1 + trials)
 
 
 def test_ground_state_converges_with_certificates(small_prob):
@@ -219,6 +244,129 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
     assert res.start_index == base.start_index
     assert res.iterations == base.iterations
     assert res.level == pytest.approx(base.level, rel=1e-12, abs=0.0)
+
+
+# per-start outcomes of ground_state(desk_prob, SolverConfig()), as recorded
+# before the starts ran in lockstep, when each start descended on its own
+DESK_DEFAULT_STARTS = [
+    ("well-bump", 10),
+    ("random-positive-1", 21),
+    ("random-positive-2", 21),
+    ("random-positive-3", 20),
+    ("random-positive-4", 21),
+    ("random-positive-5", 19),
+]
+
+
+def test_ground_state_keeps_the_sequential_per_start_outcomes(desk_default_solve):
+    res = desk_default_solve
+    assert [(rec.label, rec.iterations) for rec in res.starts] == DESK_DEFAULT_STARTS
+    assert all(rec.status == "converged" and rec.reason is None for rec in res.starts)
+    assert [rec.level for rec in res.starts] == list(res.start_levels)
+    assert res.start_labels == tuple(label for label, _ in DESK_DEFAULT_STARTS)
+    assert res.start_index == 0
+    assert res.iterations == 10
+
+
+def _run_alone(prob, cfg, position):
+    """ground_state from the start at ``position`` of cfg's start list, alone."""
+    if position == 0:
+        return c.ground_state(prob, dataclasses.replace(cfg, restarts=0))
+    draws = np.random.default_rng(cfg.seed).random((position, prob.window.count))
+    alone = dataclasses.replace(
+        cfg, restarts=0, initializer="supplied", initial_field=Field(prob.window, draws[-1])
+    )
+    return c.ground_state(prob, alone)
+
+
+@pytest.mark.parametrize("position", [0, 3])
+def test_ground_state_start_alone_matches_its_batch_row(desk_prob, desk_default_solve, position):
+    alone = _run_alone(desk_prob, SolverConfig(), position)
+    in_batch = desk_default_solve.starts[position]
+    assert alone.iterations == in_batch.iterations
+    assert alone.level == pytest.approx(in_batch.level, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
+def test_backtracking_starts_alone_match_their_batch_rows(request, name):
+    prob = request.getfixturevalue(name)
+    # a demanding decrease test makes rows backtrack by different amounts
+    cfg = SolverConfig(restarts=3, residual_tol=1e-10, sufficient_decrease=0.5, shrink=0.3)
+    batch = c.ground_state(prob, cfg)
+    assert [rec.status for rec in batch.starts] == ["converged"] * 4
+    for position, rec in enumerate(batch.starts):
+        alone = _run_alone(prob, cfg, position)
+        assert alone.iterations == rec.iterations
+        assert alone.level == pytest.approx(rec.level, rel=1e-13, abs=0.0)
+
+
+def test_ground_state_survives_an_overflowing_start(small_prob):
+    w = small_prob.window
+    extras = (Field(w, np.full(w.count, 1e200)), Field.delta(w))
+    res = c.ground_state(small_prob, SolverConfig(), extra_starts=extras)
+    assert res.converged
+    assert [rec.label for rec in res.starts][-2:] == ["extra-0", "extra-1"]
+    assert [rec.status for rec in res.starts] == ["converged"] * 6 + ["inadmissible"] * 2
+    overflow, point = res.starts[-2:]
+    assert overflow.reason == "squared norm or pair energy is not finite"
+    assert point.reason == "pair energy vanishes; no scale meets the constraint"
+    assert overflow.iterations == point.iterations == 0
+    assert overflow.level is None and point.level is None
+    assert res.start_labels == tuple(rec.label for rec in res.starts[:6])
+    data = c.result_to_dict(res)
+    assert data["starts"][-1] == {
+        "label": "extra-1",
+        "status": "inadmissible",
+        "iterations": 0,
+        "level": None,
+        "reason": "pair energy vanishes; no scale meets the constraint",
+    }
+    assert [entry["level"] for entry in data["starts"][:6]] == list(res.start_levels)
+
+
+def test_ground_state_overflowing_trial_stalls_only_its_start(small_prob, monkeypatch):
+    real = c.solver.linear_solve
+    calls = []
+
+    def blow_up_second_row(rhs, prob, cfg):
+        out = real(rhs, prob, cfg)
+        if not calls:
+            out[1] *= 1e200
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(c.solver, "linear_solve", blow_up_second_row)
+    res = c.ground_state(small_prob, SolverConfig(restarts=2, residual_tol=1e-10))
+    assert [rec.status for rec in res.starts] == ["converged", "stalled", "converged"]
+    stalled = res.starts[1]
+    assert stalled.iterations == 1 and stalled.level is None
+    assert stalled.reason.startswith("a line-search trial is not finite at iteration 1")
+    assert res.start_labels == ("well-bump", "random-positive-2")
+
+
+def test_ground_state_cg_stall_fails_only_its_start(cube_table, monkeypatch):
+    cube = ProblemSpec(
+        mode="full",
+        window=get_window(3, 4),
+        potential=PotentialSpec(well=ball((0, 0, 0), 1)),
+        kernel=cube_table,
+        p=2.0,
+        lam=5.0,
+    )
+    real = c.solver.cg_solve
+    calls = []
+
+    def stall_second_call(rhs, prob, cfg):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ConvergenceError("linear solve stalled", residual=1.0)
+        return real(rhs, prob, cfg)
+
+    monkeypatch.setattr(c.solver, "cg_solve", stall_second_call)
+    res = c.ground_state(cube, SolverConfig(restarts=2))
+    assert [rec.status for rec in res.starts] == ["converged", "stalled", "converged"]
+    assert res.starts[1].reason == "search direction is not finite at iteration 1"
+    assert res.starts[1].iterations == 0
 
 
 def test_ground_state_supplied_start_agrees(small_prob):
