@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choquard as c
 from choquard import (
@@ -246,15 +248,16 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
     assert res.level == pytest.approx(base.level, rel=1e-12, abs=0.0)
 
 
-# per-start outcomes of ground_state(desk_prob, SolverConfig()), as recorded
-# before the starts ran in lockstep, when each start descended on its own
+# per-start outcomes of ground_state(desk_prob, SolverConfig()) under the
+# Fletcher-Reeves descent; each start descending on its own takes the same
+# number of steps (steepest descent took 10, 21, 21, 20, 21 and 19)
 DESK_DEFAULT_STARTS = [
-    ("well-bump", 10),
-    ("random-positive-1", 21),
-    ("random-positive-2", 21),
-    ("random-positive-3", 20),
-    ("random-positive-4", 21),
-    ("random-positive-5", 19),
+    ("well-bump", 8),
+    ("random-positive-1", 14),
+    ("random-positive-2", 14),
+    ("random-positive-3", 14),
+    ("random-positive-4", 14),
+    ("random-positive-5", 14),
 ]
 
 
@@ -265,7 +268,7 @@ def test_ground_state_keeps_the_sequential_per_start_outcomes(desk_default_solve
     assert [rec.level for rec in res.starts] == list(res.start_levels)
     assert res.start_labels == tuple(label for label, _ in DESK_DEFAULT_STARTS)
     assert res.start_index == 0
-    assert res.iterations == 10
+    assert res.iterations == 8
 
 
 def _run_alone(prob, cfg, position):
@@ -367,6 +370,45 @@ def test_ground_state_cg_stall_fails_only_its_start(cube_table, monkeypatch):
     assert [rec.status for rec in res.starts] == ["converged", "stalled", "converged"]
     assert res.starts[1].reason == "search direction is not finite at iteration 1"
     assert res.starts[1].iterations == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(1.6, 4.0), dirichlet=st.booleans())
+def test_descent_safeguard_never_raises_the_energy(small_prob, small_dirichlet, seed, p, dirichlet):
+    # the conjugate direction is reset to A^{-1} J'(u) whenever it is no
+    # descent direction (on the well problem it often is not), so every step
+    # passes the Armijo test up to its round-off allowance, every start
+    # converges, and only a start's last record may have no step
+    prob = dataclasses.replace(small_dirichlet if dirichlet else small_prob, p=p)
+    starts = np.random.default_rng(seed).random((3, prob.window.count))
+    outcomes = c.solver._lockstep_descent(prob, SolverConfig(), prob.restrict(starts))
+    for outcome in outcomes:
+        assert isinstance(outcome, c.SolveResult)
+        history = outcome.history
+        for before, after in zip(history, history[1:]):
+            noise = 64.0 * np.finfo(float).eps * (1.0 + abs(before.energy))
+            assert after.energy <= before.energy + noise
+        assert all(rec.step > 0.0 for rec in history[:-1])
+
+
+def test_near_critical_exponent_reaches_the_lower_level(desk_prob, monkeypatch):
+    # p just above (N + alpha)/N = 1.5 the landscape holds several strict
+    # local minima within 5e-6 of each other; steepest descent stopped at
+    # 6.958012365049365, and the conjugate directions reach a lower one
+    rows = []
+    real = c.kernels.convolve_values
+
+    def counting(table, window, values, *args, **kwargs):
+        rows.append(values.size // window.count)
+        return real(table, window, values, *args, **kwargs)
+
+    monkeypatch.setattr(c.kernels, "convolve_values", counting)
+    prob = dataclasses.replace(desk_prob, p=1.55, lam=1.0)
+    res = c.ground_state(prob, SolverConfig())
+    assert res.level <= 6.957982533342486 * (1.0 + 1e-12)
+    # the reset keeps the line search out of non-descent directions: 1214
+    # rows here, against 1722 for steepest descent and 1793 without the reset
+    assert sum(rows) <= 1300
 
 
 def test_ground_state_supplied_start_agrees(small_prob):

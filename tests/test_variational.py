@@ -163,6 +163,31 @@ def test_nehari_project_lands_on_constraint(small_prob, small_dirichlet, seed, s
     assert abs(a - c.nonlocal_term(w, prob)) <= 1e-10 * a
 
 
+def _operator_problem(small_prob, small_dirichlet, dirichlet, lam):
+    return small_dirichlet if dirichlet else dataclasses.replace(small_prob, lam=lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(1e-3, 1e4), dirichlet=st.booleans())
+def test_operator_matrix_is_symmetric(small_prob, small_dirichlet, lam, dirichlet):
+    a = _operator_problem(small_prob, small_dirichlet, dirichlet, lam).operator_matrix()
+    assert (a != a.T).nnz == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    lam=st.floats(1e-3, 1e4),
+    dirichlet=st.booleans(),
+)
+def test_operator_matrix_is_positive_definite(small_prob, small_dirichlet, seed, scale, lam, dirichlet):
+    prob = _operator_problem(small_prob, small_dirichlet, dirichlet, lam)
+    x = prob.restrict(_free_field(prob, np.random.default_rng(seed), scale).values)
+    assert np.any(x != 0.0)
+    assert x @ (prob.operator_matrix() @ x) > 0.0
+
+
 def test_projection_closed_form_matches_direct_evaluation(small_prob, small_dirichlet):
     rng = np.random.default_rng(24)
     for prob in (small_prob, small_dirichlet):
