@@ -215,6 +215,16 @@ def row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def row_power(x: np.ndarray, e: float) -> np.ndarray:
+    """x ** e for an array of per-row values, through numpy's scalar power one value at a time.
+
+    numpy's power of a whole array rounds otherwise than its power of one
+    value (it runs a vectorised routine, and takes an exact square root for
+    e = 0.5), so a row of a batch would not match the same field alone.
+    """
+    return np.reshape([value**e for value in np.ravel(x)], np.shape(x))
+
+
 def pair_sums(
     table: "_kernels.KernelTable", window: LatticeWindow, h: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -238,25 +248,35 @@ def nonlocal_energy(u: Field, table: "_kernels.KernelTable", p: float) -> float:
     return float(pair_sums(table, u.window, np.abs(u.values) ** p)[1])
 
 
-def hls_ratio(u: Field, v: Field, table: "_kernels.KernelTable", r: float, s: float) -> float:
-    """Ratio sum (K * u) v / (|u|_r |v|_s) for nonnegative fields.
+def hls_ratios(
+    table: "_kernels.KernelTable", window: LatticeWindow, u: np.ndarray, v: np.ndarray, r: float, s: float
+) -> np.ndarray:
+    """Ratio sum (K * u) v / (|u|_r |v|_s) per row of nonnegative window values u and v.
 
-    The exponents must satisfy 1/r + 1/s + (N - alpha)/N = 2 to within 1e-12,
-    the scaling relation under which the ratio is invariant.
+    The last axis holds the sites of the window; all rows are convolved in
+    one batch.  The exponents must satisfy 1/r + 1/s + (N - alpha)/N = 2 to
+    within 1e-12, the scaling relation under which the ratio is invariant.
+    The norms take their roots with row_power, so a row's ratio does not
+    depend on the batch.
     """
-    if u.window != v.window:
-        raise InputError(f"window mismatch: {u.window} vs {v.window}")
-    n, alpha = u.window.dim, table.alpha
+    n, alpha = window.dim, table.alpha
     balance = 1.0 / r + 1.0 / s + (n - alpha) / n
     if abs(balance - 2.0) > 1e-12:
         raise ParameterError(f"exponents violate 1/r + 1/s + (N-alpha)/N = 2 by {balance - 2.0:.3e}")
-    if np.any(u.values < 0.0) or np.any(v.values < 0.0):
+    if np.any(u < 0.0) or np.any(v < 0.0):
         raise InputError("hls_ratio requires nonnegative fields")
-    denom = lp_norm(u, r) * lp_norm(v, s)
-    if denom == 0.0:
+    sums_u, sums_v = (np.abs(u) ** r).sum(axis=-1), (np.abs(v) ** s).sum(axis=-1)
+    denom = row_power(sums_u, 1.0 / r) * row_power(sums_v, 1.0 / s)
+    if np.any(denom == 0.0):
         raise DomainError("hls_ratio is undefined for zero fields")
-    conv = _kernels.convolve(table, u, include_diagonal=False)
-    return float(conv.values @ v.values) / denom
+    return row_dot(_kernels.convolve_values(table, window, u), v) / denom
+
+
+def hls_ratio(u: Field, v: Field, table: "_kernels.KernelTable", r: float, s: float) -> float:
+    """Ratio sum (K * u) v / (|u|_r |v|_s) for nonnegative fields (hls_ratios)."""
+    if u.window != v.window:
+        raise InputError(f"window mismatch: {u.window} vs {v.window}")
+    return float(hls_ratios(table, u.window, u.values, v.values, r, s))
 
 
 def interpolation_check(u: Field, s: float, t: float) -> bool:

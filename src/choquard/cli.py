@@ -372,7 +372,7 @@ def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
 
 
 def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
-    """Run the property suites; any failure maps to exit code 3."""
+    """Run the property suites; any failure, a suite that raised included, maps to exit code 3."""
     prob = build_problem(cfg)
     cache = _cache_info(cfg, prob.kernel)
     names = list(cfg["verify"]["suites"])
@@ -393,9 +393,12 @@ def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
     if out:
         report_path = _write_report(out, payload)
         print(f"report written to {report_path}")
-    failures = [r.name for r in results if not r.passed]
+    failures = [r for r in results if not r.passed]
     if failures:
-        print(f"failed suites: {', '.join(failures)}", file=sys.stderr)
+        print(f"failed suites: {', '.join(r.name for r in failures)}", file=sys.stderr)
+        for r in failures:
+            if "error" in r.details:
+                print(f"{r.name}: {r.details['error']}", file=sys.stderr)
         return 3
     return 0
 

@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .lattice import BALL, BOX, LatticeWindow, SiteSet, get_window
+from .lattice import BALL, BOX, LatticeWindow, SiteSet, embedding_map, get_window
 
 _FIELD_FORMAT = "lattice-field v1"
 
@@ -60,21 +60,15 @@ class Field:
         """The same function on a window containing every site of the current one."""
         if target == self.window:
             return self
-        idx = target.indices_of(self.window.sites)
-        if np.any(idx < 0):
-            raise InputError(f"{target} does not contain {self.window}")
         values = np.zeros(target.count)
-        values[idx] = self.values
+        values[embedding_map(self.window, target)] = self.values
         return Field(target, values)
 
     def restrict(self, target: LatticeWindow) -> "Field":
         """Values on a smaller window; anything outside it is dropped."""
         if target == self.window:
             return self
-        idx = self.window.indices_of(target.sites)
-        if np.any(idx < 0):
-            raise InputError(f"{target} is not contained in {self.window}")
-        return Field(target, self.values[idx].copy())
+        return Field(target, self.values[embedding_map(target, self.window)])
 
     def support(self) -> SiteSet:
         nz = np.nonzero(self.values)[0]

@@ -47,7 +47,7 @@ from .errors import (
     InternalError,
     ParameterError,
 )
-from .lattice import BOX, LatticeWindow, get_window
+from .lattice import BOX, LatticeWindow, embedding_map, get_window
 
 GREEN = "green"
 RIESZ = "riesz"
@@ -707,7 +707,7 @@ def _box_values(window: LatticeWindow, values: np.ndarray) -> np.ndarray:
         return values
     box = get_window(window.dim, window.radius, BOX)
     out = np.zeros(values.shape[:-1] + (box.count,))
-    out[..., box.indices_of(window.sites)] = values
+    out[..., embedding_map(window, box)] = values
     return out
 
 

@@ -4,7 +4,8 @@ The lattice is the Cayley graph of Z^N with generators +/- e_i, so the graph
 distance between sites is the L1 distance and each site has 2N neighbours.
 This module provides the metric, balls and spheres, the ball-volume growth
 function, vertex boundaries of finite site sets, and indexed computational
-windows (boxes [-R, R]^N or word-metric balls) on which fields are stored.
+windows (boxes [-R, R]^N or word-metric balls) on which fields are stored,
+with the cached index maps that embed one window in a larger one.
 """
 
 from __future__ import annotations
@@ -291,3 +292,13 @@ class LatticeWindow:
 def get_window(dim: int, radius: int, shape: str = BOX) -> LatticeWindow:
     """Memoised window factory; windows are immutable and safely shared."""
     return LatticeWindow(dim, radius, shape)
+
+
+@lru_cache(maxsize=None)
+def embedding_map(source: LatticeWindow, target: LatticeWindow) -> np.ndarray:
+    """Index in ``target`` of every site of ``source``, built once per pair and read-only."""
+    idx = target.indices_of(source.sites)
+    if np.any(idx < 0):
+        raise InputError(f"{target} does not contain {source}")
+    idx.setflags(write=False)
+    return idx

@@ -40,6 +40,7 @@ from scipy.sparse.linalg import cg as _scipy_cg
 from . import variational as _var
 from .calculus import bump_field, gradient_form, laplacian, row_dot, w22_norm_sq
 from .errors import (
+    ChoquardError,
     ConvergenceError,
     InitializerError,
     InputError,
@@ -489,8 +490,8 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
 
     Each coupling is solved with the well solution and the previous solution
     as extra starts, which warm-starts the descent and keeps the reported
-    levels at or below the well level.  A failed row is marked and the sweep
-    continues.
+    levels at or below the well level.  A row whose solve raises a package
+    error is marked as not converged and the sweep continues.
     """
     grid = tuple(float(x) for x in lambda_grid)
     if not grid:
@@ -512,7 +513,7 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
         extras = (u_ref,) if previous is None else (u_ref, previous)
         try:
             res = ground_state(prob, cfg, extra_starts=extras)
-        except (ConvergenceError, InitializerError):
+        except ChoquardError:
             rows.append(SweepRow(lam, False, None, None, None, None, None))
             continue
         previous = res.u

@@ -27,6 +27,9 @@ from .errors import InputError, NoProjectionError, ParameterError, ProbeInconclu
 from .fields import Field
 from .lattice import LatticeWindow, SiteSet
 
+# random fields are drawn and checked this many rows at a time
+SAMPLE_CHUNK = 8
+
 MODE_FULL = "full"
 MODE_DIRICHLET = "dirichlet"
 _MODES = (MODE_FULL, MODE_DIRICHLET)
@@ -230,6 +233,15 @@ def norm_sq(u: Field, prob: ProblemSpec) -> float:
     return float(_quadratic_form(prob.restrict(u.values), prob))
 
 
+def constraint_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """||v||^2 and D(v) per row of window values v (vanishing off the free sites).
+
+    One batched operator product and one batched convolution; a row's terms
+    equal norm_sq and nonlocal_term of that row alone.
+    """
+    return _quadratic_form(prob.restrict(values), prob), pair_terms(values, prob)[1]
+
+
 def operator_values(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """A x for free-site values x, one row per leading index (at most one)."""
     return np.ascontiguousarray((prob.operator_matrix() @ x.T).T)
@@ -315,13 +327,15 @@ def project_values(values: np.ndarray, prob: ProblemSpec) -> Projection:
     K * |tv|^p = t^p K * |v|^p and D(tv) = t^(2p) D(v), so the one
     convolution of |v|^p also gives J(tv) = t^2 a / 2 - t^(2p) D(v) / (2p)
     and the pair terms of tv.  A field whose squared norm or pair energy
-    overflows gets a non-finite energy.
+    overflows gets a non-finite energy.  The scale comes from
+    calculus.row_power, and it is an array even for one field, so a row's
+    projection does not depend on the batch.
     """
     p = prob.p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a = _quadratic_form(prob.restrict(values), prob)
         conv, d = pair_terms(values, prob)
-        t = (a / d) ** (1.0 / (2.0 * (p - 1.0)))
+        t = _calculus.row_power(a / d, 1.0 / (2.0 * (p - 1.0)))
         pair = t ** (2.0 * p) * d
         return Projection(
             scale=t,
@@ -351,15 +365,23 @@ def nehari_level(u: Field, prob: ProblemSpec) -> float:
     """J(u) for a field on the constraint set; candidate for the ground level.
 
     On the constraint set the energy reduces to (1/2 - 1/(2p)) ||u||^2; the
-    field must satisfy the constraint to 1e-10 relative.
+    field must satisfy the constraint to 1e-10 relative (level_from_terms).
     """
-    a = norm_sq(u, prob)
+    return level_from_terms(norm_sq(u, prob), nonlocal_term(u, prob), prob.p)
+
+
+def level_from_terms(a: float, d: float, p: float) -> float:
+    """J = a/2 - d/(2p) of a field on the constraint set, from a = ||u||^2 and d = D(u).
+
+    Raises InputError for the zero field and for a field whose defect a - d
+    exceeds 1e-10 a.
+    """
     if a == 0.0:
         raise InputError("level undefined for the zero field")
-    defect = a - nonlocal_term(u, prob)
+    defect = a - d
     if abs(defect) > 1.0e-10 * a:
         raise InputError(f"field is off the constraint set: relative defect {abs(defect) / a:.3e}")
-    return energy(u, prob)
+    return 0.5 * a - d / (2.0 * p)
 
 
 @dataclass(frozen=True)
@@ -373,32 +395,42 @@ class MountainPassProbe:
     samples: int
 
 
+def sample_chunks(rng: np.random.Generator, samples: int, shape: Tuple[int, ...]):
+    """Standard normal draws of the given shape, ``samples`` in all, SAMPLE_CHUNK per array.
+
+    One draw of shape (k,) + shape takes the same numbers from the generator
+    as k draws of ``shape``, so a result does not depend on the chunk size.
+    """
+    for start in range(0, samples, SAMPLE_CHUNK):
+        yield rng.standard_normal((min(SAMPLE_CHUNK, samples - start),) + tuple(shape))
+
+
 def mountain_pass_probe(prob: ProblemSpec, rho: float, samples: int, seed: int = 0) -> MountainPassProbe:
     """Minimum of J over random fields of norm rho, plus a negative-energy scale.
 
     theta_hat estimates the energy barrier on the sphere of radius rho;
     t_neg scales the first sampled field with positive pair energy (renormed
-    to norm 1) so that J(t_neg * witness) < 0.
+    to norm 1) so that J(t_neg * witness) < 0.  A sample of zero norm is
+    skipped.  The samples are checked in chunks of rows (sample_chunks).
     """
     if not rho > 0.0:
         raise ParameterError(f"rho must be > 0, got {rho}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    free = prob.free_indices()
     theta = math.inf
     witness = None
-    for _ in range(samples):
-        vals = np.zeros(prob.window.count)
-        vals[free] = rng.standard_normal(free.size)
-        u = Field(prob.window, vals)
-        a = norm_sq(u, prob)
-        if a == 0.0:
+    for x in sample_chunks(rng, samples, prob.free_indices().shape):
+        a = _quadratic_form(x, prob)
+        keep = a != 0.0
+        if not keep.any():
             continue
-        u = (rho / math.sqrt(a)) * u
-        theta = min(theta, energy(u, prob))
-        if witness is None and nonlocal_term(u, prob) > 0.0:
-            witness = (1.0 / rho) * u
+        u = prob.extend(x[keep] * (rho / np.sqrt(a[keep]))[:, None])
+        a, d = constraint_terms(u, prob)
+        theta = min(theta, *(0.5 * a - d / (2.0 * prob.p)).tolist())
+        hits = np.nonzero(d > 0.0)[0]
+        if witness is None and hits.size:
+            witness = Field(prob.window, (1.0 / rho) * u[hits[0]])
     if witness is None:
         raise ProbeInconclusiveError("no sampled field has positive pair energy")
     a = norm_sq(witness, prob)

@@ -18,7 +18,7 @@ import numpy as np
 from . import calculus as _calculus
 from . import kernels as _kernels
 from . import variational as _var
-from .errors import InputError, NoProjectionError
+from .errors import ChoquardError, InputError, NoProjectionError
 from .fields import Field
 from .lattice import BOX, ball, get_window
 from .solver import apply_quadratic_operator, brezis_lieb_probe
@@ -117,27 +117,27 @@ def _hls_exponent(prob: ProblemSpec) -> float:
     return 2.0 * n / (n + prob.kernel.alpha)
 
 
+def _worst_hls_ratio(prob: ProblemSpec, rng: np.random.Generator, pairs: int, r: float) -> float:
+    """Largest hls ratio over random pairs (u, v) of nonnegative window values."""
+    worst = 0.0
+    for chunk in _var.sample_chunks(rng, pairs, (2, prob.window.count)):
+        chunk = np.abs(chunk)
+        ratios = _calculus.hls_ratios(prob.kernel, prob.window, chunk[:, 0], chunk[:, 1], r, r)
+        worst = max(worst, *ratios.tolist())
+    return worst
+
+
 def _suite_hls(prob: ProblemSpec, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
-    window = prob.window
     r = _hls_exponent(prob)
-
-    def batch(count: int) -> float:
-        worst = 0.0
-        for _ in range(count):
-            u = Field(window, np.abs(rng.standard_normal(window.count)))
-            v = Field(window, np.abs(rng.standard_normal(window.count)))
-            worst = max(worst, _calculus.hls_ratio(u, v, prob.kernel, r, r))
-        return worst
-
-    c_hat = batch(200)
-    c_resampled = batch(200)
+    c_hat = _worst_hls_ratio(prob, rng, 200, r)
+    c_resampled = _worst_hls_ratio(prob, rng, 200, r)
     drift = abs(c_hat - c_resampled) / max(c_hat, c_resampled)
 
-    u = Field(window, np.abs(rng.standard_normal(window.count)))
-    v = Field(window, np.abs(rng.standard_normal(window.count)))
-    base = _calculus.hls_ratio(u, v, prob.kernel, r, r)
-    scaled = _calculus.hls_ratio(3.7 * u, 0.41 * v, prob.kernel, r, r)
+    u, v = np.abs(rng.standard_normal((2, prob.window.count)))
+    base, scaled = _calculus.hls_ratios(
+        prob.kernel, prob.window, np.stack([u, 3.7 * u]), np.stack([v, 0.41 * v]), r, r
+    ).tolist()
     scale_gap = abs(base - scaled) / base
 
     passed = math.isfinite(c_hat) and drift < 0.2 and scale_gap <= 1.0e-12
@@ -225,21 +225,21 @@ def _suite_nehari(prob: ProblemSpec, seed: int) -> SuiteResult:
     c_hat = 0.0
     norms = []
     levels = []
-    for _ in range(100):
-        u = _random_field(prob, rng)
-        t, w = _var.nehari_project(u, prob)
-        a = _var.norm_sq(w, prob)
-        worst_defect = max(worst_defect, abs(_var.nehari_defect(w, prob)) / a)
-        level = _var.nehari_level(w, prob)
-        worst_level = max(worst_level, abs(level - (0.5 - 0.5 / prob.p) * a) / max(1.0, abs(level)))
-        power = Field(prob.window, np.abs(w.values) ** prob.p)
-        c_hat = max(c_hat, _calculus.hls_ratio(power, power, prob.kernel, r, r))
-        norms.append(math.sqrt(a))
-        levels.append(level)
-    for _ in range(100):
-        f = Field(prob.window, np.abs(rng.standard_normal(prob.window.count)))
-        g = Field(prob.window, np.abs(rng.standard_normal(prob.window.count)))
-        c_hat = max(c_hat, _calculus.hls_ratio(f, g, prob.kernel, r, r))
+    for x in _var.sample_chunks(rng, 100, prob.free_indices().shape):
+        proj = _var.project_values(prob.extend(x), prob)
+        if proj.vanishes.any():
+            raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
+        a_rows, d_rows = _var.constraint_terms(proj.values, prob)
+        power = np.abs(proj.values) ** prob.p
+        ratios = _calculus.hls_ratios(prob.kernel, prob.window, power, power, r, r)
+        for a, d, ratio in zip(a_rows.tolist(), d_rows.tolist(), ratios.tolist()):
+            worst_defect = max(worst_defect, abs(a - d) / a)
+            level = _var.level_from_terms(a, d, prob.p)
+            worst_level = max(worst_level, abs(level - (0.5 - 0.5 / prob.p) * a) / max(1.0, abs(level)))
+            c_hat = max(c_hat, ratio)
+            norms.append(math.sqrt(a))
+            levels.append(level)
+    c_hat = max(c_hat, _worst_hls_ratio(prob, rng, 100, r))
     sigma_hat = (1.0 / c_hat) ** (1.0 / (2.0 * (prob.p - 1.0)))
     level_floor = (0.5 - 0.5 / prob.p) * sigma_hat**2
 
@@ -353,4 +353,12 @@ def run_suites(names: Sequence[str], prob: ProblemSpec, seed: int = 0) -> Tuple[
     unknown = [n for n in names if n not in _DISPATCH]
     if unknown:
         raise InputError(f"unknown suites {unknown}; choose from {list(SUITE_NAMES)}")
-    return tuple(_DISPATCH[name](prob, seed) for name in names)
+    return tuple(_run_suite(name, prob, seed) for name in names)
+
+
+def _run_suite(name: str, prob: ProblemSpec, seed: int) -> SuiteResult:
+    """One suite; a package error inside it fails that suite alone, with the message as ``error``."""
+    try:
+        return _DISPATCH[name](prob, seed)
+    except ChoquardError as exc:
+        return SuiteResult(name, False, {"error": f"{type(exc).__name__}: {exc}"})

@@ -14,6 +14,7 @@ from choquard.cli import (
     main,
     merge_config,
 )
+from choquard.errors import InternalError, ProbeInconclusiveError
 
 
 def _write_config(tmp_path, name="cfg.json", **solver_overrides):
@@ -201,6 +202,46 @@ def test_sweep_row_whose_every_start_is_inadmissible_fails(tmp_path, monkeypatch
     assert well["converged"] is True
     assert [entry["status"] for entry in well["starts"]] == ["converged"] * 6
     assert "lambda=10: did not converge" in capsys.readouterr().out
+
+
+def test_sweep_row_that_raises_is_recorded_and_the_sweep_continues(tmp_path, monkeypatch, capsys):
+    real = solver.ground_state
+
+    def failing(prob, cfg, *args, **kwargs):
+        if prob.lam == 10.0:
+            raise InternalError("injected failure")
+        return real(prob, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "ground_state", failing)
+    out = tmp_path / "rep.json"
+    argv = ["sweep", "--radius", "6", "--omega-radius", "1", "--lambda-grid", "1,10,100", "--out", str(out)]
+    assert main(argv) == 2
+    report = json.loads(out.read_text())["report"]
+    assert [row["lambda"] for row in report["rows"]] == [1.0, 10.0, 100.0]
+    assert [row["converged"] for row in report["rows"]] == [True, False, True]
+    assert report["rows"][1]["m_lambda"] is None
+    assert report["all_converged"] is False
+    assert "lambda=10: did not converge" in capsys.readouterr().out
+
+
+def test_verify_suite_that_raises_fails_with_exit_three(tmp_path, monkeypatch, capsys):
+    from choquard import variational
+
+    def inconclusive(*args, **kwargs):
+        raise ProbeInconclusiveError("no sampled field has positive pair energy")
+
+    monkeypatch.setattr(variational, "mountain_pass_probe", inconclusive)
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--radius", "6", "--suites", "ops,mountainpass,lions", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "ops: PASS" in captured.out and "lions: PASS" in captured.out
+    assert "mountainpass: FAIL" in captured.out
+    assert "failed suites: mountainpass" in captured.err
+    assert "ProbeInconclusiveError: no sampled field" in captured.err
+    suites = json.loads(out.read_text())["suites"]
+    assert [(s["name"], s["passed"]) for s in suites] == [("ops", True), ("mountainpass", False), ("lions", True)]
+    assert suites[1]["details"] == {"error": "ProbeInconclusiveError: no sampled field has positive pair energy"}
 
 
 def test_verify_subset_passes(tmp_path, capsys):

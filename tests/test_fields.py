@@ -5,14 +5,18 @@ import pytest
 
 from choquard import (
     BALL,
+    BOX,
     Field,
     InputError,
     align_windows,
     ball,
     get_window,
+    gradient_form,
+    laplacian,
     load_field,
     save_field,
 )
+from choquard.lattice import embedding_map
 
 
 def test_constructor_validates_shape_and_finiteness():
@@ -130,3 +134,46 @@ def test_load_rejects_a_repeated_site_whose_first_value_is_zero(tmp_path):
     path.write_text("lattice-field v1\ndim 2\nradius 2\nshape box\nsupport 2\n0 0 0.0\n0 0 1.5\n")
     with pytest.raises(InputError, match="duplicate site"):
         load_field(path)
+
+
+def _embed_by_lookup(u, target):
+    """Zero-extension into ``target`` by a fresh site lookup, as embed did before it cached its maps."""
+    values = np.zeros(target.count)
+    values[target.indices_of(u.window.sites)] = u.values
+    return values
+
+
+def test_embedding_map_is_cached_read_only_and_checks_containment():
+    small, big = get_window(2, 3, BALL), get_window(2, 5)
+    idx = embedding_map(small, big)
+    assert embedding_map(small, big) is idx
+    assert np.array_equal(idx, big.indices_of(small.sites))
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0] = 0
+    u = Field(small, np.arange(1.0, small.count + 1.0))
+    assert np.array_equal(u.embed(big).values, _embed_by_lookup(u, big))
+    assert np.array_equal(u.values, np.arange(1.0, small.count + 1.0))
+    for source, target in ((big, small), (get_window(2, 3), get_window(2, 3, BALL))):
+        with pytest.raises(InputError, match="does not contain"):
+            Field.zero(source).embed(target)
+        with pytest.raises(InputError, match="does not contain"):
+            embedding_map(source, target)
+
+
+@pytest.mark.parametrize("shape", [BOX, BALL])
+def test_stencils_on_cached_maps_match_the_lookup_embedding(shape):
+    w = get_window(2, 5, shape)
+    big = w.enlarged(1)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        u = Field(w, rng.standard_normal(w.count))
+        v = Field(w, rng.standard_normal(w.count))
+        ue, ve = _embed_by_lookup(u, big), _embed_by_lookup(v, big)
+        up, vp = np.append(ue, 0.0), np.append(ve, 0.0)
+        lap = laplacian(u)
+        assert lap.window == big
+        assert np.array_equal(lap.values, up[big.neighbors].sum(axis=1) - 2.0 * big.dim * ue)
+        du = up[big.neighbors] - ue[:, None]
+        dv = vp[big.neighbors] - ve[:, None]
+        assert np.array_equal(gradient_form(u, v).values, 0.5 * (du * dv).sum(axis=1))
