@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 convergence failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -28,7 +27,6 @@ from .kernels import (
     asymptotics_bracket,
     build_kernel_table,
     cross_method_deviation,
-    kernel_cache_path,
 )
 from .lattice import ball, get_window
 from .solver import (
@@ -65,7 +63,7 @@ _FLOAT_KEYS = {
 }
 _STR_KEYS = {"window_shape", "potential_profile", "kernel_kind", "mode", "initializer"}
 _OPT_FLOAT_KEYS = {"potential_cap"}
-_OPT_STR_KEYS = {"out", "cache_dir"}
+_OPT_STR_KEYS = {"out"}
 _FLOAT_LIST_KEYS = {"lambda_grid"}
 _STR_LIST_KEYS = {"suites"}
 
@@ -89,7 +87,7 @@ def default_config() -> Dict[str, Dict[str, object]]:
             "mode": "full",
         },
         "solver": SolverConfig().as_dict(),
-        "output": {"out": None, "cache_dir": None},
+        "output": {"out": None},
         "verify": {"suites": list(SUITE_NAMES)},
     }
 
@@ -180,7 +178,6 @@ _FLAG_MAP = {
     "mode": ("problem", "mode"),
     "seed": ("solver", "seed"),
     "out": ("output", "out"),
-    "cache_dir": ("output", "cache_dir"),
     "suites": ("verify", "suites"),
 }
 
@@ -212,23 +209,11 @@ def build_problem(cfg: Dict[str, Dict[str, object]]) -> ProblemSpec:
         profile=pb["potential_profile"],
         cap=pb["potential_cap"],
     )
-    kernel = build_kernel_table(
-        pb["kernel_kind"], pb["alpha"], window, cache_dir=cfg["output"]["cache_dir"]
-    )
+    kernel = build_kernel_table(pb["kernel_kind"], pb["alpha"], window)
     lam = pb["lam"] if pb["mode"] == MODE_FULL else None
     return ProblemSpec(
         mode=pb["mode"], window=window, potential=potential, kernel=kernel, p=pb["p"], lam=lam
     )
-
-
-def _cache_info(cfg: Dict[str, Dict[str, object]], table) -> Optional[Dict[str, str]]:
-    cache_dir = cfg["output"]["cache_dir"]
-    if cache_dir is None:
-        return None
-    path = kernel_cache_path(
-        cache_dir, table.kind, table.alpha, table.dim, table.radius, table.quad
-    )
-    return {"file": path.name, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def _write_report(out: Optional[str], payload: Dict[str, object]) -> Optional[Path]:
@@ -252,23 +237,14 @@ def _out_base(out: str) -> Path:
 
 
 def cmd_kernel(cfg: Dict[str, Dict[str, object]]) -> int:
-    """Build (or load) the kernel table and print its summary diagnostics."""
+    """Build the kernel table and print its summary diagnostics."""
     pb = cfg["problem"]
     window = get_window(pb["dim"], pb["radius"], pb["window_shape"])
-    cache_dir = cfg["output"]["cache_dir"]
-    table = build_kernel_table(pb["kernel_kind"], pb["alpha"], window, cache_dir=cache_dir)
+    table = build_kernel_table(pb["kernel_kind"], pb["alpha"], window)
     print(
         f"kernel table: kind={table.kind} alpha={table.alpha!r} dim={table.dim} "
         f"radius={table.radius} m_max={table.m_max} orbits={table.orbit_values.size}"
     )
-    if cache_dir is None:
-        print("cache: disabled (no cache directory configured)")
-    else:
-        path = kernel_cache_path(
-            cache_dir, table.kind, table.alpha, table.dim, table.radius, table.quad
-        )
-        verb = "reused cached table" if table.source == "cache" else "built and cached table"
-        print(f"cache: {verb} {path.name}")
     if table.m_max >= 5:
         r_max = min(30, table.m_max)
         c1, c2 = asymptotics_bracket(table, 5, r_max)
@@ -287,7 +263,6 @@ def cmd_solve(cfg: Dict[str, Dict[str, object]]) -> int:
     """Compute one ground state and write the (optional) deterministic report."""
     prob = build_problem(cfg)
     solver_cfg = SolverConfig(**cfg["solver"])
-    cache = _cache_info(cfg, prob.kernel)
     try:
         result = ground_state(prob, solver_cfg)
     except (ConvergenceError, InitializerError) as exc:
@@ -296,7 +271,6 @@ def cmd_solve(cfg: Dict[str, Dict[str, object]]) -> int:
     payload: Dict[str, object] = {
         "command": "solve",
         "config": cfg,
-        "kernel_cache": cache,
         "result": result_to_dict(result),
     }
     out = cfg["output"]["out"]
@@ -330,12 +304,10 @@ def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
     grid = [float(x) for x in cfg["problem"]["lambda_grid"]]
     base = replace(prob, mode=MODE_FULL, lam=grid[0])
     solver_cfg = SolverConfig(**cfg["solver"])
-    cache = _cache_info(cfg, prob.kernel)
     report = lambda_sweep(base, grid, solver_cfg)
     payload: Dict[str, object] = {
         "command": "sweep",
         "config": cfg,
-        "kernel_cache": cache,
         "report": report_to_dict(report),
     }
     out = cfg["output"]["out"]
@@ -374,7 +346,6 @@ def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
 def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
     """Run the property suites; any failure, a suite that raised included, maps to exit code 3."""
     prob = build_problem(cfg)
-    cache = _cache_info(cfg, prob.kernel)
     names = list(cfg["verify"]["suites"])
     results = run_suites(names, prob, seed=cfg["solver"]["seed"])
     for res in results:
@@ -386,7 +357,6 @@ def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
     payload: Dict[str, object] = {
         "command": "verify",
         "config": cfg,
-        "kernel_cache": cache,
         "suites": [{"name": r.name, "passed": r.passed, "details": r.details} for r in results],
     }
     out = cfg["output"]["out"]
@@ -449,7 +419,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=["full", "dirichlet"], help="problem mode")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", metavar="PATH", help="report file; side files share its stem")
-    parser.add_argument("--cache-dir", dest="cache_dir", metavar="DIR", help="kernel table cache directory")
     parser.add_argument(
         "--suites", type=_parse_suites, metavar="NAME,...",
         help=f"verification suites to run (default: all of {','.join(SUITE_NAMES)})",

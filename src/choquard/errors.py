@@ -46,13 +46,5 @@ class InternalError(ChoquardError):
     """Invariant violation inside the package (e.g. kernel table too small)."""
 
 
-class CacheError(ChoquardError):
-    """Kernel cache file is unreadable or structurally invalid."""
-
-
-class CacheWarning(UserWarning):
-    """A kernel cache file was discarded and rebuilt."""
-
-
 class AccuracyWarning(UserWarning):
     """Requested evaluation is outside the regime of guaranteed accuracy."""

@@ -14,8 +14,7 @@ for 0 < alpha < N, which decays like |v|^{alpha - N}.  The Bessel factors come
 from ``scipy.special.ive``, and the subordination integral from a
 Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  The
 module tabulates kernels over all difference vectors of a window
-(reduced to orbits of the coordinate-permutation-and-sign symmetry group),
-persists tables to a plain-text disk cache with bit-exact round-trips, and
+(reduced to orbits of the coordinate-permutation-and-sign symmetry group) and
 applies tabulated kernels to fields by windowed convolution.  It also
 implements the fractional Laplacian (-Delta)^{alpha/2} through the semigroup
 integral, which inverts the Green's function on interior sites.
@@ -23,13 +22,9 @@ integral, which inverts the Green's function on interior sites.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +35,6 @@ from scipy.special import ive, roots_jacobi
 from .fields import Field
 from .errors import (
     AccuracyWarning,
-    CacheError,
-    CacheWarning,
     DomainError,
     InputError,
     InternalError,
@@ -52,12 +45,6 @@ from .lattice import BOX, LatticeWindow, embedding_map, get_window
 GREEN = "green"
 RIESZ = "riesz"
 _KINDS = (GREEN, RIESZ)
-
-# the only evaluation method; kept in cache file names and headers so that
-# tables saved by earlier versions still load
-_CACHE_METHOD = "bessel-product"
-
-_CACHE_FORMAT = "lattice-kernel-table v1"
 
 _SEGMENT_RATIO = 10.0
 
@@ -192,17 +179,6 @@ class QuadratureSpec:
             raise ParameterError(f"tail_order must be 0, 1 or 2, got {self.tail_order}")
         if not self.eps > 0.0:
             raise ParameterError(f"eps must be > 0, got {self.eps}")
-
-    def canonical_string(self) -> str:
-        t_max = "auto" if self.t_max is None else repr(float(self.t_max))
-        return (
-            f"quad-v1|t_split={float(self.t_split)!r}|t_max={t_max}"
-            f"|nodes={int(self.nodes)}|tail_order={int(self.tail_order)}"
-            f"|eps={float(self.eps)!r}"
-        )
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_string().encode()).hexdigest()[:16]
 
 
 def _resolve_t_max(quad: QuadratureSpec, m_max: int) -> float:
@@ -349,7 +325,6 @@ class KernelTable:
         quad: QuadratureSpec,
         orbit_keys: np.ndarray,
         orbit_values: np.ndarray,
-        source: str = "built",
     ):
         if kind not in _KINDS:
             raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
@@ -360,7 +335,6 @@ class KernelTable:
         self.quad = quad
         self.orbit_keys = np.asarray(orbit_keys, dtype=np.int64)
         self.orbit_values = np.asarray(orbit_values, dtype=np.float64)
-        self.source = source
         if self.orbit_values.ndim != 1 or self.orbit_keys.shape != (self.orbit_values.size, self.dim):
             raise InputError("orbit arrays have inconsistent shapes")
         if np.any(self.orbit_values < 0.0) or not np.all(np.isfinite(self.orbit_values)):
@@ -400,9 +374,6 @@ class KernelTable:
         vec = _check_vector(v, self.dim)
         return float(self.values_at(np.array([vec], dtype=np.int64))[0])
 
-    def header_key(self) -> Tuple:
-        return (self.kind, repr(self.alpha), self.dim, self.radius, self.quad.digest())
-
 
 def _canonical_orbits(dim: int, m_max: int) -> np.ndarray:
     """Sorted-descending absolute difference vectors, one per symmetry orbit."""
@@ -422,34 +393,13 @@ def build_kernel_table(
     alpha: float,
     window: LatticeWindow,
     quad: Optional[QuadratureSpec] = None,
-    cache_dir: Optional[str] = None,
 ) -> KernelTable:
-    """Tabulate a kernel over the difference range of a window.
-
-    With ``cache_dir`` set, a previously saved table with the same key
-    (kind, alpha, dim, radius, quadrature digest) is loaded instead of
-    rebuilt; unusable cache files are discarded with a warning and rewritten.
-    """
+    """Tabulate a kernel over the difference range of a window."""
     if kind not in _KINDS:
         raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
     if not 0.0 < alpha < window.dim:
         raise ParameterError("alpha must lie in (0, N)")
     quad = quad or QuadratureSpec()
-
-    path = None
-    if cache_dir is not None:
-        path = kernel_cache_path(cache_dir, kind, alpha, window.dim, window.radius, quad)
-        if path.exists():
-            try:
-                table = load_kernel_table(path)
-            except CacheError as exc:
-                warnings.warn(f"discarding unusable kernel cache {path}: {exc}", CacheWarning, stacklevel=2)
-            else:
-                fresh = KernelTable(kind, alpha, window.dim, window.radius, quad,
-                                    table.orbit_keys, table.orbit_values, source="cache")
-                if fresh.header_key() == _expected_header_key(kind, alpha, window, quad):
-                    return fresh
-                warnings.warn(f"kernel cache {path} does not match its key; rebuilding", CacheWarning, stacklevel=2)
 
     m_max = 2 * window.radius
     orbits = _canonical_orbits(window.dim, m_max)
@@ -460,123 +410,7 @@ def build_kernel_table(
         with np.errstate(divide="ignore"):
             values = norms ** (alpha - window.dim)
         values[norms == 0.0] = 0.0  # convolutions exclude the diagonal
-    table = KernelTable(kind, alpha, window.dim, window.radius, quad, orbits, values)
-    if path is not None:
-        save_kernel_table(table, path)
-    return table
-
-
-def _expected_header_key(kind, alpha, window, quad) -> Tuple:
-    return (kind, repr(float(alpha)), window.dim, window.radius, quad.digest())
-
-
-# ---------------------------------------------------------------------------
-# disk cache
-# ---------------------------------------------------------------------------
-
-
-def kernel_cache_path(
-    cache_dir: str,
-    kind: str,
-    alpha: float,
-    dim: int,
-    radius: int,
-    quad: QuadratureSpec,
-) -> Path:
-    name = f"{kind}_alpha{float(alpha)!r}_dim{dim}_r{radius}_{_CACHE_METHOD}_{quad.digest()}.table"
-    return Path(cache_dir) / name
-
-
-def save_kernel_table(table: KernelTable, path) -> None:
-    """Write a table as plain text; values use shortest round-trip formatting.
-
-    The text goes to a temporary file in the same directory, which then
-    replaces ``path`` in one step, so a reader never sees a partial table.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        _CACHE_FORMAT,
-        f"kind {table.kind}",
-        f"alpha {table.alpha!r}",
-        f"dim {table.dim}",
-        f"radius {table.radius}",
-        f"method {_CACHE_METHOD}",
-        f"quad_digest {table.quad.digest()}",
-        f"quad {table.quad.canonical_string()}",
-        f"orbits {table.orbit_values.size}",
-    ]
-    for key, val in zip(table.orbit_keys, table.orbit_values):
-        coords = " ".join(str(int(c)) for c in key)
-        lines.append(f"{coords} {float(val)!r}")
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _parse_quad(text: str) -> QuadratureSpec:
-    fields = dict(part.split("=", 1) for part in text.split("|")[1:])
-    t_max = None if fields["t_max"] == "auto" else float(fields["t_max"])
-    return QuadratureSpec(
-        t_split=float(fields["t_split"]),
-        t_max=t_max,
-        nodes=int(fields["nodes"]),
-        tail_order=int(fields["tail_order"]),
-        eps=float(fields["eps"]),
-    )
-
-
-def load_kernel_table(path) -> KernelTable:
-    """Read a table saved by :func:`save_kernel_table`; bit-exact round trip."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise CacheError(f"cannot read {path}: {exc}") from exc
-    try:
-        if not lines or lines[0] != _CACHE_FORMAT:
-            raise CacheError(f"unrecognised cache format in {path}")
-        header = {}
-        body_start = None
-        for i, line in enumerate(lines[1:], start=1):
-            key, _, value = line.partition(" ")
-            header[key] = value
-            if key == "orbits":
-                body_start = i + 1
-                break
-        if body_start is None:
-            raise CacheError("missing orbit count")
-        quad = _parse_quad(header["quad"])
-        if quad.digest() != header["quad_digest"]:
-            raise CacheError("quadrature digest mismatch")
-        if header["method"] != _CACHE_METHOD:
-            raise CacheError(f"unsupported evaluation method {header['method']!r}")
-        count = int(header["orbits"])
-        dim = int(header["dim"])
-        rows = [line.split() for line in lines[body_start:] if line.strip()]
-        if len(rows) != count:
-            raise CacheError(f"expected {count} orbit rows, found {len(rows)}")
-        keys = np.array([[int(c) for c in row[:dim]] for row in rows], dtype=np.int64)
-        values = np.array([float(row[dim]) for row in rows])
-        return KernelTable(
-            kind=header["kind"],
-            alpha=float(header["alpha"]),
-            dim=dim,
-            radius=int(header["radius"]),
-            quad=quad,
-            orbit_keys=keys,
-            orbit_values=values,
-            source="cache",
-        )
-    except CacheError:
-        raise
-    except Exception as exc:
-        raise CacheError(f"malformed cache file {path}: {exc}") from exc
+    return KernelTable(kind, alpha, window.dim, window.radius, quad, orbits, values)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +486,9 @@ def convolve_values(
     shape, spectrum = _kernel_spectrum(table, reach)
     lead = values.shape[:-1]
     grid = _box_values(window, values).reshape(lead + (2 * r_in + 1,) * table.dim)
-    full = irfftn(rfftn(grid, s=shape) * spectrum, s=shape)
+    freq = rfftn(grid, s=shape)
+    freq *= spectrum
+    full = irfftn(freq, s=shape)
     # site x of the output box sits at index x + r_in + reach of the full grid
     out = full[(Ellipsis,) + (slice(2 * r_in, 2 * reach + 1),) * table.dim]
     if include_diagonal:

@@ -203,8 +203,7 @@ def test_criterion_11_deterministic_reports(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"solver": {"restarts": 1}}))
     out = tmp_path / "run" / "report.json"
-    cache = str(tmp_path / "cache")
-    argv = ["solve", "--config", str(cfg_path), "--out", str(out), "--cache-dir", cache]
+    argv = ["solve", "--config", str(cfg_path), "--out", str(out)]
     assert main(argv) == 0
     capsys.readouterr()
     report_first = out.read_bytes()

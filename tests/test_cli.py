@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from choquard import load_field, solver
+from choquard import KernelTable, build_kernel_table, cli, load_field, solver
 from choquard.cli import (
     UsageError,
     config_json,
@@ -75,17 +75,22 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert "radius=5" in out
 
 
-def test_kernel_command_builds_then_reuses_cache(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    assert main(["kernel", "--radius", "6", "--cache-dir", cache]) == 0
-    first = capsys.readouterr().out
-    assert "kernel table: kind=green alpha=1.0 dim=2 radius=6 m_max=12" in first
-    assert "built and cached table" in first
-    assert "asymptotic envelope on 5 <= |v|_1 <= 12" in first
-    assert "cross-method deviation" in first
-    assert main(["kernel", "--radius", "6", "--cache-dir", cache]) == 0
-    second = capsys.readouterr().out
-    assert "reused cached table" in second
+def test_kernel_command_builds_then_reuses_cache(capsys):
+    assert main(["kernel", "--radius", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "kernel table: kind=green alpha=1.0 dim=2 radius=6 m_max=12" in out
+    assert "asymptotic envelope on 5 <= |v|_1 <= 12" in out
+    assert "cross-method deviation" in out
+    assert "cache:" not in out
+
+
+def test_removed_cache_option_is_rejected(tmp_path, capsys):
+    assert main(["kernel", "--radius", "6", "--cache-dir", str(tmp_path)]) == 1
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"output": {"cache_dir": "x"}}))
+    assert main(["kernel", "--radius", "6", "--config", str(cfg_path)]) == 1
+    assert "unknown configuration key output.cache_dir" in capsys.readouterr().err
 
 
 def test_kernel_command_rejects_out_of_range_alpha(capsys):
@@ -255,23 +260,20 @@ def test_verify_subset_passes(tmp_path, capsys):
     assert all(suite["passed"] for suite in payload["suites"])
 
 
-def test_verify_detects_tampered_kernel_cache(tmp_path, capsys):
-    cache = str(tmp_path / "cache")
-    assert main(["kernel", "--radius", "16", "--cache-dir", cache]) == 0
-    capsys.readouterr()
-    assert main(["verify", "--radius", "16", "--suites", "green", "--cache-dir", cache]) == 0
+def test_verify_detects_tampered_kernel_table(capsys, monkeypatch):
+    assert main(["verify", "--radius", "16", "--suites", "green"]) == 0
     assert "green: PASS" in capsys.readouterr().out
-    table_file = next((tmp_path / "cache").iterdir())
-    lines = table_file.read_text().split("\n")
-    for i, line in enumerate(lines):
-        parts = line.split()
-        if parts[:2] == ["1", "0"] and len(parts) == 3:
-            lines[i] = f"1 0 {float(parts[2]) * 1.001!r}"
-            break
-    else:
-        raise AssertionError("no nearest-neighbor row in the cached table")
-    table_file.write_text("\n".join(lines))
-    assert main(["verify", "--radius", "16", "--suites", "green", "--cache-dir", cache]) == 3
+
+    def tampered_build(kind, alpha, window):
+        table = build_kernel_table(kind, alpha, window)
+        values = table.orbit_values.copy()
+        nearest = np.flatnonzero((table.orbit_keys == (1, 0)).all(axis=1))
+        assert nearest.size == 1
+        values[nearest] *= 1.001
+        return KernelTable(kind, alpha, table.dim, table.radius, table.quad, table.orbit_keys, values)
+
+    monkeypatch.setattr(cli, "build_kernel_table", tampered_build)
+    assert main(["verify", "--radius", "16", "--suites", "green"]) == 3
     captured = capsys.readouterr()
     assert "green: FAIL" in captured.out
     assert "failed suites: green" in captured.err

@@ -14,8 +14,6 @@ import choquard as c
 from choquard import (
     BALL,
     BOX,
-    CacheError,
-    CacheWarning,
     DomainError,
     Field,
     InputError,
@@ -108,8 +106,6 @@ def test_quadrature_spec_validation_and_digest():
         QuadratureSpec(tail_order=3)
     with pytest.raises(ParameterError):
         QuadratureSpec(t_max=0.5)
-    assert QuadratureSpec().digest() == QuadratureSpec().digest()
-    assert QuadratureSpec().digest() != QuadratureSpec(nodes=96).digest()
 
 
 def test_green_function_symmetry_positivity_and_resolution():
@@ -157,111 +153,6 @@ def test_riesz_table_zeroes_diagonal(small_window):
     table = c.build_kernel_table(RIESZ, 1.0, small_window)
     assert table.values_at(np.array([[0, 0]]))[0] == 0.0
     assert table.values_at(np.array([[3, -4]]))[0] == pytest.approx(0.2, rel=1e-15)
-
-
-def test_table_cache_round_trip_is_bit_exact(small_table, tmp_path):
-    path = tmp_path / "table.txt"
-    c.save_kernel_table(small_table, path)
-    loaded = c.load_kernel_table(path)
-    assert np.array_equal(loaded.orbit_values, small_table.orbit_values)
-    assert np.array_equal(loaded.orbit_keys, small_table.orbit_keys)
-    assert loaded.header_key() == small_table.header_key()
-
-
-def test_cache_hit_and_corrupt_cache_rebuild(small_window, tmp_path):
-    cache = tmp_path / "cache"
-    first = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    assert first.source == "built"
-    again = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    assert again.source == "cache"
-    assert np.array_equal(again.orbit_values, first.orbit_values)
-    path = next(cache.iterdir())
-    path.write_text("garbage\n")
-    with pytest.warns(CacheWarning):
-        rebuilt = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    assert rebuilt.source == "built"
-
-
-def test_cache_file_keeps_the_v1_method_field(small_window, tmp_path):
-    # the file name and header keep the method field of the v1 format, so
-    # existing cache files keep loading; any other method is rejected
-    cache = tmp_path / "cache"
-    built = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    path = next(cache.iterdir())
-    assert "_bessel-product_" in path.name
-    lines = path.read_text().splitlines()
-    assert "method bessel-product" in lines
-    loaded = c.load_kernel_table(path)
-    assert np.array_equal(loaded.orbit_values, built.orbit_values)
-    assert np.array_equal(loaded.orbit_keys, built.orbit_keys)
-    assert loaded.header_key() == built.header_key()
-
-    path.write_text("\n".join(
-        "method torus-spectral" if line == "method bessel-product" else line for line in lines
-    ) + "\n")
-    with pytest.raises(CacheError, match="torus-spectral"):
-        c.load_kernel_table(path)
-    with pytest.warns(CacheWarning):
-        rebuilt = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    assert rebuilt.source == "built"
-    assert np.array_equal(rebuilt.orbit_values, built.orbit_values)
-    assert path.read_text().splitlines() == lines
-
-
-def test_cache_values_are_trusted_not_checksummed(small_window, tmp_path):
-    # the cache format deliberately carries no value checksum, so a perturbed
-    # value flows into computations and only the verify suites catch it
-    cache = tmp_path / "cache"
-    built = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    path = next(cache.iterdir())
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("1 0 "):
-            head, val = line.rsplit(" ", 1)
-            lines[i] = f"{head} {float(val) * 1.5!r}"
-            break
-    path.write_text("\n".join(lines) + "\n")
-    tampered = c.build_kernel_table(GREEN, 1.0, small_window, cache_dir=str(cache))
-    assert tampered.source == "cache"
-    v = np.array([[1, 0]])
-    assert tampered.values_at(v)[0] == pytest.approx(1.5 * built.values_at(v)[0], rel=1e-12)
-
-
-class _DiskFull:
-    """File handle that writes half of what it is given, then fails."""
-
-    def __init__(self, handle):
-        self._handle = handle
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._handle.close()
-
-    def write(self, text):
-        self._handle.write(text[: len(text) // 2])
-        raise OSError("injected: disk full")
-
-
-@pytest.mark.parametrize("failure", ["write", "replace"])
-def test_cache_write_failure_keeps_the_existing_file(small_table, tmp_path, monkeypatch, failure):
-    path = tmp_path / "table.txt"
-    c.save_kernel_table(small_table, path)
-    before = path.read_text()
-    if failure == "write":
-        fdopen = kernels.os.fdopen
-        monkeypatch.setattr(kernels.os, "fdopen", lambda fd, mode: _DiskFull(fdopen(fd, mode)))
-    else:
-
-        def refuse(src, dst):
-            raise OSError("injected: replace refused")
-
-        monkeypatch.setattr(kernels.os, "replace", refuse)
-    with pytest.raises(OSError, match="injected"):
-        c.save_kernel_table(small_table, path)
-    assert path.read_text() == before
-    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_convolve_matches_double_loop(small_table, small_window):
