@@ -190,15 +190,6 @@ def dirichlet_norm_sq(u: Field, well: SiteSet) -> float:
     return lap_sq + grad + float(u.values @ u.values)
 
 
-def lp_norm(u: Field, q: float) -> float:
-    """Counting-measure l^q norm; q = inf gives the max norm."""
-    if q == np.inf:
-        return float(np.abs(u.values).max(initial=0.0))
-    if not q > 0.0:
-        raise InputError(f"q must be positive, got {q}")
-    return float((np.abs(u.values) ** q).sum() ** (1.0 / q))
-
-
 # ---------------------------------------------------------------------------
 # nonlocal energy and convolution inequality diagnostics
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ Configuration is a JSON object with ``problem``, ``solver``, ``output`` and
 overrides.  Reports are written as deterministic JSON (sorted keys, shortest
 round-trip floats) so repeated runs with the same inputs are byte-identical.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 convergence failure,
-3 verification failure.
+Exit codes: 0 success, 1 usage or configuration error (a non-finite number
+included), 2 convergence failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -92,8 +92,19 @@ def default_config() -> Dict[str, Dict[str, object]]:
     }
 
 
+def _finite(value) -> bool:
+    """Whether a number converts to a finite float (an int too large for a float does not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _coerce(block: str, key: str, value: object) -> object:
     label = f"{block}.{key}"
+    numeric = key in _INT_KEYS or key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS
+    if numeric and isinstance(value, (int, float)) and not _finite(value):
+        raise UsageError(f"{label} must be finite, got {value!r}")
     if key in _INT_KEYS:
         if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
             raise UsageError(f"{label} must be an integer, got {value!r}")
@@ -117,6 +128,8 @@ def _coerce(block: str, key: str, value: object) -> object:
         for item in value:
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise UsageError(f"{label} must contain numbers only, got {item!r}")
+            if not _finite(item):
+                raise UsageError(f"{label} must contain finite numbers only, got {item!r}")
             out.append(float(item))
         return out
     if key in _STR_LIST_KEYS:

@@ -64,22 +64,9 @@ class Field:
         values[embedding_map(self.window, target)] = self.values
         return Field(target, values)
 
-    def restrict(self, target: LatticeWindow) -> "Field":
-        """Values on a smaller window; anything outside it is dropped."""
-        if target == self.window:
-            return self
-        return Field(target, self.values[embedding_map(target, self.window)])
-
     def support(self) -> SiteSet:
         nz = np.nonzero(self.values)[0]
         return SiteSet(tuple(int(c) for c in self.window.sites[i]) for i in nz)
-
-    def support_radius(self) -> int:
-        """Largest coordinate magnitude over the support (0 for the zero field)."""
-        nz = np.nonzero(self.values)[0]
-        if nz.size == 0:
-            return 0
-        return int(np.abs(self.window.sites[nz]).max())
 
     def is_supported_in(self, region: SiteSet) -> bool:
         nz = np.nonzero(self.values)[0]
@@ -121,20 +108,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field({self.window!r}, support={int(np.count_nonzero(self.values))})"
-
-
-def align_windows(u: Field, v: Field) -> Tuple[Field, Field]:
-    """Embed two fields of equal dimension and shape into the larger window."""
-    if u.window.dim != v.window.dim:
-        raise InputError("fields have different dimensions")
-    if u.window == v.window:
-        return u, v
-    if u.window.shape != v.window.shape:
-        box = get_window(u.window.dim, max(u.window.radius, v.window.radius), BOX)
-        return u.embed(box), v.embed(box)
-    if u.window.radius < v.window.radius:
-        return u.embed(v.window), v
-    return u, v.embed(u.window)
 
 
 def save_field(u: Field, path) -> None:

@@ -158,15 +158,15 @@ class QuadratureSpec:
     of Gauss-Legendre segments from t_split up to t_max (each spanning one
     factor of 10), and a closed-form tail beyond t_max based on the
     (4 pi t)^{-N/2} expansion of the heat kernel to ``tail_order`` correction
-    orders.  ``t_max=None`` selects t_max from the tabulated range so the tail
-    truncation stays below eps/10.
+    orders.  ``t_max=None`` sets the endpoint to max(3e4, 100 m_max^2), rounded
+    up to whole decades above t_split, where m_max is the largest coordinate
+    displacement evaluated.
     """
 
     t_split: float = 1.0
     t_max: Optional[float] = None
     nodes: int = 48
     tail_order: int = 2
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.t_split > 0.0:
@@ -177,8 +177,6 @@ class QuadratureSpec:
             raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
         if not 0 <= self.tail_order <= 2:
             raise ParameterError(f"tail_order must be 0, 1 or 2, got {self.tail_order}")
-        if not self.eps > 0.0:
-            raise ParameterError(f"eps must be > 0, got {self.eps}")
 
 
 def _resolve_t_max(quad: QuadratureSpec, m_max: int) -> float:

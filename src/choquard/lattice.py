@@ -2,17 +2,16 @@
 
 The lattice is the Cayley graph of Z^N with generators +/- e_i, so the graph
 distance between sites is the L1 distance and each site has 2N neighbours.
-This module provides the metric, balls and spheres, the ball-volume growth
-function, vertex boundaries of finite site sets, and indexed computational
-windows (boxes [-R, R]^N or word-metric balls) on which fields are stored,
-with the cached index maps that embed one window in a larger one.
+This module provides balls, vertex boundaries of finite site sets, and
+indexed computational windows (boxes [-R, R]^N or word-metric balls) on
+which fields are stored, with the cached index maps that embed one window
+in a larger one.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -33,29 +32,6 @@ def _as_site(x: Sequence[int]) -> Site:
         if c != raw:
             raise InputError(f"site coordinates must be integers, got {x!r}")
     return site
-
-
-def word_distance(x: Sequence[int], y: Sequence[int]) -> int:
-    """Graph distance between two sites: the L1 distance sum_i |x_i - y_i|."""
-    xs, ys = _as_site(x), _as_site(y)
-    if len(xs) != len(ys):
-        raise InputError(f"dimension mismatch: {len(xs)} vs {len(ys)}")
-    if not xs:
-        raise InputError("sites must have at least one coordinate")
-    return sum(abs(a - b) for a, b in zip(xs, ys))
-
-
-def growth_function(r: int, dim: int) -> int:
-    """Number of sites in a word-metric ball of radius r in Z^dim.
-
-    Uses the closed form sum_i 2^i C(dim, i) C(r, i); cross-checked against
-    brute-force enumeration in the tests.
-    """
-    if dim < 1:
-        raise InputError(f"dim must be >= 1, got {dim}")
-    if r < 0:
-        raise InputError(f"radius must be >= 0, got {r}")
-    return sum((1 << i) * comb(dim, i) * comb(r, i) for i in range(dim + 1))
 
 
 class SiteSet:
@@ -250,11 +226,6 @@ class LatticeWindow:
         if inbox.any():
             out[inbox] = self._index_grid[tuple((coords[inbox] + self._radius).T)]
         return out
-
-    def site_at(self, index: int) -> Site:
-        if not 0 <= index < self._count:
-            raise InputError(f"index {index} out of range 0..{self._count - 1}")
-        return tuple(int(c) for c in self._sites[index])
 
     def reach(self, coords: np.ndarray) -> int:
         """Least radius of a window of this shape that holds the sites (0 if none)."""

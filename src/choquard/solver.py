@@ -1,4 +1,4 @@
-"""Ground-state solver, coupling sweep, and sequence diagnostics.
+"""Ground-state solver, coupling sweep, and splitting probe.
 
 The solver minimizes J over the constraint set by projected nonlinear
 conjugate gradients: each step solves A z = J'(u) with the problem operator
@@ -17,14 +17,14 @@ several local minima lie within 5e-6, the reported level is lower.
 
 Multi-start over a smoothed well bump plus random positive fields
 approximates minimality, and all starts descend in lockstep as rows of one
-array: each step makes one product A X, one linear_solve for every row
-still running (a sparse LU factor of A, built once per problem, in
-dimension <= 2; preconditioned CG per row in dimension >= 3) and one
-batched convolution per round of line-search trials.  Each trial costs
-one convolved row, which also gives the next iterate's pair energy and
-Euler-Lagrange term.  The coupling sweep solves the well problem once, then
-the weighted problem over an increasing grid with warm starts, reporting
-levels, distances, and outside-well mass.
+array of free-site values: each step makes one product A X, one
+linear_solve for every row still running (a sparse LU factor of A, built
+once per problem, in dimension <= 2; preconditioned CG per row in
+dimension >= 3) and one batched convolution per round of line-search
+trials.  Each trial costs one convolved row, which also gives the next
+iterate's pair energy and Euler-Lagrange term.  The coupling sweep solves
+the well problem once, then the weighted problem over an increasing grid
+with warm starts, reporting levels, distances, and outside-well mass.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from .variational import MODE_DIRICHLET, MODE_FULL, ProblemSpec
 
 INIT_WELL_BUMP = "well-bump"
 INIT_RANDOM_POSITIVE = "random-positive"
-INIT_SUPPLIED = "supplied"
-_INITIALIZERS = (INIT_WELL_BUMP, INIT_RANDOM_POSITIVE, INIT_SUPPLIED)
+_INITIALIZERS = (INIT_WELL_BUMP, INIT_RANDOM_POSITIVE)
 
 STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
@@ -81,14 +80,13 @@ class SolverConfig:
     shrink: float = 0.5
     sufficient_decrease: float = 1.0e-4
     initializer: str = INIT_WELL_BUMP
-    initial_field: Optional[Field] = None
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
         for name in ("residual_tol", "nehari_tol", "cg_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0.0 < self.shrink < 1.0:
             raise ParameterError(f"shrink must lie in (0, 1), got {self.shrink}")
         if not 0.0 < self.sufficient_decrease < 1.0:
@@ -99,8 +97,6 @@ class SolverConfig:
             raise ParameterError(f"restarts must be >= 0, got {self.restarts}")
         if self.initializer not in _INITIALIZERS:
             raise ParameterError(f"initializer must be one of {_INITIALIZERS}, got {self.initializer!r}")
-        if self.initializer == INIT_SUPPLIED and self.initial_field is None:
-            raise ParameterError("supplied initializer requires initial_field")
 
     def as_dict(self) -> dict:
         return {
@@ -167,35 +163,36 @@ def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
     return Field(prob.window, prob.extend(_var.operator_values(prob.restrict(u.values), prob)))
 
 
-def cg_solve(rhs: Field, prob: ProblemSpec, cfg: SolverConfig) -> Field:
-    """Solve A r = rhs on the free sites by diagonally preconditioned CG."""
-    _var._check_window(rhs, prob)
-    b = prob.restrict(rhs.values)
-    b_norm = float(np.linalg.norm(b))
+def cg_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
+    """Solve A x = rhs for one row of free-site values by diagonally preconditioned CG."""
+    n_free = prob.free_indices().size
+    if rhs.shape != (n_free,):
+        raise InputError(f"expected {n_free} free-site values, got shape {rhs.shape}")
+    b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
-        return Field(prob.window, np.zeros(prob.window.count))
+        return np.zeros(n_free)
     matrix = prob.operator_matrix()
     precond = diags(1.0 / prob.operator_diagonal())
-    x, info = _scipy_cg(matrix, b, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iterations, M=precond)
+    x, info = _scipy_cg(matrix, rhs, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iterations, M=precond)
     if info != 0:
-        residual = float(np.linalg.norm(matrix @ x - b)) / b_norm
+        residual = float(np.linalg.norm(matrix @ x - rhs)) / b_norm
         raise ConvergenceError(
             f"linear solve stalled after {cfg.cg_max_iterations} iterations "
             f"(relative residual {residual:.3e})",
             residual=residual,
         )
-    return Field(prob.window, prob.extend(x))
+    return x
 
 
 def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
-    """Solve A r = rhs on the free sites for every row of rhs.
+    """Solve A x = rhs for every row of free-site values rhs.
 
-    ``rhs`` holds window values, one right-hand side per row of at most one
-    leading axis; the solutions come back the same way, zero off the free
-    sites.  Dimension <= 2 solves all rows at once with the sparse LU factor
-    cached on the problem (ProblemSpec.operator_factor), as one
-    (n_free, k) right-hand side whose columns the triangular solves treat
-    one at a time, so a row's solution does not depend on the batch.
+    ``rhs`` holds one right-hand side per row of at most one leading axis,
+    each with one value per free site (prob.free_indices()); the solutions
+    come back the same way.  Dimension <= 2 solves all rows at once with the
+    sparse LU factor cached on the problem (ProblemSpec.operator_factor), as
+    one (n_free, k) right-hand side whose columns the triangular solves
+    treat one at a time, so a row's solution does not depend on the batch.
     Dimension >= 3 runs cg_solve row by row, and a row whose solve stalls
     comes back as NaN, so that only that row fails.  Single runs on a
     2-core VM (lam = 100, random right-hand side) set the crossover:
@@ -209,17 +206,16 @@ def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.nd
       1.8 GB.  The whole ``solve --dim 3 --radius 8 --lambda 100`` command
       took 1.0-1.2 s and 80 MB with CG against 2.3-2.4 s and 110 MB with LU.
     """
-    b = prob.restrict(rhs)
     if prob.dim <= 2:
-        return prob.extend(prob.operator_factor().solve(b.T).T)
-    rows = b.reshape(-1, b.shape[-1])
+        return prob.operator_factor().solve(rhs.T).T
+    rows = rhs.reshape(-1, rhs.shape[-1])
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
         try:
-            out[i] = prob.restrict(cg_solve(Field(prob.window, prob.extend(row)), prob, cfg).values)
+            out[i] = cg_solve(row, prob, cfg)
         except ConvergenceError:
             out[i] = np.nan
-    return prob.extend(out.reshape(b.shape))
+    return out.reshape(rhs.shape)
 
 
 def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> list:
@@ -266,7 +262,7 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
         level = 0.5 * a - pair / two_p
         defect = a - pair
         grad = _var.gradient_values(x, ax, conv, prob)
-        z = prob.restrict(linear_solve(prob.extend(grad), prob, cfg))
+        z = linear_solve(grad, prob, cfg)
         finite = np.isfinite(z).all(axis=1)
         gz = row_dot(grad, z)
         dual = np.sqrt(np.maximum(gz, 0.0))
@@ -370,17 +366,10 @@ def ground_state(
     ``starts`` records how every start ended, failed ones included.
     """
     rng = np.random.default_rng(cfg.seed)
-    labels, starts = [], []
-    if cfg.initializer == INIT_SUPPLIED:
-        _var._check_window(cfg.initial_field, prob)
-        labels.append("supplied")
-        starts.append(cfg.initial_field.values)
-    elif cfg.initializer == INIT_RANDOM_POSITIVE:
-        labels.append("random-positive-0")
-        starts.append(rng.random(prob.window.count))
+    if cfg.initializer == INIT_RANDOM_POSITIVE:
+        labels, starts = ["random-positive-0"], [rng.random(prob.window.count)]
     else:
-        labels.append(INIT_WELL_BUMP)
-        starts.append(bump_field(prob.window, prob.well, smoothing_time=1.0).values)
+        labels, starts = [INIT_WELL_BUMP], [bump_field(prob.window, prob.well, smoothing_time=1.0).values]
     for k in range(cfg.restarts):
         labels.append(f"random-positive-{k + 1}")
         starts.append(rng.random(prob.window.count))
@@ -538,40 +527,6 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
         well_result=well_result,
         verdicts=_sweep_verdicts(rows, well_result.level, ref_norm),
         all_converged=all(r.converged for r in rows),
-    )
-
-
-@dataclass(frozen=True)
-class SequenceDiagnostics:
-    """Identity drift and norm-limit check along the iteration history."""
-
-    level: float
-    identity_drift: float
-    norm_limit_rel_error: float
-
-
-def palais_smale_monitor(result: SolveResult, prob: ProblemSpec) -> SequenceDiagnostics:
-    """Check J - (1/(2p)) (J'(u), u) = (1/2 - 1/(2p)) ||u||^2 along the history.
-
-    The identity is algebraic, so its drift measures only round-off in the
-    recorded values; at convergence the squared norm must match
-    2 p m / (p - 1).
-    """
-    if not result.history:
-        raise InputError("empty iteration history")
-    p = prob.p
-    factor = 0.5 - 1.0 / (2.0 * p)
-    drift = 0.0
-    for rec in result.history:
-        lhs = rec.energy - rec.nehari_defect / (2.0 * p)
-        rhs = factor * rec.norm_sq
-        drift = max(drift, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    final = result.history[-1]
-    target = 2.0 * p * result.level / (p - 1.0)
-    return SequenceDiagnostics(
-        level=result.level,
-        identity_drift=drift,
-        norm_limit_rel_error=abs(final.norm_sq - target) / abs(target),
     )
 
 

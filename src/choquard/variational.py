@@ -84,11 +84,11 @@ class ProblemSpec:
                 f"kernel table radius {self.kernel.radius} is too small for window radius {self.window.radius}"
             )
         critical = (n + self.kernel.alpha) / n
-        if not self.p > critical:
-            raise ParameterError(f"exponent p={self.p} must exceed (N + alpha)/N = {critical}")
+        if not critical < self.p < math.inf:
+            raise ParameterError(f"exponent p={self.p} must be finite and exceed (N + alpha)/N = {critical}")
         if self.mode == MODE_FULL:
-            if self.lam is None or not self.lam > 0.0:
-                raise ParameterError(f"full mode requires coupling lam > 0, got {self.lam}")
+            if self.lam is None or not 0.0 < self.lam < math.inf:
+                raise ParameterError(f"full mode requires a finite coupling lam > 0, got {self.lam}")
         elif self.lam is not None:
             raise ParameterError("dirichlet mode takes no coupling")
         coords = self.potential.well.as_array()

@@ -35,10 +35,7 @@ class SuiteResult:
 
 
 def _random_field(prob: ProblemSpec, rng: np.random.Generator) -> Field:
-    values = np.zeros(prob.window.count)
-    free = prob.free_indices()
-    values[free] = rng.standard_normal(free.size)
-    return Field(prob.window, values)
+    return Field(prob.window, prob.extend(rng.standard_normal(prob.free_indices().size)))
 
 
 def _rel_gap(a: float, b: float) -> float:

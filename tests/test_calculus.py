@@ -183,19 +183,6 @@ def test_dirichlet_norm_equals_full_sobolev_norm_on_admissible_fields():
         c.dirichlet_norm_sq(bad, well)
 
 
-def test_lp_norms():
-    w = get_window(2, 2)
-    rng = np.random.default_rng(17)
-    u = Field(w, rng.standard_normal(w.count))
-    assert c.lp_norm(u, 2.0) == pytest.approx(float(np.linalg.norm(u.values)), rel=1e-14)
-    assert c.lp_norm(u, 1.0) == pytest.approx(float(np.abs(u.values).sum()), rel=1e-14)
-    assert c.lp_norm(u, np.inf) == float(np.abs(u.values).max())
-    with pytest.raises(InputError):
-        c.lp_norm(u, 0.0)
-    with pytest.raises(InputError):
-        c.lp_norm(u, -2.0)
-
-
 def test_nonlocal_energy_matches_double_sum(small_table):
     w = get_window(2, 2)
     rng = np.random.default_rng(18)

@@ -294,6 +294,34 @@ def test_usage_errors_exit_one(argv, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"problem": {"radius": float("nan")}}, []),
+        ({"problem": {"radius": float("inf")}}, []),
+        ({"problem": {"alpha": float("nan")}}, []),
+        ({"problem": {"p": 10**400}}, []),
+        ({"problem": {"lambda_grid": [1.0, float("inf")]}}, []),
+        ({"solver": {"residual_tol": float("inf")}}, []),
+        (None, ["--p", "inf"]),
+        (None, ["--lambda", "inf"]),
+        (None, ["--lambda", "nan"]),
+        (None, ["--lambda-grid", "1,inf"]),
+    ],
+)
+def test_non_finite_numbers_exit_one(tmp_path, capsys, config, flags):
+    # json writes NaN and Infinity, and reads them back as floats
+    argv = ["solve", "--radius", "6"] + flags
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "must be finite" in err or "finite numbers only" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_suite_and_bad_grid_order_exit_one(tmp_path, capsys):
     assert main(["verify", "--radius", "6", "--suites", "nope"]) == 1
     assert "unknown" in capsys.readouterr().err

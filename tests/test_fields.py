@@ -8,7 +8,6 @@ from choquard import (
     BOX,
     Field,
     InputError,
-    align_windows,
     ball,
     get_window,
     gradient_form,
@@ -60,20 +59,20 @@ def test_embed_restrict_round_trip():
     u = Field.from_sites(small, {(1, -2): 3.5, (0, 0): -1.0})
     lifted = u.embed(big)
     assert lifted.values[big.index_of((1, -2))] == 3.5
-    back = lifted.restrict(small)
-    assert np.array_equal(back.values, u.values)
+    back = lifted.values[embedding_map(small, big)]
+    assert np.array_equal(back, u.values)
     with pytest.raises(InputError):
         u.embed(get_window(2, 1))
     with pytest.raises(InputError):
-        u.restrict(big)
+        embedding_map(big, small)
 
 
 def test_support_and_radius():
     w = get_window(2, 4)
     u = Field.from_sites(w, {(2, -3): 1.0, (0, 1): 2.0})
     assert set(u.support()) == {(2, -3), (0, 1)}
-    assert u.support_radius() == 3
-    assert Field.zero(w).support_radius() == 0
+    assert w.reach(u.support().as_array()) == 3
+    assert w.reach(Field.zero(w).support().as_array()) == 0
     assert u.is_supported_in(ball((0, 0), 5))
     assert not u.is_supported_in(ball((0, 0), 1))
 
@@ -89,17 +88,6 @@ def test_translated_moves_support():
         u.translated((4, 0))
     with pytest.raises(InputError):
         u.translated((1, 2, 3))
-
-
-def test_align_windows_embeds_smaller():
-    u = Field.delta(get_window(2, 2))
-    v = Field.delta(get_window(2, 4), (3, 3))
-    ua, va = align_windows(u, v)
-    assert ua.window == va.window == get_window(2, 4)
-    assert ua.values[ua.window.index_of((0, 0))] == 1.0
-    w = Field.delta(get_window(2, 3, BALL))
-    ub, wb = align_windows(u, w)
-    assert ub.window.shape == "box"
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):

@@ -1,6 +1,7 @@
 """Lattice geometry against brute-force enumeration oracles."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -10,12 +11,17 @@ from choquard import (
     BOX,
     InputError,
     LatticeWindow,
+    PotentialSpec,
     SiteSet,
     ball,
     get_window,
     vertex_boundary,
 )
-from choquard.lattice import growth_function, word_distance
+
+
+def growth_function(r, dim):
+    """Number of sites in a word-metric ball of radius r in Z^dim, in closed form."""
+    return sum((1 << i) * comb(dim, i) * comb(r, i) for i in range(dim + 1))
 
 
 def brute_ball(center, r):
@@ -42,10 +48,11 @@ def test_growth_function_counts_ball_sites(dim, r):
 
 
 def test_word_distance_is_l1():
-    assert word_distance((3, -1), (0, 2)) == 6
-    assert word_distance((0,), (0,)) == 0
+    # the distance profile of a one-site well is the word distance to that site
+    assert PotentialSpec(well=SiteSet([(0, 2)])).values_at(np.array([[3, -1]])).tolist() == [6.0]
+    assert PotentialSpec(well=SiteSet([(0,)])).values_at(np.array([[0]])).tolist() == [0.0]
     with pytest.raises(InputError):
-        word_distance((1, 2), (1,))
+        PotentialSpec(well=SiteSet([(1,)])).values_at(np.array([[1, 2]]))
 
 
 def test_vertex_boundary_is_unit_shell():
@@ -69,7 +76,7 @@ def test_box_window_sites_and_indexing():
     w = get_window(2, 3)
     assert w.count == 7 * 7
     for idx in range(w.count):
-        assert w.index_of(w.site_at(idx)) == idx
+        assert w.index_of(w.sites[idx]) == idx
     assert w.contains((3, -3))
     assert not w.contains((4, 0))
     with pytest.raises(InputError):
@@ -96,7 +103,7 @@ def test_neighbors_table_matches_direct_lookup():
     w = get_window(2, 2, BALL)
     steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     for idx in range(w.count):
-        site = w.site_at(idx)
+        site = tuple(int(x) for x in w.sites[idx])
         expected = []
         for step in steps:
             nb = tuple(s + d for s, d in zip(site, step))

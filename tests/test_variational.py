@@ -47,6 +47,9 @@ def test_problem_spec_validation(small_window, small_table):
         ProblemSpec(**{**ok, "lam": None})
     with pytest.raises(ParameterError):
         ProblemSpec(**{**ok, "lam": -2.0})
+    for name, value in (("p", float("inf")), ("p", float("nan")), ("lam", float("inf")), ("lam", float("nan"))):
+        with pytest.raises(ParameterError):
+            ProblemSpec(**{**ok, name: value})
     with pytest.raises(ParameterError):
         ProblemSpec(**{**ok, "mode": "dirichlet"})  # coupling given
     with pytest.raises(InputError):
