@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels as _kernels
 from .errors import DomainError, InputError, ParameterError
 from .fields import Field
-from .lattice import LatticeWindow, SiteSet, ball, vertex_boundary
+from .lattice import LatticeWindow, SiteSet, vertex_boundary
 
 PROFILE_DISTANCE = "distance"
 PROFILE_CAPPED = "capped"
@@ -75,13 +75,10 @@ class PotentialSpec:
     """Confining potential a(x) built from the word distance to a well.
 
     The well is the zero set of the potential; profiles are the raw distance,
-    the distance capped at ``cap`` or the squared distance.  ``bound`` is a
-    level M > 0 whose sublevel set {a <= M} must be finite and nonempty (for
-    the capped profile this forces bound < cap).
+    the distance capped at ``cap`` or the squared distance.
     """
 
     well: SiteSet
-    bound: float = 1.0
     profile: str = PROFILE_DISTANCE
     cap: Optional[float] = None
 
@@ -90,15 +87,11 @@ class PotentialSpec:
             raise InputError("the potential well must be nonempty")
         if not self.well.is_connected():
             raise InputError("the potential well must be connected")
-        if not self.bound > 0.0:
-            raise ParameterError(f"bound must be > 0, got {self.bound}")
         if self.profile not in _PROFILES:
             raise ParameterError(f"profile must be one of {_PROFILES}, got {self.profile!r}")
         if self.profile == PROFILE_CAPPED:
             if self.cap is None or not self.cap > 0.0:
                 raise ParameterError("capped profile requires cap > 0")
-            if not self.bound < self.cap:
-                raise ParameterError("capped profile needs bound < cap, else {a <= bound} is infinite")
         elif self.cap is not None:
             raise ParameterError("cap is only meaningful for the capped profile")
         object.__setattr__(self, "_cache", {})
@@ -130,23 +123,6 @@ class PotentialSpec:
             cached.setflags(write=False)
             self._cache[window] = cached
         return cached
-
-    def sublevel_set(self, level: Optional[float] = None) -> SiteSet:
-        """The finite set {a <= level}; defaults to the stored bound."""
-        m = self.bound if level is None else float(level)
-        if m < 0.0:
-            raise InputError(f"level must be >= 0, got {m}")
-        if self.profile == PROFILE_CAPPED and m >= self.cap:
-            raise DomainError(f"sublevel {{a <= {m}}} is infinite for cap {self.cap}")
-        if self.profile == PROFILE_QUADRATIC:
-            reach = int(np.floor(np.sqrt(m)))
-        else:
-            reach = int(np.floor(m))
-        sites = set(self.well.sites)
-        for site in self.well:
-            for other in ball(site, reach) if reach > 0 else [site]:
-                sites.add(other)
-        return SiteSet(sites)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,23 +49,9 @@ class UsageError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"dim", "radius", "omega_radius", "max_iterations", "cg_max_iterations", "restarts", "seed"}
-_FLOAT_KEYS = {
-    "alpha",
-    "p",
-    "lam",
-    "potential_bound",
-    "residual_tol",
-    "nehari_tol",
-    "cg_tol",
-    "shrink",
-    "sufficient_decrease",
-}
-_STR_KEYS = {"window_shape", "potential_profile", "kernel_kind", "mode", "initializer"}
-_OPT_FLOAT_KEYS = {"potential_cap"}
-_OPT_STR_KEYS = {"out"}
-_FLOAT_LIST_KEYS = {"lambda_grid"}
-_STR_LIST_KEYS = {"suites"}
+# The type of each key is that of its default: int, float, str, or a list of
+# floats or of strings.  Only the keys whose default is None declare theirs.
+_NONE_DEFAULT_TYPES = {"potential_cap": float, "out": str}
 
 
 def default_config() -> Dict[str, Dict[str, object]]:
@@ -81,12 +67,11 @@ def default_config() -> Dict[str, Dict[str, object]]:
             "lambda_grid": [1.0, 10.0, 100.0, 1000.0, 10000.0],
             "omega_radius": 2,
             "potential_profile": "distance",
-            "potential_bound": 1.0,
             "potential_cap": None,
             "kernel_kind": "green",
             "mode": "full",
         },
-        "solver": SolverConfig().as_dict(),
+        "solver": asdict(SolverConfig()),
         "output": {"out": None},
         "verify": {"suites": list(SUITE_NAMES)},
     }
@@ -100,46 +85,46 @@ def _finite(value) -> bool:
         return False
 
 
-def _coerce(block: str, key: str, value: object) -> object:
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _coerce(block: str, key: str, default: object, value: object) -> object:
+    """Check a value against the type of the key's default and normalise it."""
     label = f"{block}.{key}"
-    numeric = key in _INT_KEYS or key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS
-    if numeric and isinstance(value, (int, float)) and not _finite(value):
-        raise UsageError(f"{label} must be finite, got {value!r}")
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-            raise UsageError(f"{label} must be an integer, got {value!r}")
-        return int(value)
-    if key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS:
-        if value is None and key in _OPT_FLOAT_KEYS:
+    if default is None:
+        if value is None:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise UsageError(f"{label} must be a number, got {value!r}")
-        return float(value)
-    if key in _STR_KEYS or key in _OPT_STR_KEYS:
-        if value is None and key in _OPT_STR_KEYS:
-            return None
+        default = _NONE_DEFAULT_TYPES[key]()
+    if isinstance(default, str):
         if not isinstance(value, str):
             raise UsageError(f"{label} must be a string, got {value!r}")
         return value
-    if key in _FLOAT_LIST_KEYS:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise UsageError(f"{label} must be a non-empty list of numbers")
-        out: List[float] = []
-        for item in value:
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise UsageError(f"{label} must contain numbers only, got {item!r}")
-            if not _finite(item):
-                raise UsageError(f"{label} must contain finite numbers only, got {item!r}")
-            out.append(float(item))
-        return out
-    if key in _STR_LIST_KEYS:
+    if isinstance(default, list) and isinstance(default[0], str):
         if not isinstance(value, (list, tuple)) or not value:
             raise UsageError(f"{label} must be a non-empty list of strings")
         for item in value:
             if not isinstance(item, str):
                 raise UsageError(f"{label} must contain strings only, got {item!r}")
         return list(value)
-    raise UsageError(f"unknown configuration key {label}")
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise UsageError(f"{label} must be a non-empty list of numbers")
+        for item in value:
+            if not _number(item):
+                raise UsageError(f"{label} must contain numbers only, got {item!r}")
+            if not _finite(item):
+                raise UsageError(f"{label} must contain finite numbers only, got {item!r}")
+        return [float(item) for item in value]
+    if _number(value) and not _finite(value):
+        raise UsageError(f"{label} must be finite, got {value!r}")
+    if isinstance(default, int):
+        if not _number(value) or int(value) != value:
+            raise UsageError(f"{label} must be an integer, got {value!r}")
+        return int(value)
+    if not _number(value):
+        raise UsageError(f"{label} must be a number, got {value!r}")
+    return float(value)
 
 
 def merge_config(data: Optional[Dict[str, object]]) -> Dict[str, Dict[str, object]]:
@@ -157,7 +142,7 @@ def merge_config(data: Optional[Dict[str, object]]) -> Dict[str, Dict[str, objec
         for key, value in entries.items():
             if key not in cfg[block]:
                 raise UsageError(f"unknown configuration key {block}.{key}")
-            cfg[block][key] = _coerce(block, key, value)
+            cfg[block][key] = _coerce(block, key, cfg[block][key], value)
     return cfg
 
 
@@ -174,35 +159,18 @@ def load_config_file(path: str) -> Dict[str, object]:
     return data
 
 
-def config_json(cfg: Dict[str, Dict[str, object]]) -> str:
-    """Canonical serialization; re-parsing and re-serializing is the identity."""
-    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-
-
-_FLAG_MAP = {
-    "dim": ("problem", "dim"),
-    "radius": ("problem", "radius"),
-    "alpha": ("problem", "alpha"),
-    "p": ("problem", "p"),
-    "lam": ("problem", "lam"),
-    "lambda_grid": ("problem", "lambda_grid"),
-    "omega_radius": ("problem", "omega_radius"),
-    "kernel": ("problem", "kernel_kind"),
-    "mode": ("problem", "mode"),
-    "seed": ("solver", "seed"),
-    "out": ("output", "out"),
-    "suites": ("verify", "suites"),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> Dict[str, Dict[str, object]]:
-    """Config file (if any) overlaid on defaults, then flag overrides on top."""
+    """Config file (if any) overlaid on defaults, then flag overrides on top.
+
+    Each flag's argparse ``dest`` is the name of the key it sets.
+    """
     data = load_config_file(args.config) if getattr(args, "config", None) else None
     cfg = merge_config(data)
-    for attr, (block, key) in _FLAG_MAP.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[block][key] = _coerce(block, key, value)
+    for block, entries in default_config().items():
+        for key, default in entries.items():
+            value = getattr(args, key, None)
+            if value is not None:
+                cfg[block][key] = _coerce(block, key, default, value)
     return cfg
 
 
@@ -218,7 +186,6 @@ def build_problem(cfg: Dict[str, Dict[str, object]]) -> ProblemSpec:
     well = ball((0,) * pb["dim"], pb["omega_radius"])
     potential = PotentialSpec(
         well=well,
-        bound=pb["potential_bound"],
         profile=pb["potential_profile"],
         cap=pb["potential_cap"],
     )
@@ -360,7 +327,7 @@ def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
     """Run the property suites; any failure, a suite that raised included, maps to exit code 3."""
     prob = build_problem(cfg)
     names = list(cfg["verify"]["suites"])
-    results = run_suites(names, prob, seed=cfg["solver"]["seed"])
+    results = run_suites(names, prob, seed=SolverConfig(**cfg["solver"]).seed)
     for res in results:
         consts = "  ".join(
             f"{key}={value:.6g}" for key, value in res.details.items() if isinstance(value, float)
@@ -428,7 +395,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated coupling grid for sweeps",
     )
     parser.add_argument("--omega-radius", dest="omega_radius", type=int, help="well radius")
-    parser.add_argument("--kernel", choices=["green", "riesz"], help="kernel kind")
+    parser.add_argument("--kernel", dest="kernel_kind", choices=["green", "riesz"], help="kernel kind")
     parser.add_argument("--mode", choices=["full", "dirichlet"], help="problem mode")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", metavar="PATH", help="report file; side files share its stem")

@@ -53,9 +53,6 @@ class Field:
             values[window.index_of(site)] = float(val)
         return cls(window, values)
 
-    def copy(self) -> "Field":
-        return Field(self.window, self.values.copy())
-
     def embed(self, target: LatticeWindow) -> "Field":
         """The same function on a window containing every site of the current one."""
         if target == self.window:

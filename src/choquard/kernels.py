@@ -35,7 +35,6 @@ from scipy.special import ive, roots_jacobi
 from .fields import Field
 from .errors import (
     AccuracyWarning,
-    DomainError,
     InputError,
     InternalError,
     ParameterError,
@@ -284,19 +283,6 @@ def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[Quad
     quad = quad or QuadratureSpec()
     vs = np.abs(np.array([vec], dtype=np.int64))
     return float(_green_values(alpha, dim, vs, quad, _bessel_profile)[0])
-
-
-def riesz_kernel(alpha: float, v: Sequence[int], dim: int) -> float:
-    """Power-law comparison kernel |v|^(alpha - N) in the Euclidean norm."""
-    if dim < 1:
-        raise InputError(f"dim must be >= 1, got {dim}")
-    if not 0.0 < alpha < dim:
-        raise ParameterError("alpha must lie in (0, N)")
-    vec = _check_vector(v, dim)
-    if all(c == 0 for c in vec):
-        raise DomainError("riesz kernel is undefined at the origin")
-    norm = math.sqrt(sum(float(c) ** 2 for c in vec))
-    return norm ** (alpha - dim)
 
 
 # ---------------------------------------------------------------------------

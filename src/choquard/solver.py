@@ -95,22 +95,10 @@ class SolverConfig:
             raise ParameterError("iteration limits must be >= 1")
         if self.restarts < 0:
             raise ParameterError(f"restarts must be >= 0, got {self.restarts}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.initializer not in _INITIALIZERS:
             raise ParameterError(f"initializer must be one of {_INITIALIZERS}, got {self.initializer!r}")
-
-    def as_dict(self) -> dict:
-        return {
-            "max_iterations": self.max_iterations,
-            "residual_tol": self.residual_tol,
-            "nehari_tol": self.nehari_tol,
-            "cg_tol": self.cg_tol,
-            "cg_max_iterations": self.cg_max_iterations,
-            "shrink": self.shrink,
-            "sufficient_decrease": self.sufficient_decrease,
-            "initializer": self.initializer,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)

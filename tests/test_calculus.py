@@ -117,13 +117,11 @@ def test_potential_spec_validation():
     with pytest.raises(InputError):
         PotentialSpec(well=SiteSet([(0, 0), (5, 5)]))
     with pytest.raises(ParameterError):
-        PotentialSpec(well=ball((0, 0), 1), bound=0.0)
-    with pytest.raises(ParameterError):
         PotentialSpec(well=ball((0, 0), 1), profile="cubic")
     with pytest.raises(ParameterError):
         PotentialSpec(well=ball((0, 0), 1), profile="capped")
     with pytest.raises(ParameterError):
-        PotentialSpec(well=ball((0, 0), 1), profile="capped", cap=2.0, bound=2.0)
+        PotentialSpec(well=ball((0, 0), 1), profile="capped", cap=0.0)
     with pytest.raises(ParameterError):
         PotentialSpec(well=ball((0, 0), 1), cap=3.0)
 
@@ -135,7 +133,7 @@ def _brute_distance(site, well):
 @pytest.mark.parametrize("profile, cap", [("distance", None), ("capped", 2.0), ("quadratic", None)])
 def test_potential_profiles_match_brute_force(profile, cap):
     well = ball((1, -1), 1)
-    spec = PotentialSpec(well=well, profile=profile, cap=cap, bound=1.0)
+    spec = PotentialSpec(well=well, profile=profile, cap=cap)
     w = get_window(2, 5)
     vals = spec.values_on(w)
     for idx in range(w.count):
@@ -149,22 +147,6 @@ def test_potential_profiles_match_brute_force(profile, cap):
             expected = float(d * d)
         assert vals[idx] == expected
     assert spec.values_on(w) is vals  # cached per window
-
-
-def test_potential_sublevel_sets():
-    well = ball((0, 0), 1)
-    spec = PotentialSpec(well=well, bound=2.5)
-    sub = spec.sublevel_set()
-    expected = {tuple(s) for s in ball((0, 0), 3)}
-    assert {tuple(s) for s in sub} == expected
-    quad = PotentialSpec(well=SiteSet([(0, 0)]), profile="quadratic", bound=5.0)
-    assert {tuple(s) for s in quad.sublevel_set()} == {tuple(s) for s in ball((0, 0), 2)}
-    capped = PotentialSpec(well=SiteSet([(0, 0)]), profile="capped", cap=3.0, bound=1.0)
-    with pytest.raises(DomainError):
-        capped.sublevel_set(3.0)
-    with pytest.raises(InputError):
-        spec.sublevel_set(-1.0)
-    assert {tuple(s) for s in spec.sublevel_set(0.0)} == {tuple(s) for s in well}
 
 
 def test_dirichlet_norm_equals_full_sobolev_norm_on_admissible_fields():

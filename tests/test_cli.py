@@ -1,6 +1,8 @@
 """Command-line behavior: configs, reports, determinism, and exit codes."""
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from choquard import KernelTable, build_kernel_table, cli, load_field, solver
 from choquard.cli import (
     UsageError,
-    config_json,
+    build_parser,
     default_config,
     load_config_file,
     main,
     merge_config,
+    resolve_config,
 )
 from choquard.errors import InternalError, ProbeInconclusiveError
 
@@ -25,11 +28,68 @@ def _write_config(tmp_path, name="cfg.json", **solver_overrides):
     return str(path)
 
 
+def _config_text(cfg):
+    return json.dumps(cfg, indent=2, sort_keys=True)
+
+
 def test_default_config_is_merge_fixed_point():
     assert merge_config(None) == default_config()
-    text = config_json(default_config())
+    text = _config_text(default_config())
     merged = merge_config(json.loads(text))
-    assert config_json(merged) == text
+    assert _config_text(merged) == text
+
+
+def test_readme_config_block_matches_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    start = section.index("```json\n") + len("```json\n")
+    block = section[start:section.index("\n```", start)]
+    assert json.loads(block) == default_config()
+
+
+_KEYS = [(block, key) for block, entries in default_config().items() for key in entries]
+
+
+@pytest.mark.parametrize("block, key", _KEYS, ids=[f"{b}.{k}" for b, k in _KEYS])
+def test_every_key_keeps_the_type_of_its_default(block, key):
+    default = default_config()[block][key]
+    assert merge_config({block: {key: default}})[block][key] == default
+    wrong = 3 if isinstance(default, str) or key == "out" else "three"
+    with pytest.raises(UsageError, match=f"^{block}\\.{key} "):
+        merge_config({block: {key: wrong}})
+
+
+_FLAGS = [
+    (["--dim", "3"], "problem", "dim", 3),
+    (["--radius", "5"], "problem", "radius", 5),
+    (["--alpha", "0.5"], "problem", "alpha", 0.5),
+    (["--p", "3"], "problem", "p", 3.0),
+    (["--lambda", "7"], "problem", "lam", 7.0),
+    (["--lambda-grid", "1,2"], "problem", "lambda_grid", [1.0, 2.0]),
+    (["--omega-radius", "1"], "problem", "omega_radius", 1),
+    (["--kernel", "riesz"], "problem", "kernel_kind", "riesz"),
+    (["--mode", "dirichlet"], "problem", "mode", "dirichlet"),
+    (["--seed", "4"], "solver", "seed", 4),
+    (["--out", "r.json"], "output", "out", "r.json"),
+    (["--suites", "ops,green"], "verify", "suites", ["ops", "green"]),
+]
+
+
+@pytest.mark.parametrize("flags, block, key, expected", _FLAGS, ids=[f[0][0] for f in _FLAGS])
+def test_each_flag_sets_its_own_key(flags, block, key, expected):
+    cfg = resolve_config(build_parser().parse_args(["solve"] + flags))
+    assert type(cfg[block][key]) is type(expected) and cfg[block][key] == expected
+    wanted = default_config()
+    wanted[block][key] = expected
+    assert cfg == wanted
+
+
+def test_every_flag_names_a_configuration_key():
+    parser = argparse.ArgumentParser()
+    cli._add_common_flags(parser)
+    dests = {action.dest for action in parser._actions} - {"help", "config"}
+    assert dests == {key for _, _, key, _ in _FLAGS}
+    assert dests <= {key for _, key in _KEYS}
 
 
 def test_merge_config_rejects_unknown_and_mistyped_entries():
@@ -91,6 +151,9 @@ def test_removed_cache_option_is_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"output": {"cache_dir": "x"}}))
     assert main(["kernel", "--radius", "6", "--config", str(cfg_path)]) == 1
     assert "unknown configuration key output.cache_dir" in capsys.readouterr().err
+    cfg_path.write_text(json.dumps({"problem": {"potential_bound": 1.0}}))
+    assert main(["solve", "--radius", "6", "--config", str(cfg_path)]) == 1
+    assert "unknown configuration key problem.potential_bound" in capsys.readouterr().err
 
 
 def test_kernel_command_rejects_out_of_range_alpha(capsys):
@@ -287,6 +350,8 @@ def test_verify_detects_tampered_kernel_table(capsys, monkeypatch):
         ["kernel", "--kernel", "bessel"],
         ["solve", "--config", "/nonexistent/cfg.json"],
         ["kernel", "--lambda-grid", "a,b"],
+        ["solve", "--radius", "6", "--seed", "-1"],
+        ["verify", "--radius", "6", "--seed", "-1"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):

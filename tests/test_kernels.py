@@ -14,7 +14,6 @@ import choquard as c
 from choquard import (
     BALL,
     BOX,
-    DomainError,
     Field,
     InputError,
     InternalError,
@@ -29,7 +28,6 @@ from choquard.kernels import (
     green_function,
     heat_kernel,
     heat_kernel_spectral,
-    riesz_kernel,
     scaled_bessel_i,
     scaled_bessel_profile,
 )
@@ -126,13 +124,6 @@ def test_green_function_decay_exponent():
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
-def test_riesz_kernel_closed_form():
-    assert riesz_kernel(1.0, (3, 4), 2) == pytest.approx(1.0 / 5.0, rel=1e-15)
-    assert riesz_kernel(1.5, (2, 0), 2) == pytest.approx(2.0 ** (-0.5), rel=1e-15)
-    with pytest.raises(DomainError):
-        riesz_kernel(1.0, (0, 0), 2)
-
-
 def test_build_table_validates_inputs(small_window):
     with pytest.raises(ParameterError, match=r"alpha must lie in \(0, N\)"):
         c.build_kernel_table(GREEN, 2.0, small_window)
@@ -154,6 +145,8 @@ def test_riesz_table_zeroes_diagonal(small_window):
     table = c.build_kernel_table(RIESZ, 1.0, small_window)
     assert table.values_at(np.array([[0, 0]]))[0] == 0.0
     assert table.values_at(np.array([[3, -4]]))[0] == pytest.approx(0.2, rel=1e-15)
+    table = c.build_kernel_table(RIESZ, 1.5, small_window)
+    assert table.values_at(np.array([[0, 2]]))[0] == pytest.approx(2.0 ** (-0.5), rel=1e-15)
 
 
 def test_convolve_matches_double_loop(small_table, small_window):

@@ -26,7 +26,7 @@ from choquard import (
 
 def test_solver_config_validation_and_round_trip():
     cfg = SolverConfig()
-    assert SolverConfig(**cfg.as_dict()) == cfg
+    assert SolverConfig(**dataclasses.asdict(cfg)) == cfg
     with pytest.raises(ParameterError):
         SolverConfig(residual_tol=0.0)
     with pytest.raises(ParameterError):
@@ -47,6 +47,8 @@ def test_solver_config_validation_and_round_trip():
         SolverConfig(cg_max_iterations=0)
     with pytest.raises(ParameterError):
         SolverConfig(restarts=-1)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        SolverConfig(seed=-1)
     with pytest.raises(ParameterError):
         SolverConfig(initializer="warm")
     with pytest.raises(ParameterError):
