@@ -318,7 +318,7 @@ def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
             )
         else:
             print(f"lambda={row.lam:g}: did not converge")
-    for name, value in report_to_dict(report)["verdicts"].items():
+    for name, value in payload["report"]["verdicts"].items():
         print(f"verdict {name}: {value}")
     return 0 if report.all_converged else 2
 

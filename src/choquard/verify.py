@@ -18,7 +18,7 @@ import numpy as np
 from . import calculus as _calculus
 from . import kernels as _kernels
 from . import variational as _var
-from .errors import ChoquardError, InputError, NoProjectionError
+from .errors import ChoquardError, InputError, NoProjectionError, ParameterError
 from .fields import Field
 from .lattice import BOX, ball, get_window
 from .solver import apply_quadratic_operator, brezis_lieb_probe
@@ -350,6 +350,8 @@ def run_suites(names: Sequence[str], prob: ProblemSpec, seed: int = 0) -> Tuple[
     unknown = [n for n in names if n not in _DISPATCH]
     if unknown:
         raise InputError(f"unknown suites {unknown}; choose from {list(SUITE_NAMES)}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return tuple(_run_suite(name, prob, seed) for name in names)
 
 

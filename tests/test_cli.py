@@ -216,6 +216,9 @@ def test_sweep_writes_table_and_plot_data(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["command"] == "sweep"
     assert [row["lambda"] for row in payload["report"]["rows"]] == [1.0, 10.0]
+    first, second = ([entry["label"] for entry in row["starts"]] for row in payload["report"]["rows"])
+    assert first == ["well-bump", "random-positive-1", "extra-0"]
+    assert second == ["well-bump", "extra-0", "extra-1"]
     csv_lines = (out.parent / "rep.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "lambda,m_lambda,w22_dist,outside_mass,iterations,residual"
     assert len(csv_lines) == 4 and csv_lines[-1].startswith("# m_omega = ")
@@ -288,6 +291,8 @@ def test_sweep_row_that_raises_is_recorded_and_the_sweep_continues(tmp_path, mon
     assert [row["lambda"] for row in report["rows"]] == [1.0, 10.0, 100.0]
     assert [row["converged"] for row in report["rows"]] == [True, False, True]
     assert report["rows"][1]["m_lambda"] is None
+    assert report["rows"][1]["starts"] == []
+    assert [entry["label"] for entry in report["rows"][2]["starts"]] == ["well-bump", "extra-0", "extra-1"]
     assert report["all_converged"] is False
     assert "lambda=10: did not converge" in capsys.readouterr().out
 

@@ -505,14 +505,88 @@ def test_lambda_sweep_rows_verdicts_and_serialization(small_prob):
     }
     assert [row["lambda"] for row in data["rows"]] == [1.0, 10.0, 100.0]
     assert set(data["rows"][0]) == {
-        "lambda", "converged", "m_lambda", "w22_dist", "outside_mass", "iterations", "residual",
+        "lambda", "converged", "m_lambda", "w22_dist", "outside_mass", "iterations", "residual", "starts",
     }
+    for row, entry in zip(report.rows, data["rows"]):
+        assert entry["starts"] == [
+            {"label": r.label, "status": r.status, "iterations": r.iterations, "level": r.level, "reason": r.reason}
+            for r in row.starts
+        ]
     csv_text = c.sweep_csv(report)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "lambda,m_lambda,w22_dist,outside_mass,iterations,residual"
     assert len(lines) == 1 + len(report.rows) + 1
     assert lines[-1] == f"# m_omega = {report.well_level!r}"
     assert float(lines[1].split(",")[1]) == pytest.approx(report.rows[0].level, rel=1e-15)
+
+
+def _sweep_row_labels(report):
+    return [[rec.label for rec in row.starts] for row in report.rows]
+
+
+def test_lambda_sweep_runs_random_starts_until_a_coupling_converges(small_prob):
+    report = c.lambda_sweep(small_prob, [1.0, 10.0, 100.0, 1000.0], SolverConfig(restarts=3))
+    assert report.all_converged
+    assert [rec.label for rec in report.well_result.starts] == [
+        "well-bump", "random-positive-1", "random-positive-2", "random-positive-3",
+    ]
+    first, *later = _sweep_row_labels(report)
+    assert first == ["well-bump", "random-positive-1", "random-positive-2", "random-positive-3", "extra-0"]
+    assert later == [["well-bump", "extra-0", "extra-1"]] * 3
+    for row in report.rows:
+        assert all(rec.status == "converged" for rec in row.starts)
+        assert row.level <= min(rec.level for rec in row.starts) * (1.0 + 1e-12)
+
+
+def test_lambda_sweep_keeps_random_starts_after_a_failed_first_coupling(small_prob, monkeypatch):
+    real = c.solver.ground_state
+
+    def failing(prob, cfg, *args, **kwargs):
+        if prob.lam == 1.0:
+            raise ConvergenceError("injected failure")
+        return real(prob, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(c.solver, "ground_state", failing)
+    report = c.lambda_sweep(small_prob, [1.0, 10.0, 100.0], SolverConfig(restarts=2))
+    assert [row.converged for row in report.rows] == [False, True, True]
+    assert _sweep_row_labels(report) == [
+        [],
+        ["well-bump", "random-positive-1", "random-positive-2", "extra-0"],
+        ["well-bump", "extra-0", "extra-1"],
+    ]
+    assert c.report_to_dict(report)["rows"][0]["starts"] == []
+
+
+def test_lambda_sweep_levels_at_p6_stay_at_most_the_pinned_levels():
+    # at p = 6 the well problem needs its random starts (the well-bump start
+    # alone ends 4.3% higher, at 14.127053388171445) and the couplings' warm
+    # starts carry its basin; the pins are the levels of the sweep that ran
+    # every random start in every row
+    window = get_window(2, 8)
+    prob = ProblemSpec(
+        mode="full",
+        window=window,
+        potential=PotentialSpec(well=ball((0, 0), 2)),
+        kernel=c.build_kernel_table("green", 1.0, window),
+        p=6.0,
+        lam=1.0,
+    )
+    report = c.lambda_sweep(prob, [0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0], SolverConfig())
+    assert report.all_converged
+    assert report.well_level <= 13.550122727811736 * (1.0 + 1e-12)
+    pins = [
+        9.23062524302498,
+        9.915920119341282,
+        11.639520790214096,
+        13.128287379649148,
+        13.500816674622367,
+        13.545104277080629,
+    ]
+    for row, pin in zip(report.rows, pins):
+        assert row.level <= pin * (1.0 + 1e-12), row.lam
+    verdicts = report.verdicts
+    assert verdicts.level_nondecreasing and verdicts.level_at_most_well
+    assert verdicts.distance_decreasing and verdicts.outside_mass_decreasing
 
 
 def test_result_to_dict_structure(small_prob):

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 import choquard as c
-from choquard import InputError
+from choquard import InputError, ParameterError
 from choquard.verify import SUITE_NAMES, run_suites
 
 
@@ -27,6 +27,14 @@ def test_suites_are_reproducible(small_prob):
 def test_unknown_suite_name_rejected(small_prob):
     with pytest.raises(InputError, match="unknown suites"):
         run_suites(("ops", "spectral"), small_prob)
+
+
+def test_negative_seed_rejected_before_any_suite_runs(small_prob, monkeypatch):
+    ran = []
+    monkeypatch.setitem(c.verify._DISPATCH, "ops", lambda prob, seed: ran.append(seed))
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        run_suites(("ops", "hls"), small_prob, seed=-1)
+    assert ran == []
 
 
 def test_green_suite_guards(small_prob, small_window):
