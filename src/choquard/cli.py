@@ -22,22 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .calculus import PotentialSpec
 from .errors import ChoquardError, ConvergenceError, InitializerError
 from .fields import save_field
-from .kernels import (
-    GREEN,
-    asymptotics_bracket,
-    build_kernel_table,
-    cross_method_deviation,
-)
+from .kernels import GREEN, KINDS, asymptotics_bracket, build_kernel_table, cross_method_deviation
 from .lattice import ball, get_window
-from .solver import (
-    SolverConfig,
-    ground_state,
-    lambda_sweep,
-    report_to_dict,
-    result_to_dict,
-    sweep_csv,
-)
-from .variational import MODE_FULL, ProblemSpec
+from .solver import SolverConfig, ground_state, json_form, lambda_sweep, sweep_csv
+from .variational import MODE_FULL, MODES, ProblemSpec
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -251,7 +239,7 @@ def cmd_solve(cfg: Dict[str, Dict[str, object]]) -> int:
     payload: Dict[str, object] = {
         "command": "solve",
         "config": cfg,
-        "result": result_to_dict(result),
+        "result": json_form(result),
     }
     out = cfg["output"]["out"]
     if out:
@@ -288,7 +276,7 @@ def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
     payload: Dict[str, object] = {
         "command": "sweep",
         "config": cfg,
-        "report": report_to_dict(report),
+        "report": json_form(report),
     }
     out = cfg["output"]["out"]
     if out:
@@ -337,7 +325,7 @@ def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
     payload: Dict[str, object] = {
         "command": "verify",
         "config": cfg,
-        "suites": [{"name": r.name, "passed": r.passed, "details": r.details} for r in results],
+        "suites": json_form(results),
     }
     out = cfg["output"]["out"]
     if out:
@@ -395,8 +383,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated coupling grid for sweeps",
     )
     parser.add_argument("--omega-radius", dest="omega_radius", type=int, help="well radius")
-    parser.add_argument("--kernel", dest="kernel_kind", choices=["green", "riesz"], help="kernel kind")
-    parser.add_argument("--mode", choices=["full", "dirichlet"], help="problem mode")
+    parser.add_argument("--kernel", dest="kernel_kind", choices=KINDS, help="kernel kind")
+    parser.add_argument("--mode", choices=MODES, help="problem mode")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", metavar="PATH", help="report file; side files share its stem")
     parser.add_argument(

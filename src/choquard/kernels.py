@@ -43,9 +43,11 @@ from .lattice import BOX, LatticeWindow, embedding_map, get_window
 
 GREEN = "green"
 RIESZ = "riesz"
-_KINDS = (GREEN, RIESZ)
+KINDS = (GREEN, RIESZ)
 
 _SEGMENT_RATIO = 10.0
+# end of the head segment of the time quadrature
+_T_SPLIT = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,42 +154,19 @@ def _spectral_profile(t: float, m_max: int, torus_size: int) -> np.ndarray:
 class QuadratureSpec:
     """Time-axis quadrature for subordination integrals.
 
-    The axis splits into a head segment [0, t_split] handled by a Gauss-Jacobi
+    The axis splits into a head segment [0, 1] handled by a Gauss-Jacobi
     rule that absorbs the algebraic endpoint factor exactly, a geometric chain
-    of Gauss-Legendre segments from t_split up to t_max (each spanning one
-    factor of 10), and a closed-form tail beyond t_max based on the
-    (4 pi t)^{-N/2} expansion of the heat kernel to ``tail_order`` correction
-    orders.  ``t_max=None`` sets the endpoint to max(3e4, 100 m_max^2), rounded
-    up to whole decades above t_split, where m_max is the largest coordinate
-    displacement evaluated.
+    of Gauss-Legendre segments from 1 up to an endpoint T (each spanning one
+    factor of 10), and a closed-form tail beyond T based on the
+    (4 pi t)^{-N/2} expansion of the heat kernel to two correction orders.
+    ``nodes`` is the number of nodes per segment.
     """
 
-    t_split: float = 1.0
-    t_max: Optional[float] = None
     nodes: int = 48
-    tail_order: int = 2
 
     def __post_init__(self):
-        if not self.t_split > 0.0:
-            raise ParameterError(f"t_split must be > 0, got {self.t_split}")
-        if self.t_max is not None and not self.t_max > self.t_split:
-            raise ParameterError("t_max must exceed t_split")
         if self.nodes < 8:
             raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
-        if not 0 <= self.tail_order <= 2:
-            raise ParameterError(f"tail_order must be 0, 1 or 2, got {self.tail_order}")
-
-
-def _resolve_t_max(quad: QuadratureSpec, m_max: int) -> float:
-    """Quadrature endpoint: whole decades above t_split covering the request."""
-    if quad.t_max is not None:
-        target = quad.t_max
-    else:
-        # the tail expansion parameter is m^2 / (4 t); 100 m^2 keeps the first
-        # neglected order below ~1e-8 of the tail for tail_order = 2
-        target = max(3.0e4, 100.0 * float(max(m_max, 1)) ** 2)
-    decades = max(1, math.ceil(math.log10(target / quad.t_split)))
-    return quad.t_split * _SEGMENT_RATIO**decades
 
 
 def _green_plan(alpha: float, quad: QuadratureSpec, m_max: int):
@@ -195,8 +174,12 @@ def _green_plan(alpha: float, quad: QuadratureSpec, m_max: int):
 
     After the plan, int_0^T k_t(v) t^{alpha/2-1} dt = sum_i w_i k_{t_i}(v).
     """
-    t1 = quad.t_split
-    T = _resolve_t_max(quad, m_max)
+    t1 = _T_SPLIT
+    # whole decades above t1 past max(3e4, 100 m_max^2): the tail expansion
+    # parameter is m^2 / (4 t), and 100 m^2 keeps the first neglected order
+    # below ~1e-8 of the tail
+    target = max(3.0e4, 100.0 * float(max(m_max, 1)) ** 2)
+    T = t1 * _SEGMENT_RATIO ** max(1, math.ceil(math.log10(target / t1)))
     xj, wj = roots_jacobi(quad.nodes, 0.0, alpha / 2.0 - 1.0)
     ts = [t1 * (xj + 1.0) / 2.0]
     ws = [wj * (t1 / 2.0) ** (alpha / 2.0)]
@@ -212,7 +195,7 @@ def _green_plan(alpha: float, quad: QuadratureSpec, m_max: int):
     return np.concatenate(ts), np.concatenate(ws), T
 
 
-def _tail_coefficients(vs: np.ndarray, tail_order: int) -> Tuple[np.ndarray, np.ndarray]:
+def _tail_coefficients(vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """1/t and 1/t^2 coefficients of k_t(v) (4 pi t)^{N/2} for large t.
 
     Per coordinate e^{-2t} I_m(2t) = (4 pi t)^{-1/2} (1 + a1(m)/t + a2(m)/t^2 + ...)
@@ -223,17 +206,13 @@ def _tail_coefficients(vs: np.ndarray, tail_order: int) -> Tuple[np.ndarray, np.
     a2 = (msq - 1.0) * (msq - 9.0) / 512.0
     c1 = a1.sum(axis=1)
     c2 = a2.sum(axis=1) + 0.5 * (c1**2 - (a1**2).sum(axis=1))
-    if tail_order < 1:
-        c1 = np.zeros_like(c1)
-    if tail_order < 2:
-        c2 = np.zeros_like(c2)
     return c1, c2
 
 
-def _green_tail(alpha: float, dim: int, vs: np.ndarray, T: float, tail_order: int) -> np.ndarray:
+def _green_tail(alpha: float, dim: int, vs: np.ndarray, T: float) -> np.ndarray:
     """Closed form of int_T^inf k_t(v) t^{alpha/2 - 1} dt from the large-t expansion."""
     s = (dim - alpha) / 2.0
-    c1, c2 = _tail_coefficients(vs, tail_order)
+    c1, c2 = _tail_coefficients(vs)
     base = (4.0 * np.pi) ** (-dim / 2.0)
     return base * (T**-s / s + c1 * T ** (-s - 1.0) / (s + 1.0) + c2 * T ** (-s - 2.0) / (s + 2.0))
 
@@ -269,7 +248,7 @@ def _green_values(
         row = profile(t, m_max)
         for axis in range(dim):
             kernel[t_idx] *= row[vs[:, axis]]
-    integral = ws @ kernel + _green_tail(alpha, dim, vs, T, quad.tail_order)
+    integral = ws @ kernel + _green_tail(alpha, dim, vs, T)
     return integral / math.gamma(alpha / 2.0)
 
 
@@ -310,8 +289,8 @@ class KernelTable:
         orbit_keys: np.ndarray,
         orbit_values: np.ndarray,
     ):
-        if kind not in _KINDS:
-            raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
+        if kind not in KINDS:
+            raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
         self.kind = kind
         self.alpha = float(alpha)
         self.dim = int(dim)
@@ -379,8 +358,8 @@ def build_kernel_table(
     quad: Optional[QuadratureSpec] = None,
 ) -> KernelTable:
     """Tabulate a kernel over the difference range of a window."""
-    if kind not in _KINDS:
-        raise InputError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind not in KINDS:
+        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     if not 0.0 < alpha < window.dim:
         raise ParameterError("alpha must lie in (0, N)")
     quad = quad or QuadratureSpec()
@@ -588,9 +567,8 @@ def fractional_laplacian(alpha: float, u: Field, quad: Optional[QuadratureSpec] 
         return out
 
     s = frac / 2.0
-    t1 = quad.t_split
-    T = quad.t_max if quad.t_max is not None else 1.0e4
-    decades = max(1, math.ceil(math.log10(T / t1)))
+    t1 = _T_SPLIT
+    decades = 4  # the integral is cut at T = 1e4
     T = t1 * _SEGMENT_RATIO**decades
 
     total = np.zeros_like(out.values)

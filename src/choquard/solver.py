@@ -40,7 +40,7 @@ row's random start beat its warm starts by more than 4e-16 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,7 +142,11 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Converged minimizer with its level and per-iteration history."""
+    """Converged minimizer with its level and per-iteration history.
+
+    ground_state sets the fields from ``start_labels`` on; one start's
+    descent leaves their defaults.
+    """
 
     u: Field
     level: float
@@ -151,10 +155,10 @@ class SolveResult:
     iterations: int
     converged: bool
     history: Tuple[IterationRecord, ...]
-    start_labels: Tuple[str, ...]
-    start_levels: Tuple[float, ...]
-    start_index: int
-    restart_spread: float
+    start_labels: Tuple[str, ...] = ()
+    start_levels: Tuple[float, ...] = ()
+    start_index: int = 0
+    restart_spread: float = 0.0
     starts: Tuple[StartRecord, ...] = ()
 
 
@@ -325,10 +329,6 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
                     iterations=it,
                     converged=True,
                     history=tuple(history),
-                    start_labels=(),
-                    start_levels=(),
-                    start_index=0,
-                    restart_spread=0.0,
                 )
             elif st > 0.0:
                 keep[pos] = True
@@ -426,13 +426,15 @@ def sign_aligned_distance(u: Field, ref: Field) -> float:
 
 @dataclass(frozen=True)
 class SweepRow:
-    lam: float
+    """One coupling of a sweep; four fields declare a report key other than their name."""
+
+    lam: float = field(metadata={"key": "lambda"})
     converged: bool
-    level: Optional[float]
-    w22_distance: Optional[float]
+    level: Optional[float] = field(metadata={"key": "m_lambda"})
+    w22_distance: Optional[float] = field(metadata={"key": "w22_dist"})
     outside_mass: Optional[float]
     iterations: Optional[int]
-    dual_residual: Optional[float]
+    dual_residual: Optional[float] = field(metadata={"key": "residual"})
     starts: Tuple[StartRecord, ...]
 
 
@@ -493,8 +495,8 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
     grid = tuple(float(x) for x in lambda_grid)
     if not grid:
         raise InputError("coupling grid is empty")
-    if any(x <= 0.0 for x in grid):
-        raise InputError("couplings must be positive")
+    if not all(0.0 < x < math.inf for x in grid):
+        raise InputError("couplings must be finite and positive")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("coupling grid must be strictly increasing")
 
@@ -610,73 +612,22 @@ def brezis_lieb_probe(
 # ---------------------------------------------------------------------------
 
 
-def _starts_to_list(starts: Sequence[StartRecord]) -> list:
-    return [
-        {
-            "label": rec.label,
-            "status": rec.status,
-            "iterations": rec.iterations,
-            "level": rec.level,
-            "reason": rec.reason,
-        }
-        for rec in starts
-    ]
+def json_form(value):
+    """A result in JSON form for the reports.
+
+    A dataclass becomes a dict keyed by each field's ``key`` metadata, or
+    else its name, and a tuple becomes a list; a solution Field is left out,
+    since it is written to its own file.
+    """
+    if is_dataclass(value):
+        items = ((f.metadata.get("key", f.name), getattr(value, f.name)) for f in fields(value))
+        return {key: json_form(item) for key, item in items if not isinstance(item, Field)}
+    if isinstance(value, tuple):
+        return [json_form(item) for item in value]
+    return value
 
 
-def result_to_dict(result: SolveResult) -> dict:
-    return {
-        "level": result.level,
-        "dual_residual": result.dual_residual,
-        "nehari_defect": result.nehari_defect,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "start_labels": list(result.start_labels),
-        "start_levels": list(result.start_levels),
-        "start_index": result.start_index,
-        "restart_spread": result.restart_spread,
-        "starts": _starts_to_list(result.starts),
-        "history": [
-            {
-                "iteration": rec.iteration,
-                "energy": rec.energy,
-                "norm_sq": rec.norm_sq,
-                "nehari_defect": rec.nehari_defect,
-                "dual_residual": rec.dual_residual,
-                "step": rec.step,
-            }
-            for rec in result.history
-        ],
-    }
-
-
-def report_to_dict(report: ConvergenceReport) -> dict:
-    return {
-        "lambda_grid": list(report.lambda_grid),
-        "well_level": report.well_level,
-        "all_converged": report.all_converged,
-        "rows": [
-            {
-                "lambda": row.lam,
-                "converged": row.converged,
-                "m_lambda": row.level,
-                "w22_dist": row.w22_distance,
-                "outside_mass": row.outside_mass,
-                "iterations": row.iterations,
-                "residual": row.dual_residual,
-                "starts": _starts_to_list(row.starts),
-            }
-            for row in report.rows
-        ],
-        "verdicts": {
-            "level_nondecreasing": report.verdicts.level_nondecreasing,
-            "level_at_most_well": report.verdicts.level_at_most_well,
-            "distance_decreasing": report.verdicts.distance_decreasing,
-            "outside_mass_decreasing": report.verdicts.outside_mass_decreasing,
-            "final_level_rel_gap": report.verdicts.final_level_rel_gap,
-            "final_distance_rel": report.verdicts.final_distance_rel,
-        },
-        "well_result": result_to_dict(report.well_result),
-    }
+_CSV_KEYS = ("lambda", "m_lambda", "w22_dist", "outside_mass", "iterations", "residual")
 
 
 def _csv_cell(value) -> str:
@@ -689,20 +640,8 @@ def _csv_cell(value) -> str:
 
 def sweep_csv(report: ConvergenceReport) -> str:
     """Flat table of the sweep with a footer recording the well level."""
-    lines = ["lambda,m_lambda,w22_dist,outside_mass,iterations,residual"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                _csv_cell(cell)
-                for cell in (
-                    row.lam,
-                    row.level,
-                    row.w22_distance,
-                    row.outside_mass,
-                    row.iterations,
-                    row.dual_residual,
-                )
-            )
-        )
+    lines = [",".join(_CSV_KEYS)]
+    for row in json_form(report.rows):
+        lines.append(",".join(_csv_cell(row[key]) for key in _CSV_KEYS))
     lines.append(f"# m_omega = {report.well_level!r}")
     return "\n".join(lines) + "\n"

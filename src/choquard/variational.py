@@ -32,7 +32,7 @@ SAMPLE_CHUNK = 8
 
 MODE_FULL = "full"
 MODE_DIRICHLET = "dirichlet"
-_MODES = (MODE_FULL, MODE_DIRICHLET)
+MODES = (MODE_FULL, MODE_DIRICHLET)
 
 
 @lru_cache(maxsize=None)
@@ -72,8 +72,8 @@ class ProblemSpec:
     lam: Optional[float] = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         n = self.window.dim
         if self.potential.dim != n:
             raise InputError(f"potential dimension {self.potential.dim} does not match window ({n})")

@@ -24,8 +24,6 @@ from .lattice import BOX, ball, get_window
 from .solver import apply_quadratic_operator, brezis_lieb_probe
 from .variational import MODE_FULL, ProblemSpec
 
-SUITE_NAMES = ("ops", "hls", "brezislieb", "lions", "nehari", "mountainpass", "green")
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -62,12 +60,7 @@ def _suite_ops(prob: ProblemSpec, seed: int) -> SuiteResult:
         rhs2 = float(lap.values @ lap_phi.values)
         worst_dist = max(worst_dist, _rel_gap(lhs2, rhs2))
 
-    delta = Field(window, np.zeros(window.count))
-    origin = window.index_of((0,) * n)
-    values = delta.values.copy()
-    values[origin] = 1.0
-    delta = Field(window, values)
-    delta_norm = _calculus.w22_norm_sq(delta)
+    delta_norm = _calculus.w22_norm_sq(Field.delta(window))
     anchor_gap = abs(delta_norm - float((2 * n + 1) ** 2))
 
     worst_sym = 0.0
@@ -343,6 +336,7 @@ _DISPATCH = {
     "mountainpass": _suite_mountainpass,
     "green": _suite_green,
 }
+SUITE_NAMES = tuple(_DISPATCH)
 
 
 def run_suites(names: Sequence[str], prob: ProblemSpec, seed: int = 0) -> Tuple[SuiteResult, ...]:

@@ -1,6 +1,7 @@
 """Descent solver, coupling sweep, and splitting diagnostics vs oracles."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -316,7 +317,7 @@ def test_ground_state_survives_an_overflowing_start(small_prob):
     assert overflow.iterations == point.iterations == 0
     assert overflow.level is None and point.level is None
     assert res.start_labels == tuple(rec.label for rec in res.starts[:6])
-    data = c.result_to_dict(res)
+    data = c.json_form(res)
     assert data["starts"][-1] == {
         "label": "extra-1",
         "status": "inadmissible",
@@ -471,16 +472,16 @@ def test_sign_aligned_distance():
     )
 
 
-def test_lambda_sweep_grid_validation(small_prob):
+def test_lambda_sweep_grid_validation(small_prob, monkeypatch):
+    solves = []
+    monkeypatch.setattr(c.solver, "ground_state", lambda *args, **kwargs: solves.append(args))
     cfg = SolverConfig(restarts=0)
-    with pytest.raises(InputError):
-        c.lambda_sweep(small_prob, [], cfg)
-    with pytest.raises(InputError):
-        c.lambda_sweep(small_prob, [1.0, -2.0], cfg)
-    with pytest.raises(InputError):
-        c.lambda_sweep(small_prob, [1.0, 1.0], cfg)
-    with pytest.raises(InputError):
-        c.lambda_sweep(small_prob, [10.0, 1.0], cfg)
+    for grid in ([], [1.0, -2.0], [1.0, 1.0], [10.0, 1.0], [1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(InputError):
+            c.lambda_sweep(small_prob, grid, cfg)
+    with pytest.raises(InputError, match="finite and positive"):
+        c.lambda_sweep(small_prob, [1.0, math.nan], cfg)
+    assert solves == []
 
 
 def test_lambda_sweep_rows_verdicts_and_serialization(small_prob):
@@ -499,19 +500,32 @@ def test_lambda_sweep_rows_verdicts_and_serialization(small_prob):
     assert verdicts.level_at_most_well is True
     assert verdicts.final_level_rel_gap >= 0.0
     assert verdicts.final_distance_rel >= 0.0
-    data = c.report_to_dict(report)
+    data = c.json_form(report)
+    assert json.loads(json.dumps(data, allow_nan=False)) == data
     assert set(data) == {
         "lambda_grid", "well_level", "all_converged", "rows", "verdicts", "well_result",
     }
     assert [row["lambda"] for row in data["rows"]] == [1.0, 10.0, 100.0]
-    assert set(data["rows"][0]) == {
-        "lambda", "converged", "m_lambda", "w22_dist", "outside_mass", "iterations", "residual", "starts",
-    }
     for row, entry in zip(report.rows, data["rows"]):
-        assert entry["starts"] == [
-            {"label": r.label, "status": r.status, "iterations": r.iterations, "level": r.level, "reason": r.reason}
-            for r in row.starts
-        ]
+        assert entry == {
+            "lambda": row.lam,
+            "converged": True,
+            "m_lambda": row.level,
+            "w22_dist": row.w22_distance,
+            "outside_mass": row.outside_mass,
+            "iterations": row.iterations,
+            "residual": row.dual_residual,
+            "starts": [
+                {"label": r.label, "status": r.status, "iterations": r.iterations, "level": r.level, "reason": r.reason}
+                for r in row.starts
+            ],
+        }
+    assert set(data["verdicts"]) == {
+        "level_nondecreasing", "level_at_most_well", "distance_decreasing",
+        "outside_mass_decreasing", "final_level_rel_gap", "final_distance_rel",
+    }
+    assert data["well_result"] == c.json_form(report.well_result)
+    assert "u" not in data["well_result"]
     csv_text = c.sweep_csv(report)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "lambda,m_lambda,w22_dist,outside_mass,iterations,residual"
@@ -554,7 +568,7 @@ def test_lambda_sweep_keeps_random_starts_after_a_failed_first_coupling(small_pr
         ["well-bump", "random-positive-1", "random-positive-2", "extra-0"],
         ["well-bump", "extra-0", "extra-1"],
     ]
-    assert c.report_to_dict(report)["rows"][0]["starts"] == []
+    assert c.json_form(report)["rows"][0]["starts"] == []
 
 
 def test_lambda_sweep_levels_at_p6_stay_at_most_the_pinned_levels():
@@ -591,9 +605,17 @@ def test_lambda_sweep_levels_at_p6_stay_at_most_the_pinned_levels():
 
 def test_result_to_dict_structure(small_prob):
     res = c.ground_state(small_prob, SolverConfig(restarts=0, residual_tol=1e-8))
-    data = c.result_to_dict(res)
+    data = c.json_form(res)
+    assert json.loads(json.dumps(data, allow_nan=False)) == data
+    assert set(data) == {
+        "level", "dual_residual", "nehari_defect", "iterations", "converged", "history",
+        "start_labels", "start_levels", "start_index", "restart_spread", "starts",
+    }
     assert data["converged"] is True
     assert data["iterations"] == res.iterations
+    assert data["start_labels"] == ["well-bump"]
+    assert data["start_levels"] == [res.level]
+    assert set(data["starts"][0]) == {"label", "status", "iterations", "level", "reason"}
     assert len(data["history"]) == res.iterations
     assert set(data["history"][0]) == {
         "iteration", "energy", "norm_sq", "nehari_defect", "dual_residual", "step",
