@@ -18,6 +18,8 @@ from .errors import InputError
 from .lattice import BALL, BOX, LatticeWindow, SiteSet, embedding_map, get_window
 
 _FIELD_FORMAT = "lattice-field v1"
+# sites per block of lines that save_field formats at once
+_SAVE_BLOCK = 1024
 
 
 class Field:
@@ -108,20 +110,27 @@ class Field:
 
 
 def save_field(u: Field, path) -> None:
+    """Write the support of u, one ``coords value`` line per site.
+
+    The lines are formatted and written in blocks of _SAVE_BLOCK sites, so
+    the Python objects of the whole support never exist at once.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     nz = np.nonzero(u.values)[0]
-    lines = [
+    header = [
         _FIELD_FORMAT,
         f"dim {u.window.dim}",
         f"radius {u.window.radius}",
         f"shape {u.window.shape}",
         f"support {nz.size}",
     ]
-    for i in nz:
-        coords = " ".join(str(int(c)) for c in u.window.sites[i])
-        lines.append(f"{coords} {float(u.values[i])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write("\n".join(header) + "\n")
+        for start in range(0, nz.size, _SAVE_BLOCK):
+            block = nz[start : start + _SAVE_BLOCK]
+            lines = zip(u.window.sites[block].tolist(), u.values[block].tolist())
+            out.write("".join(f"{' '.join(map(str, site))} {value!r}\n" for site, value in lines))
 
 
 def load_field(path) -> Field:

@@ -510,10 +510,26 @@ def _box_values(window: LatticeWindow, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _semigroup_matrix(t: float, m_max: int) -> np.ndarray:
-    profile = scaled_bessel_profile(2.0 * t, m_max)
-    idx = np.arange(m_max + 1)
-    return profile[np.abs(idx[:, None] - idx[None, :])]
+def _semigroup_apply(profiles: np.ndarray, grid: np.ndarray, r_out: int) -> np.ndarray:
+    """e^{t Delta} of one box grid for each row of ``profiles``, on the box of radius r_out.
+
+    ``grid`` holds a field on the box of radius r_in, shape (2 r_in + 1,)^N,
+    and is zero outside it; row b of ``profiles`` is the one-dimensional heat
+    kernel e^{-2t} I_m(2t) of one time t at displacements m = 0..r_in + r_out.
+    The semigroup factorises over coordinates, so each axis in turn is
+    multiplied by the matrix of kernel values from the input to the output
+    coordinates of that axis, and only output rows are formed.  The result
+    has shape (rows of profiles,) + (2 r_out + 1,)^N.
+    """
+    r_in = grid.shape[0] // 2
+    gap = np.arange(-r_out, r_out + 1)[:, None] - np.arange(-r_in, r_in + 1)[None, :]
+    mats = profiles[:, np.abs(gap)]
+    out = grid[None]
+    for axis in range(1, grid.ndim + 1):
+        moved = np.moveaxis(out, axis, 1)
+        product = mats @ moved.reshape(moved.shape[:2] + (-1,))
+        out = np.moveaxis(product.reshape(product.shape[:2] + moved.shape[2:]), 1, axis)
+    return out
 
 
 def heat_semigroup_apply(u: Field, t: float) -> Field:
@@ -527,26 +543,66 @@ def heat_semigroup_apply(u: Field, t: float) -> Field:
     u = _box_embedding(u)
     if t == 0.0:
         return Field(u.window, u.values.copy())
-    side = 2 * u.window.radius + 1
-    matrix = _semigroup_matrix(t, side - 1)
-    grid = u.values.reshape((side,) * u.window.dim)
-    for axis in range(u.window.dim):
-        grid = np.moveaxis(np.tensordot(matrix, np.moveaxis(grid, axis, 0), axes=(1, 0)), 0, axis)
-    return Field(u.window, grid.reshape(-1).copy())
+    r = u.window.radius
+    grid = u.values.reshape((2 * r + 1,) * u.window.dim)
+    profile = scaled_bessel_profile(2.0 * t, 2 * r)
+    return Field(u.window, _semigroup_apply(profile[None], grid, r).reshape(-1))
 
 
-def fractional_laplacian(alpha: float, u: Field, quad: Optional[QuadratureSpec] = None) -> Field:
+def _fractional_segments(s: float, quad: QuadratureSpec, decades: int):
+    """Nodes t_i and weights c_i, one quadrature segment at a time, with
+    int_0^T (e^{t Delta} u - u) t^{-1-s} dt = sum_i c_i (e^{t_i Delta} u - u)
+    for T = 10^decades.
+
+    The head segment [0, 1] is Gauss-Jacobi, which absorbs the t^{-s} factor
+    of t^{-s} g(t) with g(t) = (e^{t Delta} u - u)/t; each later decade is
+    Gauss-Legendre.
+    """
+    t1 = _T_SPLIT
+    xj, wj = roots_jacobi(quad.nodes, 0.0, -s)
+    t_head = t1 * (xj + 1.0) / 2.0
+    yield t_head, wj * (t1 / 2.0) ** (1.0 - s) / t_head
+    xg, wg = leggauss(quad.nodes)
+    a = t1
+    for _ in range(decades):
+        b = a * _SEGMENT_RATIO
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        t = half * xg + mid
+        yield t, wg * half * t ** (-1.0 - s)
+        a = b
+
+
+# float64 values that the node arrays of one block of quadrature nodes may
+# hold (1 MB): the axis matrices and the largest partial product
+_BLOCK_VALUES = 1 << 17
+
+
+def fractional_laplacian(
+    alpha: float,
+    u: Field,
+    quad: Optional[QuadratureSpec] = None,
+    out_window: Optional[LatticeWindow] = None,
+) -> Field:
     """(-Delta)^{alpha/2} u via the semigroup integral.
 
     For alpha/2 in (0, 1) this evaluates
     Gamma(-alpha/2)^{-1} int_0^inf (e^{t Delta} u - u) t^{-1 - alpha/2} dt
     (the reciprocal gamma factor is negative, making the operator positive);
     even integer powers apply -Delta exactly and larger alpha composes the
-    two.  Values near the window edge are truncation-limited; interior sites
-    of a sufficiently large window are accurate.
+    two.  The output lives on ``out_window``, as in convolve: by default the
+    bounding box of the window of u, enlarged by one site per factor -Delta.
+    The operator acts on the zero-extended field, so any output window
+    holds the same values at the sites it shares with another; the
+    semigroup is formed only on the output rows of each axis, and a small
+    output window costs a fraction of the default.  Values near the edge of
+    the input window are truncation-limited; interior sites of a
+    sufficiently large window are accurate.  The quadrature nodes run in
+    blocks whose arrays stay near 1 MB whatever the window sizes.
     """
     if alpha <= 0.0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
+    if out_window is not None and out_window.dim != u.window.dim:
+        raise InputError("output window dimension does not match the field")
     quad = quad or QuadratureSpec()
 
     from .calculus import laplacian  # local import to avoid a cycle at load time
@@ -554,46 +610,42 @@ def fractional_laplacian(alpha: float, u: Field, quad: Optional[QuadratureSpec] 
     out = _box_embedding(u)
     k = int(alpha // 2)
     frac = alpha - 2 * k
-    if frac == 0.0 and k > 0:
-        k -= 1
-        frac = 2.0
     for _ in range(k):
         lap = laplacian(out)
         out = Field(lap.window, -lap.values)
-    if frac == 2.0:
-        lap = laplacian(out)
-        return Field(lap.window, -lap.values)
+    out_w = out_window or out.window
     if frac == 0.0:
-        return out
+        idx = out.window.indices_of(out_w.sites)
+        return Field(out_w, np.where(idx >= 0, out.values[idx], 0.0))
 
     s = frac / 2.0
-    t1 = _T_SPLIT
     decades = 4  # the integral is cut at T = 1e4
-    T = t1 * _SEGMENT_RATIO**decades
-
-    total = np.zeros_like(out.values)
-    # head: Gauss-Jacobi absorbs the t^{-s} endpoint factor of
-    # (e^{t Delta} u - u) t^{-1-s} = t^{-s} g(t),  g(t) = (e^{t Delta} u - u)/t
-    xj, wj = roots_jacobi(quad.nodes, 0.0, -s)
-    t_head = t1 * (xj + 1.0) / 2.0
-    w_head = wj * (t1 / 2.0) ** (1.0 - s)
-    for t, w in zip(t_head, w_head):
-        moved = heat_semigroup_apply(out, t)
-        total += w * (moved.values - out.values) / t
-    xg, wg = leggauss(quad.nodes)
-    a = t1
-    for _ in range(decades):
-        b = a * _SEGMENT_RATIO
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for x, w in zip(xg, wg):
-            t = half * x + mid
-            moved = heat_semigroup_apply(out, t)
-            total += w * half * t ** (-1.0 - s) * (moved.values - out.values)
-        a = b
-    # tail: e^{t Delta} u ~ (sum u) (4 pi t)^{-N/2} and the exact -u part
+    T = _T_SPLIT * _SEGMENT_RATIO**decades
     dim = out.window.dim
+    r_in, r_out = out.window.radius, out_w.radius
+    side_in, side_out = 2 * r_in + 1, 2 * r_out + 1
+    grid = out.values.reshape((side_in,) * dim)
+    # u on the output box: the input box cut down or zero-padded
+    here = np.zeros((side_out,) * dim)
+    m = min(r_in, r_out)
+    here[(slice(r_out - m, r_out + m + 1),) * dim] = grid[(slice(r_in - m, r_in + m + 1),) * dim]
+    here = here.reshape(-1)
+
+    per_node = side_out * side_in + max(side_out**a * side_in ** (dim - a) for a in range(1, dim + 1))
+    block = max(1, _BLOCK_VALUES // per_node)
+    orders = np.arange(r_in + r_out + 1)
+    total = np.zeros_like(here)
+    for ts, cs in _fractional_segments(s, quad, decades):
+        profiles = ive(orders, 2.0 * ts[:, None])
+        for lo in range(0, ts.size, block):
+            moved = _semigroup_apply(profiles[lo : lo + block], grid, r_out)
+            total += cs[lo : lo + block] @ (moved.reshape(moved.shape[0], -1) - here)
+    # tail: e^{t Delta} u ~ (sum u) (4 pi t)^{-N/2} and the exact -u part
     mass = float(out.values.sum())
     spread = mass * (4.0 * np.pi) ** (-dim / 2.0) * T ** (-(dim / 2.0 + s)) / (dim / 2.0 + s)
-    total += spread - out.values * T**-s / s
+    total += spread - here * T**-s / s
     coef = 1.0 / math.gamma(-s)  # negative for s in (0, 1)
-    return Field(out.window, coef * total)
+    values = coef * total
+    if out_w.shape != BOX:
+        values = values.reshape((side_out,) * dim)[tuple((out_w.sites + r_out).T)]
+    return Field(out_w, values)

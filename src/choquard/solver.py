@@ -48,7 +48,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import cg as _scipy_cg
 
 from . import variational as _var
-from .calculus import bump_field, gradient_form, laplacian, row_dot, w22_norm_sq
+from .calculus import bump_field, gradient_form, laplacian, nonlocal_energy, row_dot, w22_norm_sq
 from .errors import (
     ChoquardError,
     ConvergenceError,
@@ -564,13 +564,14 @@ def brezis_lieb_probe(
     pointwise-summed defect of the squared W^{2,2} norm (exactly zero once
     the difference stencils of u and the moved v are disjoint) and the pair
     energy defect |D(u_z) - D(u_z - u) - D(u)|, which decays like the kernel
-    as the shift grows.
+    as the shift grows.  The moved fields leave the well, so D is the pair
+    energy over the whole window (calculus.nonlocal_energy) in either mode.
     """
     _var._check_window(u, prob)
     _var._check_window(v, prob)
     v_support = v.support().as_array().reshape(-1, prob.dim)
     v_reach = prob.window.reach(v_support)
-    d_u = _var.nonlocal_term(u, prob)
+    d_u = nonlocal_energy(u, prob.kernel, prob.p)
     lap_u = laplacian(u)
     gam_u = gradient_form(u, u)
     rows = []
@@ -587,8 +588,8 @@ def brezis_lieb_probe(
             )
         vz = v.translated(offset)
         combined = u + vz
-        d_vz = _var.nonlocal_term(vz, prob)
-        d_comb = _var.nonlocal_term(combined, prob)
+        d_vz = nonlocal_energy(vz, prob.kernel, prob.p)
+        d_comb = nonlocal_energy(combined, prob.kernel, prob.p)
         lap_c, lap_v = laplacian(combined), laplacian(vz)
         gam_c, gam_v = gradient_form(combined, combined), gradient_form(vz, vz)
         norm_defect = float(

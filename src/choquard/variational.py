@@ -25,7 +25,7 @@ from . import calculus as _calculus
 from . import kernels as _kernels
 from .errors import InputError, NoProjectionError, ParameterError, ProbeInconclusiveError
 from .fields import Field
-from .lattice import LatticeWindow, SiteSet
+from .lattice import BOX, LatticeWindow, SiteSet, get_window
 
 # random fields are drawn and checked this many rows at a time
 SAMPLE_CHUNK = 8
@@ -167,6 +167,26 @@ class ProblemSpec:
         out[..., self.free_indices()] = values
         return out
 
+    def pair_window(self) -> Tuple[LatticeWindow, Optional[np.ndarray]]:
+        """Window that pair_terms convolves over, and the free sites' indices in it.
+
+        In full mode this is the problem window, and the indices are None.
+        In dirichlet mode it is the smallest origin-centred box, of radius at
+        least 1, that holds the well, so a well problem convolves grids the
+        size of its well, not of the window.
+        """
+
+        def build():
+            if self.mode == MODE_FULL:
+                return self.window, None
+            well = self.window.sites[self.free_indices()]
+            box = get_window(self.dim, max(1, int(np.abs(well).max())), BOX)
+            at = box.indices_of(well)
+            at.setflags(write=False)
+            return box, at
+
+        return self._cached("pair_window", build)
+
     def operator_matrix(self) -> sparse.csr_matrix:
         """CSR matrix of Delta^2 - Delta + weight on the free sites."""
 
@@ -252,18 +272,27 @@ def _quadratic_form(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
 
 
 def pair_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """K * |v|^p (diagonal excluded) and the pair energy D(v) from one convolution.
+    """K * |v|^p (diagonal excluded) on the free sites and the pair energy D(v).
 
-    ``values`` are window values, one field per row of any leading axes;
-    D is exactly 0 for a row with fewer than two nonzero sites
-    (calculus.pair_sums).
+    ``values`` are window values vanishing off the free sites, one field per
+    row of any leading axes, and only their free sites are read.  The
+    convolution runs over ProblemSpec.pair_window: in dirichlet mode the
+    box of the well, not the whole window.  D is exactly 0 for a row with
+    fewer than two nonzero sites (calculus.pair_sums).
     """
-    return _calculus.pair_sums(prob.kernel, prob.window, np.abs(values) ** prob.p)
+    window, at = prob.pair_window()
+    power = np.abs(prob.restrict(values)) ** prob.p
+    if at is None:
+        return _calculus.pair_sums(prob.kernel, window, power)
+    h = np.zeros(power.shape[:-1] + (window.count,))
+    h[..., at] = power
+    conv, d = _calculus.pair_sums(prob.kernel, window, h)
+    return conv[..., at], d
 
 
 def nonlocal_term(u: Field, prob: ProblemSpec) -> float:
-    """Pair energy D(u) of the problem kernel."""
-    _check_window(u, prob)
+    """Pair energy D(u) of the problem kernel; u must vanish off the free sites."""
+    _require_admissible(u, prob)
     return float(pair_terms(u.values, prob)[1])
 
 
@@ -276,13 +305,13 @@ def gradient_values(x: np.ndarray, ax: np.ndarray, conv: np.ndarray, prob: Probl
     """A v - (K * |v|^p) |v|^{p-2} v on the free sites, one row per field.
 
     ``x`` holds the free-site values of v, ``ax`` is A x (operator_values)
-    and ``conv`` the window values of K * |v|^p (pair_terms).  This is the
-    only place the |v|^{p-2} v factor is written.
+    and ``conv`` the free-site values of K * |v|^p (pair_terms).  This is
+    the only place the |v|^{p-2} v factor is written.
     """
     factor = np.zeros_like(x)
     nz = x != 0.0
     factor[nz] = np.abs(x[nz]) ** (prob.p - 2.0) * x[nz]
-    return ax - prob.restrict(conv) * factor
+    return ax - conv * factor
 
 
 def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
@@ -293,7 +322,7 @@ def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
     """
     _check_window(u, prob)
     x = prob.restrict(u.values)
-    conv, _ = pair_terms(prob.extend(x), prob)
+    conv, _ = pair_terms(u.values, prob)
     return Field(prob.window, prob.extend(gradient_values(x, operator_values(x, prob), conv, prob)))
 
 
@@ -306,9 +335,10 @@ def nehari_defect(u: Field, prob: ProblemSpec) -> float:
 class Projection:
     """Fields scaled onto the constraint set, with their energies and pair terms.
 
-    Each entry has one value (or one row) per field projected.  A field with
-    D(v) = 0 ``vanishes``: no scale lands it on the constraint set, and its
-    entries are not finite.
+    Each entry has one value (or one row) per field projected; ``values``
+    rows hold window values and ``conv`` rows K * |tv|^p on the free sites
+    (pair_terms).  A field with D(v) = 0 ``vanishes``: no scale lands it on
+    the constraint set, and its entries are not finite.
     """
 
     scale: np.ndarray

@@ -102,6 +102,24 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(v.values, u.values)
 
 
+def test_save_writes_one_line_per_support_site_across_blocks(tmp_path):
+    # 2401 sites: three blocks of lines, the last one partial
+    w = get_window(2, 24)
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal(w.count)
+    values[::7] = 0.0
+    u = Field(w, values)
+    path = tmp_path / "field.txt"
+    save_field(u, path)
+    nz = np.nonzero(values)[0]
+    expected = ["lattice-field v1", "dim 2", "radius 24", "shape box", f"support {nz.size}"]
+    expected += [f"{int(w.sites[i][0])} {int(w.sites[i][1])} {float(values[i])!r}" for i in nz]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert np.array_equal(load_field(path).values, values)
+    save_field(Field.zero(w), path)
+    assert path.read_text() == "lattice-field v1\ndim 2\nradius 24\nshape box\nsupport 0\n"
+
+
 def test_load_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("something else\n")

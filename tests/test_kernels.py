@@ -362,6 +362,39 @@ def test_fractional_laplacian_integer_orders_are_exact():
         c.fractional_laplacian(0.0, u)
 
 
+_OUT_RADII = {1: 8, 2: 5, 3: 3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    data=st.data(),
+    alpha=st.floats(0.02, 1.98) | st.sampled_from([2.0, 3.3, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fractional_laplacian_on_an_output_window_restricts_the_full_output(dim, data, alpha, seed):
+    top = _OUT_RADII[dim]
+    w = get_window(dim, data.draw(st.integers(1, top)), data.draw(st.sampled_from([BOX, BALL])))
+    out_w = get_window(dim, data.draw(st.integers(1, top + 2)), data.draw(st.sampled_from([BOX, BALL])))
+    u = Field(w, np.random.default_rng(seed).standard_normal(w.count))
+    full = c.fractional_laplacian(alpha, u)
+    part = c.fractional_laplacian(alpha, u, out_window=out_w)
+    assert part.window == out_w
+    idx = full.window.indices_of(out_w.sites)
+    shared = idx >= 0
+    scale = np.abs(full.values).max()
+    assert np.abs(part.values[shared] - full.values[idx[shared]]).max(initial=0.0) <= 1e-13 * scale
+    if alpha in (2.0, 4.0):
+        # -Delta and its square vanish off the enlarged window
+        assert np.all(part.values[~shared] == 0.0)
+
+
+def test_fractional_laplacian_rejects_an_output_window_of_another_dimension():
+    u = Field.delta(get_window(2, 3))
+    with pytest.raises(InputError, match="dimension"):
+        c.fractional_laplacian(1.0, u, out_window=get_window(3, 2))
+
+
 def test_green_table_inverts_fractional_laplacian(desk_table):
     # convolution with the subordination kernel, then the half-Laplacian,
     # reproduces a compactly supported source at interior sites

@@ -429,6 +429,26 @@ def test_ground_state_initializer_error_on_single_site_well(small_table, small_w
         c.ground_state(prob, SolverConfig(restarts=2))
 
 
+def test_dirichlet_ground_state_convolves_on_the_well_box(small_table, monkeypatch):
+    # a radius-1 well in a radius-6 window: 5 unknowns, and no convolution
+    # input or output wider than the well's box
+    window = get_window(2, 6)
+    prob = ProblemSpec(
+        mode="dirichlet", window=window, potential=PotentialSpec(well=ball((0, 0), 1)), kernel=small_table, p=2.0
+    )
+    real = c.kernels.convolve_values
+    radii = []
+
+    def spy(table, window, values, include_diagonal=False, out_window=None):
+        radii.append(max(window.radius, (out_window or window).radius))
+        return real(table, window, values, include_diagonal, out_window)
+
+    monkeypatch.setattr(c.kernels, "convolve_values", spy)
+    res = c.ground_state(prob, SolverConfig(restarts=2))
+    assert res.converged
+    assert radii and max(radii) == 1
+
+
 def test_ground_state_convergence_error_carries_history(small_prob):
     cfg = SolverConfig(max_iterations=1, restarts=0, residual_tol=1e-14)
     with pytest.raises(ConvergenceError) as info:
@@ -635,6 +655,14 @@ def test_brezis_lieb_probe_point_masses(small_prob):
         assert row.nonlocal_defect == pytest.approx(expected, rel=1e-12)
     defects = [row.nonlocal_defect for row in rows]
     assert defects[0] > defects[1] > defects[2] > 0.0
+
+
+def test_brezis_lieb_probe_reads_moved_fields_off_the_well(small_prob, small_dirichlet):
+    # the moved fields leave the well; their pair energy is the same in
+    # either mode
+    u = Field.from_sites(small_prob.window, {(0, 0): 1.0, (1, 0): 0.5})
+    shifts = [(3, 0), (0, 4)]
+    assert c.brezis_lieb_probe(u, u, shifts, small_dirichlet) == c.brezis_lieb_probe(u, u, shifts, small_prob)
 
 
 def test_brezis_lieb_probe_zero_and_invalid_shifts(small_prob):

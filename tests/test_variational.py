@@ -85,6 +85,54 @@ def test_norm_matches_independent_quadratic_forms(small_prob, small_dirichlet):
         c.norm_sq(Field(get_window(2, 4), np.zeros(get_window(2, 4).count)), small_prob)
 
 
+def test_nonlocal_term_rejects_mass_off_the_well_in_dirichlet_mode(small_dirichlet):
+    u = Field.from_sites(small_dirichlet.window, {(0, 0): 1.0, (3, 0): 1.0})
+    for term in (c.nonlocal_term, c.norm_sq, c.energy):
+        with pytest.raises(InputError, match="vanish outside the well"):
+            term(u, small_dirichlet)
+
+
+def _well(dim, center, half, shape):
+    if shape == "ball":
+        return ball(center, half)
+    ranges = np.meshgrid(*[np.arange(x - half, x + half + 1) for x in center], indexing="ij")
+    return SiteSet(zip(*(r.ravel().tolist() for r in ranges)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    data=st.data(),
+    shape=st.sampled_from(["ball", "box"]),
+    p=st.floats(1.6, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dirichlet_pair_terms_match_the_whole_window_pair_sums(small_table, cube_table, dim, data, shape, p, seed):
+    # the window keeps a margin of 3 around the well, so the well's box
+    # reaches at most radius - 3 (6 - 3 in two dimensions, 4 - 3 in three)
+    table = small_table if dim == 2 else cube_table
+    reach = table.radius - 3
+    half = data.draw(st.integers(0, reach))
+    center = tuple(data.draw(st.integers(half - reach, reach - half)) for _ in range(dim))
+    prob = ProblemSpec(
+        mode="dirichlet",
+        window=get_window(dim, table.radius),
+        potential=PotentialSpec(well=_well(dim, center, half, shape)),
+        kernel=table,
+        p=p,
+    )
+    free = prob.free_indices()
+    values = np.zeros((3, prob.window.count))
+    values[:, free] = np.random.default_rng(seed).standard_normal((3, free.size))
+    conv, d = c.variational.pair_terms(values, prob)
+    whole_conv, whole_d = c.calculus.pair_sums(table, prob.window, np.abs(values) ** p)
+    assert conv.shape == (3, free.size)
+    assert np.abs(conv - whole_conv[:, free]).max() <= 1e-13 * np.abs(whole_conv).max()
+    assert np.all(np.abs(d - whole_d) <= 1e-13 * np.abs(whole_d))
+    box, _ = prob.pair_window()
+    assert box.radius == max(1, prob.window.reach(prob.well.as_array()))
+
+
 def test_point_mass_anchors(small_prob):
     # weight at the origin is 1 (inside the well), so the squared norm is the
     # pure stencil value (2N + 1)^2; the pair energy of a point mass vanishes

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import choquard as c
-from choquard import calculus, variational
+from choquard import calculus, variational, verify
 from choquard.errors import ProbeInconclusiveError
 from choquard.fields import Field
 from choquard.verify import run_suites
@@ -150,6 +150,20 @@ def test_projection_rows_match_single_fields_exactly(small_prob, small_dirichlet
             alone = variational.project_values(row, prob)
             for field in ("scale", "values", "energy", "pair_energy", "conv", "vanishes"):
                 assert np.array_equal(getattr(batch, field)[i], getattr(alone, field)), field
+
+
+@pytest.mark.parametrize("p", [1.55, 2.0, 3.0])
+def test_nehari_ratio_is_the_hls_ratio_of_the_projected_power(small_prob, desk_prob, p):
+    # the nehari suite reads hls_ratios(power, power) off the pair energy
+    # constraint_terms makes, without another convolution
+    for prob in (dataclasses.replace(small_prob, p=p), dataclasses.replace(desk_prob, p=p)):
+        r = _hls_exponent(prob)
+        rows = np.random.default_rng(13).standard_normal((9, prob.window.count))
+        values = variational.project_values(rows, prob).values
+        _, pair = variational.constraint_terms(values, prob)
+        power = np.abs(values) ** prob.p
+        expected = calculus.hls_ratios(prob.kernel, prob.window, power, power, r, r)
+        assert np.array_equal(verify._self_hls_ratios(power, pair, r), expected)
 
 
 def test_hls_ratios_rows_match_single_calls(small_prob, desk_prob):
