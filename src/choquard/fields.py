@@ -134,29 +134,34 @@ def save_field(u: Field, path) -> None:
 
 
 def load_field(path) -> Field:
+    """Read a field that save_field wrote; a malformed file raises InputError naming it."""
     path = Path(path)
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != _FIELD_FORMAT:
-        raise InputError(f"unrecognised field file {path}")
-    header = {}
-    for line in lines[1:5]:
-        key, _, value = line.partition(" ")
-        header[key] = value
-    dim, radius, shape = int(header["dim"]), int(header["radius"]), header["shape"]
-    if shape not in (BOX, BALL):
-        raise InputError(f"bad window shape {shape!r} in {path}")
-    window = get_window(dim, radius, shape)
-    values = np.zeros(window.count)
-    count = int(header["support"])
-    rows = [line.split() for line in lines[5:] if line.strip()]
-    if len(rows) != count:
-        raise InputError(f"expected {count} support rows in {path}, found {len(rows)}")
-    seen = set()
-    for row in rows:
-        site = tuple(int(c) for c in row[:dim])
-        idx = window.index_of(site)
-        if idx in seen:
-            raise InputError(f"duplicate site {site} in {path}")
-        seen.add(idx)
-        values[idx] = float(row[dim])
-    return Field(window, values)
+    try:
+        if not lines or lines[0] != _FIELD_FORMAT:
+            raise InputError("unrecognised field file")
+        header = dict(line.partition(" ")[::2] for line in lines[1:5])
+        dim, radius, count = int(header["dim"]), int(header["radius"]), int(header["support"])
+        shape = header["shape"]
+        if shape not in (BOX, BALL):
+            raise InputError(f"bad window shape {shape!r}")
+        window = get_window(dim, radius, shape)
+        rows = [line.split() for line in lines[5:] if line.strip()]
+        if len(rows) != count:
+            raise InputError(f"expected {count} support rows, found {len(rows)}")
+        values = np.zeros(window.count)
+        seen = set()
+        for row in rows:
+            if len(row) != dim + 1:
+                raise InputError(f"row {' '.join(row)!r} is not {dim} coordinates and a value")
+            site = tuple(int(c) for c in row[:dim])
+            idx = window.index_of(site)
+            if idx in seen:
+                raise InputError(f"duplicate site {site}")
+            seen.add(idx)
+            values[idx] = float(row[dim])
+        return Field(window, values)
+    except KeyError as exc:
+        raise InputError(f"missing header line {exc} in {path}") from None
+    except ValueError as exc:
+        raise InputError(f"{exc} in {path}") from None

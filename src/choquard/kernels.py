@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,27 +56,20 @@ _T_SPLIT = 1.0
 # ---------------------------------------------------------------------------
 
 
-def scaled_bessel_profile(z: float, m_max: int) -> np.ndarray:
-    """e^{-z} I_m(z) for all orders m = 0..m_max at a fixed argument z >= 0.
+def scaled_bessel_profile(z, m_max: int) -> np.ndarray:
+    """e^{-z} I_m(z) for all orders m = 0..m_max, one row per argument z >= 0.
 
-    The values come from ``scipy.special.ive``, which keeps full relative
-    accuracy for large arguments and for orders far beyond sqrt(z), where the
-    values underflow gracefully to zero.
+    A scalar z gives shape (m_max + 1,); an array of arguments gives one row
+    per entry.  The values come from ``scipy.special.ive``, which keeps full
+    relative accuracy for large arguments and for orders far beyond sqrt(z),
+    where the values underflow gracefully to zero.
     """
-    if z < 0.0:
-        raise InputError(f"argument must be >= 0, got {z}")
+    z = np.asarray(z, dtype=np.float64)
+    if np.any(z < 0.0):
+        raise InputError(f"argument must be >= 0, got {z.min()}")
     if m_max < 0:
         raise InputError(f"m_max must be >= 0, got {m_max}")
-    return ive(np.arange(m_max + 1), z)
-
-
-def scaled_bessel_i(m: int, z: float) -> float:
-    """Exponentially scaled modified Bessel function e^{-z} I_m(z), integer m >= 0."""
-    if m < 0:
-        raise InputError(f"order must be >= 0, got {m}")
-    if z < 0.0:
-        raise InputError(f"argument must be >= 0, got {z}")
-    return float(ive(m, z))
+    return ive(np.arange(m_max + 1), z[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +87,17 @@ def _check_vector(v: Sequence[int], dim: int) -> Tuple[int, ...]:
 def heat_kernel(t: float, v: Sequence[int], dim: int) -> float:
     """Transition probability of the continuous-time walk on Z^dim.
 
-    k_t(v) = prod_i e^{-2t} I_{v_i}(2t); k_0 is the indicator of v = 0.
+    k_t(v) = prod_i e^{-2t} I_{v_i}(2t), the indicator of v = 0 at t = 0.
     """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     if t < 0.0:
         raise InputError(f"time must be >= 0, got {t}")
     vec = _check_vector(v, dim)
-    if t == 0.0:
-        return 1.0 if all(c == 0 for c in vec) else 0.0
+    profile = _bessel_profile(t, max(abs(c) for c in vec))
     out = 1.0
     for c in vec:
-        out *= scaled_bessel_i(abs(c), 2.0 * t)
+        out *= float(profile[abs(c)])
     return out
 
 
@@ -169,30 +162,41 @@ class QuadratureSpec:
             raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
 
 
+def _time_segments(head: float, order: float, extra: float, quad: QuadratureSpec, decades: int):
+    """Nodes t_i and weights w_i, one quadrature segment at a time, with
+    int_0^T f(t) t^(head + extra) dt = sum_i w_i f(t_i) for T = 10^decades.
+
+    The head segment [0, 1] is Gauss-Jacobi, which absorbs the t^head factor
+    of t^head (t^extra f(t)) exactly; each later decade is Gauss-Legendre.
+    ``order`` is head + 1 as the caller writes it (alpha/2, 1 - s): forming
+    it here as head + 1 would round differently for some alpha.
+    """
+    t1 = _T_SPLIT
+    xj, wj = roots_jacobi(quad.nodes, 0.0, head)
+    t = t1 * (xj + 1.0) / 2.0
+    yield t, wj * (t1 / 2.0) ** order / t ** (-extra)
+    xg, wg = leggauss(quad.nodes)
+    a = t1
+    for _ in range(decades):
+        b = a * _SEGMENT_RATIO
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        t = half * xg + mid
+        yield t, wg * half * t ** (head + extra)
+        a = b
+
+
 def _green_plan(alpha: float, quad: QuadratureSpec, m_max: int):
     """Nodes t_i, effective weights w_i and endpoint T for the Green integral.
 
     After the plan, int_0^T k_t(v) t^{alpha/2-1} dt = sum_i w_i k_{t_i}(v).
     """
-    t1 = _T_SPLIT
-    # whole decades above t1 past max(3e4, 100 m_max^2): the tail expansion
-    # parameter is m^2 / (4 t), and 100 m^2 keeps the first neglected order
-    # below ~1e-8 of the tail
+    # whole decades above t = 1 past max(3e4, 100 m_max^2): the tail
+    # expansion parameter is m^2 / (4 t), and 100 m^2 keeps the first
+    # neglected order below ~1e-8 of the tail
     target = max(3.0e4, 100.0 * float(max(m_max, 1)) ** 2)
-    T = t1 * _SEGMENT_RATIO ** max(1, math.ceil(math.log10(target / t1)))
-    xj, wj = roots_jacobi(quad.nodes, 0.0, alpha / 2.0 - 1.0)
-    ts = [t1 * (xj + 1.0) / 2.0]
-    ws = [wj * (t1 / 2.0) ** (alpha / 2.0)]
-    xg, wg = leggauss(quad.nodes)
-    a = t1
-    while a < T * (1.0 - 1e-12):
-        b = a * _SEGMENT_RATIO
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        t_seg = half * xg + mid
-        ts.append(t_seg)
-        ws.append(wg * half * t_seg ** (alpha / 2.0 - 1.0))
-        a = b
-    return np.concatenate(ts), np.concatenate(ws), T
+    decades = max(1, math.ceil(math.log10(target / _T_SPLIT)))
+    ts, ws = zip(*_time_segments(alpha / 2.0 - 1.0, alpha / 2.0, 0.0, quad, decades))
+    return np.concatenate(ts), np.concatenate(ws), _T_SPLIT * _SEGMENT_RATIO**decades
 
 
 def _tail_coefficients(vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -273,10 +277,11 @@ class KernelTable:
     """Kernel values tabulated over all difference vectors of a window.
 
     Differences of sites of a radius-R window span [-2R, 2R]^N; values are
-    stored once per orbit of coordinate permutations and sign flips and
-    expanded to an absolute-coordinate lookup grid.  Instances are immutable;
-    the kernel spectra that :func:`convolve` needs are cached lazily, one per
-    reach r_in + r_out of the window pairs it is called on.
+    stored once per orbit of coordinate permutations and sign flips, in the
+    order of ``orbit_keys``, and expanded to an absolute-coordinate lookup
+    grid.  Instances are immutable; the kernel spectra that :func:`convolve`
+    needs are cached lazily, one per reach r_in + r_out of the window pairs
+    it is called on.
     """
 
     def __init__(
@@ -286,7 +291,6 @@ class KernelTable:
         dim: int,
         radius: int,
         quad: QuadratureSpec,
-        orbit_keys: np.ndarray,
         orbit_values: np.ndarray,
     ):
         if kind not in KINDS:
@@ -296,25 +300,14 @@ class KernelTable:
         self.dim = int(dim)
         self.radius = int(radius)
         self.quad = quad
-        self.orbit_keys = np.asarray(orbit_keys, dtype=np.int64)
+        self.m_max = 2 * self.radius
+        self.orbit_keys, inverse = _orbit_layout(self.dim, self.m_max)
         self.orbit_values = np.asarray(orbit_values, dtype=np.float64)
-        if self.orbit_values.ndim != 1 or self.orbit_keys.shape != (self.orbit_values.size, self.dim):
-            raise InputError("orbit arrays have inconsistent shapes")
+        if self.orbit_values.shape != (len(self.orbit_keys),):
+            raise InputError(f"expected {len(self.orbit_keys)} orbit values, got {self.orbit_values.shape}")
         if np.any(self.orbit_values < 0.0) or not np.all(np.isfinite(self.orbit_values)):
             raise InputError("kernel values must be finite and nonnegative")
-        self.m_max = 2 * self.radius
-        side = self.m_max + 1
-        canon = np.sort(self.orbit_keys, axis=1)[:, ::-1]
-        order = np.lexsort(canon.T[::-1])
-        expect = _canonical_orbits(self.dim, self.m_max)
-        if canon.shape != expect.shape or not np.array_equal(canon[order], expect):
-            raise InputError("orbit keys do not enumerate the difference range")
-        grid = np.empty((side,) * self.dim)
-        all_abs = _abs_grid_coords(self.dim, self.m_max)
-        sorted_abs = np.sort(all_abs, axis=1)[:, ::-1]
-        _, inverse = np.unique(sorted_abs, axis=0, return_inverse=True)
-        grid[tuple(all_abs.T)] = self.orbit_values[order][inverse]
-        self._grid = grid
+        self._grid = self.orbit_values[inverse].reshape((self.m_max + 1,) * self.dim)
         self._spectra: dict = {}
 
     @property
@@ -338,17 +331,20 @@ class KernelTable:
         return float(self.values_at(np.array([vec], dtype=np.int64))[0])
 
 
-def _canonical_orbits(dim: int, m_max: int) -> np.ndarray:
-    """Sorted-descending absolute difference vectors, one per symmetry orbit."""
-    all_abs = _abs_grid_coords(dim, m_max)
-    canon = np.sort(all_abs, axis=1)[:, ::-1]
-    return np.unique(canon, axis=0)
+@lru_cache(maxsize=None)
+def _orbit_layout(dim: int, m_max: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Orbit keys and the orbit index of every point of [0, m_max]^dim.
 
-
-def _abs_grid_coords(dim: int, m_max: int) -> np.ndarray:
-    axes = [np.arange(m_max + 1)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    The keys are the sorted-descending absolute difference vectors, one per
+    orbit of coordinate permutations and sign flips, in ``np.unique`` order;
+    the indices run over the points in C order.  Both arrays are read-only.
+    """
+    mesh = np.meshgrid(*[np.arange(m_max + 1)] * dim, indexing="ij")
+    canon = np.sort(np.stack([m.ravel() for m in mesh], axis=1), axis=1)[:, ::-1]
+    keys, inverse = np.unique(canon, axis=0, return_inverse=True)
+    keys.setflags(write=False)
+    inverse.setflags(write=False)
+    return keys, inverse
 
 
 def build_kernel_table(
@@ -364,8 +360,7 @@ def build_kernel_table(
         raise ParameterError("alpha must lie in (0, N)")
     quad = quad or QuadratureSpec()
 
-    m_max = 2 * window.radius
-    orbits = _canonical_orbits(window.dim, m_max)
+    orbits = _orbit_layout(window.dim, 2 * window.radius)[0]
     if kind == GREEN:
         values = _green_values(alpha, window.dim, orbits, quad, _bessel_profile)
     else:
@@ -373,7 +368,7 @@ def build_kernel_table(
         with np.errstate(divide="ignore"):
             values = norms ** (alpha - window.dim)
         values[norms == 0.0] = 0.0  # convolutions exclude the diagonal
-    return KernelTable(kind, alpha, window.dim, window.radius, quad, orbits, values)
+    return KernelTable(kind, alpha, window.dim, window.radius, quad, values)
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +544,6 @@ def heat_semigroup_apply(u: Field, t: float) -> Field:
     return Field(u.window, _semigroup_apply(profile[None], grid, r).reshape(-1))
 
 
-def _fractional_segments(s: float, quad: QuadratureSpec, decades: int):
-    """Nodes t_i and weights c_i, one quadrature segment at a time, with
-    int_0^T (e^{t Delta} u - u) t^{-1-s} dt = sum_i c_i (e^{t_i Delta} u - u)
-    for T = 10^decades.
-
-    The head segment [0, 1] is Gauss-Jacobi, which absorbs the t^{-s} factor
-    of t^{-s} g(t) with g(t) = (e^{t Delta} u - u)/t; each later decade is
-    Gauss-Legendre.
-    """
-    t1 = _T_SPLIT
-    xj, wj = roots_jacobi(quad.nodes, 0.0, -s)
-    t_head = t1 * (xj + 1.0) / 2.0
-    yield t_head, wj * (t1 / 2.0) ** (1.0 - s) / t_head
-    xg, wg = leggauss(quad.nodes)
-    a = t1
-    for _ in range(decades):
-        b = a * _SEGMENT_RATIO
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        t = half * xg + mid
-        yield t, wg * half * t ** (-1.0 - s)
-        a = b
-
-
 # float64 values that the node arrays of one block of quadrature nodes may
 # hold (1 MB): the axis matrices and the largest partial product
 _BLOCK_VALUES = 1 << 17
@@ -599,8 +571,8 @@ def fractional_laplacian(
     sufficiently large window are accurate.  The quadrature nodes run in
     blocks whose arrays stay near 1 MB whatever the window sizes.
     """
-    if alpha <= 0.0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
     if out_window is not None and out_window.dim != u.window.dim:
         raise InputError("output window dimension does not match the field")
     quad = quad or QuadratureSpec()
@@ -633,10 +605,10 @@ def fractional_laplacian(
 
     per_node = side_out * side_in + max(side_out**a * side_in ** (dim - a) for a in range(1, dim + 1))
     block = max(1, _BLOCK_VALUES // per_node)
-    orders = np.arange(r_in + r_out + 1)
     total = np.zeros_like(here)
-    for ts, cs in _fractional_segments(s, quad, decades):
-        profiles = ive(orders, 2.0 * ts[:, None])
+    # the head segment absorbs t^{-s} of t^{-s} g(t), g(t) = (e^{t Delta} u - u)/t
+    for ts, cs in _time_segments(-s, 1.0 - s, -1.0, quad, decades):
+        profiles = scaled_bessel_profile(2.0 * ts, r_in + r_out)
         for lo in range(0, ts.size, block):
             moved = _semigroup_apply(profiles[lo : lo + block], grid, r_out)
             total += cs[lo : lo + block] @ (moved.reshape(moved.shape[0], -1) - here)

@@ -10,10 +10,7 @@ descent direction (<J'(u), d> <= 0) falls back to d = z.  Steepest descent
 along z contracts the dual residual only by the second eigenvalue of
 N'(u)h = mu A h per step, which nears 1 at small couplings and at p near
 (N + alpha)/N; the conjugate directions take about a third fewer steps on
-the radius-16 sweep.  So per-start iteration counts differ from versions
-that used steepest descent.  Levels agree with them to about 1e-14 where
-the landscape has one minimum; at p = 1.55, lam = 1, radius 16, where
-several local minima lie within 5e-6, the reported level is lower.
+the radius-16 sweep.
 
 Multi-start over a smoothed well bump plus random positive fields
 approximates minimality, and all starts descend in lockstep as rows of one

@@ -128,23 +128,14 @@ class ProblemSpec:
 
         return self._cached("weight", build)
 
-    def well_mask(self) -> np.ndarray:
-        def build():
-            mask = np.zeros(self.window.count, dtype=bool)
-            mask[self.window.indices_of(self.potential.well.as_array())] = True
-            mask.setflags(write=False)
-            return mask
-
-        return self._cached("well_mask", build)
-
     def free_indices(self) -> np.ndarray:
-        """Window indices of the unknowns (all sites, or the well in dirichlet mode)."""
+        """Window indices of the unknowns (all sites, or the well's sites, sorted, in dirichlet mode)."""
 
         def build():
             if self.mode == MODE_FULL:
                 idx = np.arange(self.window.count)
             else:
-                idx = np.nonzero(self.well_mask())[0]
+                idx = np.sort(self.window.indices_of(self.potential.well.as_array()))
             idx.setflags(write=False)
             return idx
 
@@ -243,7 +234,7 @@ def _check_window(u: Field, prob: ProblemSpec) -> None:
 
 def _require_admissible(u: Field, prob: ProblemSpec) -> None:
     _check_window(u, prob)
-    if prob.mode == MODE_DIRICHLET and np.any(u.values[~prob.well_mask()] != 0.0):
+    if np.count_nonzero(prob.restrict(u.values)) != np.count_nonzero(u.values):
         raise InputError("field must vanish outside the well in dirichlet mode")
 
 

@@ -338,7 +338,7 @@ def test_verify_detects_tampered_kernel_table(capsys, monkeypatch):
         nearest = np.flatnonzero((table.orbit_keys == (1, 0)).all(axis=1))
         assert nearest.size == 1
         values[nearest] *= 1.001
-        return KernelTable(kind, alpha, table.dim, table.radius, table.quad, table.orbit_keys, values)
+        return KernelTable(kind, alpha, table.dim, table.radius, table.quad, values)
 
     monkeypatch.setattr(cli, "build_kernel_table", tampered_build)
     assert main(["verify", "--radius", "16", "--suites", "green"]) == 3

@@ -133,6 +133,20 @@ def test_load_rejects_bad_files(tmp_path):
     good.write_text("\n".join(text) + "\n")
     with pytest.raises(InputError):
         load_field(good)
+    # a missing header line, unparsable numbers, and rows of the wrong width
+    # all name the file
+    head = ["lattice-field v1", "dim 2", "radius 2", "shape box"]
+    for lines in (
+        ["lattice-field v1", "dim 2", "shape box", "support 1", "0 0 1.0"],
+        head + ["support x", "0 0 1.0"],
+        head + ["support 1", "a 0 1.0"],
+        head + ["support 1", "0 0 x"],
+        head + ["support 1", "0 0"],
+        head + ["support 1", "0 0 1.0 2.0"],
+    ):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="bad.txt"):
+            load_field(path)
 
 
 def test_load_rejects_a_repeated_site_whose_first_value_is_zero(tmp_path):

@@ -1,5 +1,6 @@
 """Kernel evaluation against series, special-function, and brute-force oracles."""
 
+import functools
 import math
 import warnings
 
@@ -28,7 +29,6 @@ from choquard.kernels import (
     green_function,
     heat_kernel,
     heat_kernel_spectral,
-    scaled_bessel_i,
     scaled_bessel_profile,
 )
 from choquard.lattice import embedding_map
@@ -37,11 +37,13 @@ from choquard.lattice import embedding_map
 @pytest.mark.parametrize("m", [0, 1, 2, 7, 25, 64])
 @pytest.mark.parametrize("z", [1e-3, 0.5, 2.0, 20.0, 300.0])
 def test_scaled_bessel_matches_scipy(m, z):
-    # the oscillatory-sum branch carries an absolute round-off floor near
-    # machine epsilon, so exponentially small values get a mixed tolerance
-    ours = scaled_bessel_i(m, z)
-    ref = float(ive(m, z))
-    assert ours == pytest.approx(ref, rel=1e-12, abs=2e-14)
+    # entry m of the profile is scipy's ive(m, z), and both match a 40-digit
+    # oracle; exponentially small values get a mixed tolerance
+    got = scaled_bessel_profile(z, m)[m]
+    assert got == ive(m, z)
+    with mpmath.workdps(40):
+        want = float(mpmath.besseli(m, z) * mpmath.exp(-z))
+    assert got == pytest.approx(want, rel=1e-12, abs=2e-14)
 
 
 def test_scaled_bessel_small_order_series_value():
@@ -51,7 +53,7 @@ def test_scaled_bessel_small_order_series_value():
         if k > 0:
             term *= 1.0 / (k * k)
         acc += term
-    assert scaled_bessel_i(0, 2.0) == pytest.approx(math.exp(-2.0) * acc, rel=1e-14)
+    assert scaled_bessel_profile(2.0, 0)[0] == pytest.approx(math.exp(-2.0) * acc, rel=1e-14)
 
 
 @pytest.mark.parametrize("z", [1e-3, 1.0, 10.0, 100.0, 1e3, 1e6])
@@ -67,6 +69,19 @@ def test_scaled_bessel_profile_matches_mpmath(z):
                 assert float(abs(got - want) / want) <= 2e-13, (m, got, want)
             else:
                 assert got < 1e-290, (m, got)
+
+
+def test_scaled_bessel_profile_gives_one_row_per_argument():
+    zs = np.array([0.0, 1e-3, 2.0, 300.0])
+    rows = scaled_bessel_profile(zs, 12)
+    assert rows.shape == (4, 13)
+    for z, row in zip(zs, rows):
+        assert np.array_equal(row, scaled_bessel_profile(float(z), 12))
+    assert scaled_bessel_profile(zs.reshape(2, 2), 3).shape == (2, 2, 4)
+    with pytest.raises(InputError):
+        scaled_bessel_profile(np.array([1.0, -1e-9]), 3)
+    with pytest.raises(InputError):
+        scaled_bessel_profile(1.0, -1)
 
 
 def test_heat_kernel_product_structure_and_edge_cases():
@@ -99,6 +114,25 @@ def test_heat_kernel_spectral_agreement(t):
 def test_quadrature_spec_validation_and_digest():
     with pytest.raises(ParameterError):
         QuadratureSpec(nodes=4)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.6, 1.0, 1.9, 2.5])
+def test_time_segments_integrate_the_green_weight(alpha):
+    # f = 1: sum w_i = int_0^T t^{alpha/2 - 1} dt with T = 10^decades
+    head, decades = alpha / 2.0 - 1.0, 3
+    segments = list(kernels._time_segments(head, alpha / 2.0, 0.0, QuadratureSpec(), decades))
+    assert len(segments) == decades + 1
+    total = sum(float(w.sum()) for _, w in segments)
+    T = 10.0**decades
+    assert total == pytest.approx(T ** (head + 1.0) / (head + 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.85])
+def test_time_segments_head_absorbs_the_fractional_endpoint(s):
+    # with t^{-s-1}, the head segment integrates f(t) = t on [0, 1] exactly
+    t, w = next(kernels._time_segments(-s, 1.0 - s, -1.0, QuadratureSpec(), 4))
+    assert np.all((t > 0.0) & (t < 1.0))
+    assert float(w @ t) == pytest.approx(1.0 / (1.0 - s), rel=1e-13)
 
 
 def test_green_function_symmetry_positivity_and_resolution():
@@ -141,6 +175,47 @@ def test_riesz_table_zeroes_diagonal(small_window):
     assert table.values_at(np.array([[3, -4]]))[0] == pytest.approx(0.2, rel=1e-15)
     table = c.build_kernel_table(RIESZ, 1.5, small_window)
     assert table.values_at(np.array([[0, 2]]))[0] == pytest.approx(2.0 ** (-0.5), rel=1e-15)
+
+
+def test_kernel_table_rejects_bad_orbit_values(small_table):
+    t = small_table
+
+    def rebuilt(values):
+        return c.KernelTable(t.kind, t.alpha, t.dim, t.radius, t.quad, values)
+
+    assert np.array_equal(rebuilt(t.orbit_values.copy())._grid, t._grid)
+    assert not t.orbit_keys.flags.writeable
+    for values in (t.orbit_values[:-1], np.append(t.orbit_values, 1.0), t.orbit_values[None]):
+        with pytest.raises(InputError, match="orbit values"):
+            rebuilt(values)
+    for bad in (-1e-300, math.nan, math.inf):
+        values = t.orbit_values.copy()
+        values[7] = bad
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            rebuilt(values)
+
+
+# one table per dimension, with alpha < 1 in dimension 1
+_SYMMETRY_TABLES = {1: (0.6, 8), 2: (1.3, 6), 3: (2.5, 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetry_table(dim):
+    alpha, radius = _SYMMETRY_TABLES[dim]
+    return c.build_kernel_table(GREEN, alpha, get_window(dim, radius))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_table_values_are_symmetric_and_match_the_green_function(dim, data):
+    table = _symmetry_table(dim)
+    coord = st.integers(-table.m_max, table.m_max)
+    v = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+    perm = np.array(data.draw(st.permutations(range(dim))))
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=dim, max_size=dim)))
+    value = table.values_at(v[None])[0]
+    assert table.values_at((signs * v[perm])[None])[0] == value
+    assert value == pytest.approx(green_function(table.alpha, v, dim), rel=1e-13)
 
 
 def test_convolve_matches_double_loop(small_table, small_window):
@@ -360,6 +435,12 @@ def test_fractional_laplacian_integer_orders_are_exact():
     assert np.allclose(out4.values, ref, rtol=0, atol=1e-12)
     with pytest.raises(ParameterError):
         c.fractional_laplacian(0.0, u)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -1.0])
+def test_fractional_laplacian_rejects_a_non_finite_or_negative_alpha(alpha):
+    with pytest.raises(ParameterError, match="alpha"):
+        c.fractional_laplacian(alpha, Field.delta(get_window(2, 3)))
 
 
 _OUT_RADII = {1: 8, 2: 5, 3: 3}

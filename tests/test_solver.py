@@ -242,8 +242,7 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
     rng = np.random.default_rng(seed)
     factors = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, table.orbit_values.size)
     nudged = c.KernelTable(
-        table.kind, table.alpha, table.dim, table.radius, table.quad,
-        table.orbit_keys, table.orbit_values * factors,
+        table.kind, table.alpha, table.dim, table.radius, table.quad, table.orbit_values * factors,
     )
     res = c.ground_state(dataclasses.replace(desk_prob, kernel=nudged), SolverConfig())
     assert res.start_index == base.start_index
