@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -252,10 +253,9 @@ def cmd_solve(cfg: Dict[str, Dict[str, object]]) -> int:
     print(f"mode={prob.mode} lambda={prob.lam!r}")
     print(f"ground-state level m = {result.level!r}")
     print(f"dual residual = {result.dual_residual:.3e}  constraint defect = {result.nehari_defect:.3e}")
-    print(
-        f"iterations = {result.iterations}  starts tried = {len(result.starts)}"
-        f"  converged = {len(result.start_levels)}"
-    )
+    statuses = Counter(rec.status for rec in result.starts)
+    tallies = "".join(f"  {status} = {count}" for status, count in statuses.items())
+    print(f"iterations = {result.iterations}  starts tried = {len(result.starts)}{tallies}")
     return 0
 
 

@@ -221,16 +221,19 @@ def _green_tail(alpha: float, dim: int, vs: np.ndarray, T: float) -> np.ndarray:
     return base * (T**-s / s + c1 * T ** (-s - 1.0) / (s + 1.0) + c2 * T ** (-s - 2.0) / (s + 2.0))
 
 
-def _bessel_profile(t: float, m_max: int) -> np.ndarray:
-    """One-dimensional heat kernel e^{-2t} I_m(2t) for displacements 0..m_max."""
+def _bessel_profile(t, m_max: int) -> np.ndarray:
+    """One-dimensional heat kernel e^{-2t} I_m(2t) for displacements 0..m_max, one row per time t."""
     return scaled_bessel_profile(2.0 * t, m_max)
 
 
-def _torus_profile(t: float, m_max: int) -> np.ndarray:
-    """One-dimensional heat kernel from torus spectral sums, on a torus large
-    enough that wrap-around stays negligible."""
-    L = int(max(64, 2 * m_max + 4, math.ceil(m_max + 13.0 * math.sqrt(max(t, 1.0)))))
-    return _spectral_profile(t, m_max, L)
+def _torus_profile(ts: np.ndarray, m_max: int) -> np.ndarray:
+    """One-dimensional heat kernel from torus spectral sums, one row per time, each on
+    a torus large enough that wrap-around stays negligible."""
+    rows = []
+    for t in ts:
+        L = int(max(64, 2 * m_max + 4, math.ceil(m_max + 13.0 * math.sqrt(max(t, 1.0)))))
+        rows.append(_spectral_profile(t, m_max, L))
+    return np.array(rows)
 
 
 def _green_values(
@@ -238,18 +241,18 @@ def _green_values(
     dim: int,
     vs: np.ndarray,
     quad: QuadratureSpec,
-    profile: Callable[[float, int], np.ndarray],
+    profile: Callable[[np.ndarray, int], np.ndarray],
 ) -> np.ndarray:
     """Green's function at the rows of vs (nonnegative coordinates).
 
-    ``profile(t, m_max)`` gives the one-dimensional heat kernel k_t at
-    displacements 0..m_max; the product over coordinates is k_t(v).
+    ``profile(ts, m_max)`` gives, for each quadrature time t, the
+    one-dimensional heat kernel k_t at displacements 0..m_max; the product
+    over coordinates is k_t(v).
     """
     m_max = int(vs.max()) if vs.size else 0
     ts, ws, T = _green_plan(alpha, quad, m_max)
     kernel = np.ones((ts.size, vs.shape[0]))
-    for t_idx, t in enumerate(ts):
-        row = profile(t, m_max)
+    for t_idx, row in enumerate(profile(ts, m_max)):
         for axis in range(dim):
             kernel[t_idx] *= row[vs[:, axis]]
     integral = ws @ kernel + _green_tail(alpha, dim, vs, T)

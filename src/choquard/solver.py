@@ -32,6 +32,10 @@ the coupling grows (0.890, 0.672 and 0.421 at lam = 0.1, 1 and 100 for
 p = 2), so the descent from a warm start contracts faster the larger the
 coupling.  On the radius-16 sweeps at p = 1.55, 2, 3 and 6 no coupling
 row's random start beat its warm starts by more than 4e-16 relative.
+
+A random start leaves the descent as merged once its limit is certified to
+lie near an earlier start's (see _lockstep_descent): at p = 2 the random
+starts of the radius-32 solve merge after 7 of the 14 steps they take alone.
 """
 
 from __future__ import annotations
@@ -64,11 +68,15 @@ _INITIALIZERS = (INIT_WELL_BUMP, INIT_RANDOM_POSITIVE)
 STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
 STATUS_INADMISSIBLE = "inadmissible"
+STATUS_MERGED = "merged"
 
 _MIN_STEP = 1.0e-14
 # starts whose levels lie within this relative distance of the least level
 # are ties to round-off; the first of them in start order is reported
 _TIE_TOL = 1.0e-12
+# a random start merges into an earlier row once their limits are certified
+# to lie within this relative A-distance of each other (see _lockstep_descent)
+_MERGE_TOL = 1.0e-3
 
 
 @dataclass(frozen=True)
@@ -125,9 +133,12 @@ class IterationRecord:
 class StartRecord:
     """How one start of a ground_state ended.
 
-    ``status`` is converged, stalled (the descent failed) or inadmissible
-    (the start has no projection onto the constraint set); ``level`` is set
-    for converged starts only and ``reason`` for failed ones only.
+    ``status`` is converged, merged (the start left the descent once its
+    limit was certified to lie near an earlier start's), stalled (the
+    descent failed) or inadmissible (the start has no projection onto the
+    constraint set).  ``level`` is set for converged starts and, at the
+    merge, for merged ones; ``reason`` is set for every start that did not
+    converge.
     """
 
     label: str
@@ -157,6 +168,16 @@ class SolveResult:
     start_index: int = 0
     restart_spread: float = 0.0
     starts: Tuple[StartRecord, ...] = ()
+
+
+@dataclass(frozen=True)
+class _Merged:
+    """A row that left the descent at iteration ``iterations`` for the earlier row ``into``."""
+
+    into: int
+    iterations: int
+    level: float
+    history: Tuple[IterationRecord, ...]
 
 
 def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
@@ -220,23 +241,36 @@ def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.nd
     return out.reshape(rhs.shape)
 
 
-def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> list:
+def _lockstep_descent(
+    prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray, mergeable: Optional[np.ndarray] = None
+) -> list:
     """Projected descent from every row of x0 (free-site values) at once.
 
     Returns one outcome per row: a SolveResult when the row converges, a
-    ConvergenceError when it stalls, and a NoProjectionError when the start
-    admits no projection.  All rows take their steps together: one A x, one
-    linear_solve and one batched convolution per step and per line-search
-    round, with a per-row Armijo test.  A row leaves the batch when it
-    converges or fails.  Rows share no arithmetic, so each start ends as it
-    would alone.  Every start and every line-search trial convolves one row.
+    _Merged when it merges into an earlier row, a ConvergenceError when it
+    stalls, and a NoProjectionError when the start admits no projection.
+    All rows take their steps together: one A x, one linear_solve and one
+    batched convolution per step and per line-search round, with a per-row
+    Armijo test.  A row leaves the batch when it converges, merges or fails.
+    Rows share no arithmetic, so each row that does not merge ends as it
+    would alone, and a merged row's history is its lone run's up to the
+    merge.  Every start and every line-search trial convolves one row.
 
     A row at step k searches along d_k = z_k + beta_k s_{k-1} d_{k-1}, where
     z_k = A^{-1} g_k, s_{k-1} d_{k-1} is its last accepted step and
     beta_k = <g_k, z_k> / <g_{k-1}, z_{k-1}> (Fletcher-Reeves in the A^{-1}
     metric, 0 on the first step).  Where <g_k, d_k> <= 0 the row resets to
     d_k = z_k.  The Armijo test takes <g_k, d_k> as its slope; the stopping
-    test uses the dual residual sqrt(<g_k, z_k>).
+    test uses the dual residual delta_k = sqrt(<g_k, z_k>).
+
+    A row whose entry of ``mergeable`` is true (none when it is None) merges,
+    before its line search, into the first earlier row that has not merged
+    once ||x_i - sigma x_j||_A + R_i + R_j <= _MERGE_TOL ||x_j||_A, with
+    sigma the sign of <x_i, A x_j>.  A row's reach R = delta_k / (1 - rho),
+    with rho the larger of its last two ratios delta_k / delta_{k-1}, bounds
+    how far it still moves while its residual keeps contracting that fast;
+    R is infinite until two ratios exist and while rho >= 1.  The terms come
+    from the Gram matrix of x against A x, one k x k product per step.
     """
     two_p = 2.0 * prob.p
     outcomes = [None] * len(x0)
@@ -253,9 +287,13 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
     x = prob.restrict(start.values)[rows]
     pair = start.pair_energy[rows]
     conv = start.conv[rows]
-    # <g, z> and the accepted step s d of each row's previous iteration
+    may_merge = np.zeros(rows.size, dtype=bool) if mergeable is None else np.asarray(mergeable)[rows]
+    # <g, z>, the accepted step s d, the dual residual and its contraction
+    # ratio of each row's previous iteration
     last_slope = np.zeros(rows.size)
     last_step = np.zeros_like(x)
+    last_dual = np.zeros(rows.size)
+    last_ratio = np.full(rows.size, np.inf)
     for it in range(1, cfg.max_iterations + 1):
         if rows.size == 0:
             break
@@ -278,12 +316,16 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
         # what it does not need
         del z, last_step
         done = finite & (dual <= cfg.residual_tol * np.sqrt(a)) & (np.abs(defect) <= cfg.nehari_tol * a)
+        ratio = np.divide(dual, last_dual, out=np.full(rows.size, np.inf), where=last_dual > 0.0)
+        rho = np.maximum(ratio, last_ratio)
+        reach = np.divide(dual, 1.0 - rho, out=np.full(rows.size, np.inf), where=rho < 1.0)
+        into = _merge_targets(x, ax, a, reach, may_merge & finite & ~done)
 
         # line search, one round of trials at a time for the rows still
         # searching; near the minimizer the required decrease c*s*slope drops
         # below the round-off of the energy itself, and the noise allowance
         # keeps the search from rejecting the (locally contractive) full step
-        searching = finite & ~done
+        searching = finite & ~done & (into < 0)
         overflow = np.zeros(rows.size, dtype=bool)
         step = np.ones(rows.size)
         taken = np.zeros(rows.size)
@@ -327,6 +369,8 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
                     converged=True,
                     history=tuple(history),
                 )
+            elif into[pos] >= 0:
+                outcomes[i] = _Merged(rows[into[pos]], it, lv, tuple(history))
             elif st > 0.0:
                 keep[pos] = True
             else:
@@ -337,6 +381,7 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
                     history=tuple(history),
                 )
         last_slope, last_step = gz[keep], taken[keep, None] * direction[keep]
+        last_dual, last_ratio, may_merge = dual[keep], ratio[keep], may_merge[keep]
         rows, x, pair, conv = rows[keep], x[keep], pair[keep], conv[keep]
     for i in rows:
         history = histories[i]
@@ -346,6 +391,25 @@ def _lockstep_descent(prob: ProblemSpec, cfg: SolverConfig, x0: np.ndarray) -> l
             history=tuple(history),
         )
     return outcomes
+
+
+def _merge_targets(
+    x: np.ndarray, ax: np.ndarray, a: np.ndarray, reach: np.ndarray, eligible: np.ndarray
+) -> np.ndarray:
+    """Batch position of the row each eligible row merges into, else -1 (see _lockstep_descent)."""
+    into = np.full(a.size, -1)
+    candidates = np.nonzero(eligible & np.isfinite(reach))[0]
+    if candidates.size == 0:
+        return into
+    gram = np.abs(x[candidates] @ ax.T)
+    norm = np.sqrt(a)
+    for row, i in zip(gram, candidates):
+        j = np.nonzero(into[:i] < 0)[0]
+        dist = np.sqrt(np.maximum(a[i] + a[j] - 2.0 * row[j], 0.0))
+        hits = np.nonzero(dist + reach[i] + reach[j] <= _MERGE_TOL * norm[j])[0]
+        if hits.size:
+            into[i] = j[hits[0]]
+    return into
 
 
 def ground_state(
@@ -358,10 +422,14 @@ def ground_state(
     Runs projected descent from the primary initializer, ``cfg.restarts``
     random positive fields, and any extra starts, all in lockstep, and
     returns the first converged run, in start order, whose level is within a
-    relative 1e-12 of the least level, so that round-off among tied starts
-    cannot change the report.  Per-start levels of the converged starts and
-    their relative spread (max - min)/|min| are recorded in the result, and
-    ``starts`` records how every start ended, failed ones included.
+    relative 1e-12 of the least converged level, so that round-off among
+    tied starts cannot change the report.  The random starts alone may merge
+    into an earlier start (see _lockstep_descent); a merged start whose
+    target does not converge counts as stalled.  ``start_labels`` and
+    ``start_levels`` list the converged and merged starts, with a merged
+    start's level taken at the merge, ``restart_spread`` is their relative
+    spread (max - min)/|min|, and ``starts`` records how every start ended,
+    failed ones included.
     """
     rng = np.random.default_rng(cfg.seed)
     if cfg.initializer == INIT_RANDOM_POSITIVE:
@@ -376,10 +444,21 @@ def ground_state(
         labels.append(f"extra-{k}")
         starts.append(extra.values)
 
-    outcomes = _lockstep_descent(prob, cfg, prob.restrict(np.array(starts)))
-    records = tuple(_start_record(label, outcome) for label, outcome in zip(labels, outcomes))
-    converged = [(label, res) for label, res in zip(labels, outcomes) if isinstance(res, SolveResult)]
-    if not converged:
+    position = np.arange(len(starts))
+    mergeable = (position >= 1) & (position <= cfg.restarts)
+    outcomes = _lockstep_descent(prob, cfg, prob.restrict(np.array(starts)), mergeable)
+    # a target precedes its merged starts, so it is resolved before them
+    for i, out in enumerate(outcomes):
+        if isinstance(out, _Merged) and not isinstance(outcomes[out.into], (SolveResult, _Merged)):
+            last = out.history[-1]
+            outcomes[i] = ConvergenceError(
+                f"merged into {labels[out.into]} at iteration {out.iterations}, which did not converge",
+                residual=last.dual_residual / math.sqrt(last.norm_sq),
+                history=out.history,
+            )
+    records = tuple(_start_record(label, outcome, labels) for label, outcome in zip(labels, outcomes))
+    listed = [(label, out) for label, out in zip(labels, outcomes) if isinstance(out, (SolveResult, _Merged))]
+    if not listed:
         stalled = [(label, exc) for label, exc in zip(labels, outcomes) if isinstance(exc, ConvergenceError)]
         if not stalled:
             raise InitializerError("every start has vanishing pair energy; no admissible initial field")
@@ -391,24 +470,29 @@ def ground_state(
             history=exc.history,
         )
 
-    levels = tuple(res.level for _, res in converged)
-    least = min(levels)
-    best_pos = next(i for i, level in enumerate(levels) if level <= least + _TIE_TOL * abs(least))
-    best = converged[best_pos][1]
-    spread = (max(levels) - least) / abs(least)
+    levels = tuple(out.level for _, out in listed)
+    least = min(out.level for _, out in listed if isinstance(out, SolveResult))
+    best_pos = next(
+        i
+        for i, (_, out) in enumerate(listed)
+        if isinstance(out, SolveResult) and out.level <= least + _TIE_TOL * abs(least)
+    )
     return replace(
-        best,
-        start_labels=tuple(label for label, _ in converged),
+        listed[best_pos][1],
+        start_labels=tuple(label for label, _ in listed),
         start_levels=levels,
         start_index=best_pos,
-        restart_spread=spread,
+        restart_spread=(max(levels) - min(levels)) / abs(min(levels)),
         starts=records,
     )
 
 
-def _start_record(label: str, outcome) -> StartRecord:
+def _start_record(label: str, outcome, labels: Sequence[str]) -> StartRecord:
     if isinstance(outcome, SolveResult):
         return StartRecord(label, STATUS_CONVERGED, outcome.iterations, outcome.level, None)
+    if isinstance(outcome, _Merged):
+        reason = f"merged into {labels[outcome.into]} at iteration {outcome.iterations}"
+        return StartRecord(label, STATUS_MERGED, outcome.iterations, outcome.level, reason)
     if isinstance(outcome, ConvergenceError):
         return StartRecord(label, STATUS_STALLED, len(outcome.history), None, str(outcome))
     return StartRecord(label, STATUS_INADMISSIBLE, 0, None, str(outcome))
@@ -485,9 +569,9 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
     starts; once a coupling has converged, later rows run the well bump and
     the two warm starts only, since the warm starts carry the least basin
     found so far and mu2 falls as the coupling grows.  Each row keeps the
-    StartRecords of the starts it ran.  A row whose solve raises a package
-    error is marked as not converged, with no starts, and the sweep
-    continues.
+    StartRecords of the starts it ran, where the random starts may be
+    merged (see ground_state).  A row whose solve raises a package error is
+    marked as not converged, with no starts, and the sweep continues.
     """
     grid = tuple(float(x) for x in lambda_grid)
     if not grid:

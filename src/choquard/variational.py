@@ -36,8 +36,14 @@ MODES = (MODE_FULL, MODE_DIRICHLET)
 
 
 @lru_cache(maxsize=None)
-def _difference_matrices(window: LatticeWindow):
-    """Sparse Laplacian (window -> enlarged window) and the zero-extension embedding."""
+def _difference_operator(window: LatticeWindow) -> sparse.spmatrix:
+    """Sparse Delta^2 - Delta of fields zero-extended off the window.
+
+    Both terms read the Laplacian from the window to its enlargement by one
+    site; every problem on the window adds its own weight diagonal.  The
+    entries are integers of magnitude at most 4N^2 + 4N, kept as int16 so
+    that the cached matrix holds no more memory than the two factors did.
+    """
     big = window.enlarged(1)
     col = window.indices_of(big.sites)
     inside = np.nonzero(col >= 0)[0]
@@ -53,7 +59,7 @@ def _difference_matrices(window: LatticeWindow):
     embed = sparse.csr_matrix(
         (np.ones(inside.size), (inside, col[inside])), shape=(big.count, window.count)
     )
-    return lap, embed
+    return (lap.T @ lap - embed.T @ lap).astype(np.int16)
 
 
 @dataclass(frozen=True)
@@ -182,8 +188,7 @@ class ProblemSpec:
         """CSR matrix of Delta^2 - Delta + weight on the free sites."""
 
         def build():
-            lap, embed = _difference_matrices(self.window)
-            a = (lap.T @ lap - embed.T @ lap + sparse.diags(self.weight_values())).tocsr()
+            a = (_difference_operator(self.window) + sparse.diags(self.weight_values())).tocsr()
             if self.mode == MODE_DIRICHLET:
                 free = self.free_indices()
                 a = a[free][:, free].tocsr()

@@ -188,6 +188,13 @@ def test_solve_writes_deterministic_report_and_field(tmp_path, capsys):
     assert field_path.read_bytes() == field_bytes
 
 
+def test_solve_summary_counts_each_start_status(capsys):
+    # the five random starts merge into the well bump's basin; a count of
+    # converged starts read from start_levels would list them as converged
+    assert main(["solve", "--radius", "6", "--lambda", "5", "--omega-radius", "1"]) == 0
+    assert "iterations = 10  starts tried = 6  converged = 1  merged = 5\n" in capsys.readouterr().out
+
+
 def test_solve_dirichlet_mode(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     argv = ["solve", "--config", cfg, "--radius", "6", "--omega-radius", "1", "--mode", "dirichlet"]
@@ -271,7 +278,14 @@ def test_sweep_row_whose_every_start_is_inadmissible_fails(tmp_path, monkeypatch
     assert report["all_converged"] is False
     well = report["well_result"]
     assert well["converged"] is True
-    assert [entry["status"] for entry in well["starts"]] == ["converged"] * 6
+    assert [(entry["status"], entry["iterations"], entry["reason"]) for entry in well["starts"]] == [
+        ("converged", 9, None),
+        ("merged", 7, "merged into well-bump at iteration 7"),
+        ("merged", 6, "merged into well-bump at iteration 6"),
+        ("merged", 7, "merged into well-bump at iteration 7"),
+        ("merged", 7, "merged into well-bump at iteration 7"),
+        ("merged", 7, "merged into well-bump at iteration 7"),
+    ]
     assert "lambda=10: did not converge" in capsys.readouterr().out
 
 

@@ -251,24 +251,20 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
 
 
 # per-start outcomes of ground_state(desk_prob, SolverConfig()) under the
-# Fletcher-Reeves descent; each start descending on its own takes the same
-# number of steps (steepest descent took 10, 21, 21, 20, 21 and 19)
-DESK_DEFAULT_STARTS = [
-    ("well-bump", 8),
-    ("random-positive-1", 14),
-    ("random-positive-2", 14),
-    ("random-positive-3", 14),
-    ("random-positive-4", 14),
-    ("random-positive-5", 14),
+# Fletcher-Reeves descent: every random start merges into the well bump's
+# basin at iteration 7, where alone it would converge at iteration 14
+# (steepest descent took 10, 21, 21, 20, 21 and 19 steps)
+DESK_DEFAULT_STARTS = [("well-bump", "converged", 8, None)] + [
+    (f"random-positive-{k}", "merged", 7, "merged into well-bump at iteration 7") for k in range(1, 6)
 ]
+DESK_ALONE_ITERATIONS = 14
 
 
 def test_ground_state_keeps_the_sequential_per_start_outcomes(desk_default_solve):
     res = desk_default_solve
-    assert [(rec.label, rec.iterations) for rec in res.starts] == DESK_DEFAULT_STARTS
-    assert all(rec.status == "converged" and rec.reason is None for rec in res.starts)
+    assert [(rec.label, rec.status, rec.iterations, rec.reason) for rec in res.starts] == DESK_DEFAULT_STARTS
     assert [rec.level for rec in res.starts] == list(res.start_levels)
-    assert res.start_labels == tuple(label for label, _ in DESK_DEFAULT_STARTS)
+    assert res.start_labels == tuple(label for label, *_ in DESK_DEFAULT_STARTS)
     assert res.start_index == 0
     assert res.iterations == 8
 
@@ -282,12 +278,40 @@ def _run_alone(prob, cfg, position):
     return outcome
 
 
+def _check_alone_matches(alone, rec):
+    """A converged start ends as it does alone; a merged one left its lone run's path at the merge."""
+    if rec.status == "converged":
+        assert alone.iterations == rec.iterations
+        assert alone.level == pytest.approx(rec.level, rel=1e-13, abs=0.0)
+    else:
+        assert alone.iterations > rec.iterations
+        assert alone.history[rec.iterations - 1].energy == rec.level
+
+
 @pytest.mark.parametrize("position", [0, 3])
 def test_ground_state_start_alone_matches_its_batch_row(desk_prob, desk_default_solve, position):
     alone = _run_alone(desk_prob, SolverConfig(), position)
     in_batch = desk_default_solve.starts[position]
-    assert alone.iterations == in_batch.iterations
-    assert alone.level == pytest.approx(in_batch.level, rel=1e-13, abs=0.0)
+    assert in_batch.status == DESK_DEFAULT_STARTS[position][1]
+    _check_alone_matches(alone, in_batch)
+    assert alone.iterations == (DESK_ALONE_ITERATIONS if position else 8)
+
+
+# (status, iterations, reason) of each start with backtracking rows
+BACKTRACKING_STARTS = {
+    "small_prob": [
+        ("converged", 18, None),
+        ("converged", 32, None),
+        ("merged", 21, "merged into random-positive-1 at iteration 21"),
+        ("merged", 22, "merged into random-positive-1 at iteration 22"),
+    ],
+    "small_dirichlet": [
+        ("converged", 38, None),
+        ("merged", 18, "merged into well-bump at iteration 18"),
+        ("merged", 16, "merged into random-positive-1 at iteration 16"),
+        ("merged", 9, "merged into random-positive-2 at iteration 9"),
+    ],
+}
 
 
 @pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
@@ -296,11 +320,9 @@ def test_backtracking_starts_alone_match_their_batch_rows(request, name):
     # a demanding decrease test makes rows backtrack by different amounts
     cfg = SolverConfig(restarts=3, residual_tol=1e-10, sufficient_decrease=0.5, shrink=0.3)
     batch = c.ground_state(prob, cfg)
-    assert [rec.status for rec in batch.starts] == ["converged"] * 4
+    assert [(rec.status, rec.iterations, rec.reason) for rec in batch.starts] == BACKTRACKING_STARTS[name]
     for position, rec in enumerate(batch.starts):
-        alone = _run_alone(prob, cfg, position)
-        assert alone.iterations == rec.iterations
-        assert alone.level == pytest.approx(rec.level, rel=1e-13, abs=0.0)
+        _check_alone_matches(_run_alone(prob, cfg, position), rec)
 
 
 def test_ground_state_survives_an_overflowing_start(small_prob):
@@ -309,7 +331,7 @@ def test_ground_state_survives_an_overflowing_start(small_prob):
     res = c.ground_state(small_prob, SolverConfig(), extra_starts=extras)
     assert res.converged
     assert [rec.label for rec in res.starts][-2:] == ["extra-0", "extra-1"]
-    assert [rec.status for rec in res.starts] == ["converged"] * 6 + ["inadmissible"] * 2
+    assert [rec.status for rec in res.starts] == ["converged"] + ["merged"] * 5 + ["inadmissible"] * 2
     overflow, point = res.starts[-2:]
     assert overflow.reason == "squared norm or pair energy is not finite"
     assert point.reason == "pair energy vanishes; no scale meets the constraint"
@@ -340,10 +362,11 @@ def test_ground_state_overflowing_trial_stalls_only_its_start(small_prob, monkey
 
     monkeypatch.setattr(c.solver, "linear_solve", blow_up_second_row)
     res = c.ground_state(small_prob, SolverConfig(restarts=2, residual_tol=1e-10))
-    assert [rec.status for rec in res.starts] == ["converged", "stalled", "converged"]
+    assert [rec.status for rec in res.starts] == ["converged", "stalled", "merged"]
     stalled = res.starts[1]
     assert stalled.iterations == 1 and stalled.level is None
     assert stalled.reason.startswith("a line-search trial is not finite at iteration 1")
+    assert res.starts[2].reason == "merged into well-bump at iteration 8"
     assert res.start_labels == ("well-bump", "random-positive-2")
 
 
@@ -367,9 +390,11 @@ def test_ground_state_cg_stall_fails_only_its_start(cube_table, monkeypatch):
 
     monkeypatch.setattr(c.solver, "cg_solve", stall_second_call)
     res = c.ground_state(cube, SolverConfig(restarts=2))
-    assert [rec.status for rec in res.starts] == ["converged", "stalled", "converged"]
+    assert [rec.status for rec in res.starts] == ["converged", "stalled", "merged"]
     assert res.starts[1].reason == "search direction is not finite at iteration 1"
     assert res.starts[1].iterations == 0
+    assert res.starts[2].reason == "merged into well-bump at iteration 10"
+    assert res.starts[2].iterations == 10
 
 
 @settings(max_examples=25, deadline=None)
@@ -391,6 +416,85 @@ def test_descent_safeguard_never_raises_the_energy(small_prob, small_dirichlet, 
         assert all(rec.step > 0.0 for rec in history[:-1])
 
 
+def _a_distance(u, v, prob):
+    """Sign-aligned A-distance of two converged fields."""
+    return math.sqrt(min(c.norm_sq(u - v, prob), c.norm_sq(u + v, prob)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.floats(1.6, 4.0), dirichlet=st.booleans())
+def test_merged_start_follows_its_lone_run_into_the_target_basin(small_prob, small_dirichlet, seed, p, dirichlet):
+    # a merged row stops on its lone path, and that path ends within the
+    # merge tolerance of its target's limit, never below the reported level
+    prob = dataclasses.replace(small_dirichlet if dirichlet else small_prob, p=p)
+    cfg = SolverConfig()
+    starts = prob.restrict(np.random.default_rng(seed).random((4, prob.window.count)))
+    outcomes = c.solver._lockstep_descent(prob, cfg, starts, np.array([False, True, True, True]))
+    reported = min(out.level for out in outcomes if isinstance(out, c.SolveResult))
+    for i, out in enumerate(outcomes):
+        if not isinstance(out, c.solver._Merged):
+            assert isinstance(out, c.SolveResult)
+            continue
+        assert out.into < i
+        alone, target = (c.solver._lockstep_descent(prob, cfg, starts[[k]])[0] for k in (i, out.into))
+        k = out.iterations
+        assert alone.history[: k - 1] == out.history[:-1]
+        # the merge iteration takes no step
+        assert out.history[-1] == dataclasses.replace(alone.history[k - 1], step=0.0)
+        norm = math.sqrt(c.norm_sq(target.u, prob))
+        assert _a_distance(alone.u, target.u, prob) <= c.solver._MERGE_TOL * norm
+        assert alone.level >= reported * (1.0 - 1e-12)
+
+
+def test_ground_state_reports_only_a_converged_start(small_prob, monkeypatch):
+    # a merged start's level is taken at the merge; even below every
+    # converged level it is listed, but never reported
+    real = c.solver._lockstep_descent
+
+    def reorder_the_levels(prob, cfg, x0, mergeable=None):
+        outcomes = real(prob, cfg, x0, mergeable)
+        for i, shift in ((0, 1.0), (1, -1.0)):
+            outcomes[i] = dataclasses.replace(outcomes[i], level=outcomes[i].level + shift)
+        return outcomes
+
+    extra = c.ground_state(small_prob, SolverConfig(restarts=0)).u
+    monkeypatch.setattr(c.solver, "_lockstep_descent", reorder_the_levels)
+    res = c.ground_state(small_prob, SolverConfig(restarts=1), extra_starts=(extra,))
+    assert [rec.status for rec in res.starts] == ["converged", "merged", "converged"]
+    assert res.start_index == 2
+    assert res.level == res.starts[2].level
+    least = res.start_levels[1]
+    assert least == res.starts[1].level < res.level
+    assert res.restart_spread == (res.starts[0].level - least) / abs(least)
+
+
+def test_merged_start_stalls_with_its_target(small_prob, monkeypatch):
+    # the well bump's direction turns non-finite once the random starts have
+    # merged into it; they share its failure, and the extra start converges
+    real = c.solver.linear_solve
+
+    def fail_well_bump_after_the_merges(rhs, prob, cfg):
+        out = real(rhs, prob, cfg)
+        if out.shape[0] == 1:
+            out[0] = np.nan
+        return out
+
+    extra = c.ground_state(small_prob, SolverConfig(restarts=0)).u
+    monkeypatch.setattr(c.solver, "linear_solve", fail_well_bump_after_the_merges)
+    res = c.ground_state(small_prob, SolverConfig(restarts=2), extra_starts=(extra,))
+    assert [(rec.label, rec.status, rec.iterations) for rec in res.starts] == [
+        ("well-bump", "stalled", 8),
+        ("random-positive-1", "stalled", 8),
+        ("random-positive-2", "stalled", 8),
+        ("extra-0", "converged", 1),
+    ]
+    assert res.starts[0].reason == "search direction is not finite at iteration 9"
+    for rec in res.starts[1:3]:
+        assert rec.reason == "merged into well-bump at iteration 8, which did not converge"
+        assert rec.level is None
+    assert res.start_labels == ("extra-0",)
+
+
 def test_near_critical_exponent_reaches_the_lower_level(desk_prob, monkeypatch):
     # p just above (N + alpha)/N = 1.5 the landscape holds several strict
     # local minima within 5e-6 of each other; steepest descent stopped at
@@ -406,6 +510,9 @@ def test_near_critical_exponent_reaches_the_lower_level(desk_prob, monkeypatch):
     prob = dataclasses.replace(desk_prob, p=1.55, lam=1.0)
     res = c.ground_state(prob, SolverConfig())
     assert res.level <= 6.957982533342486 * (1.0 + 1e-12)
+    # the distinct minima here lie 1.6e-3 to 4.4e-3 apart in A-distance, so
+    # no start may be certified into another's basin
+    assert not [rec for rec in res.starts if rec.status == "merged"]
     # the reset keeps the line search out of non-descent directions: 1214
     # rows here, against 1722 for steepest descent and 1793 without the reset
     assert sum(rows) <= 1300
@@ -563,11 +670,22 @@ def test_lambda_sweep_runs_random_starts_until_a_coupling_converges(small_prob):
     assert [rec.label for rec in report.well_result.starts] == [
         "well-bump", "random-positive-1", "random-positive-2", "random-positive-3",
     ]
+    assert [(rec.status, rec.iterations, rec.reason) for rec in report.well_result.starts] == [
+        ("converged", 7, None),
+        ("merged", 6, "merged into well-bump at iteration 6"),
+        ("merged", 7, "merged into well-bump at iteration 7"),
+        ("merged", 6, "merged into well-bump at iteration 6"),
+    ]
     first, *later = _sweep_row_labels(report)
     assert first == ["well-bump", "random-positive-1", "random-positive-2", "random-positive-3", "extra-0"]
     assert later == [["well-bump", "extra-0", "extra-1"]] * 3
-    for row in report.rows:
+    merged = ("merged", 10, "merged into well-bump at iteration 10")
+    assert [(rec.status, rec.iterations, rec.reason) for rec in report.rows[0].starts] == [
+        ("converged", 10, None), merged, merged, merged, ("converged", 13, None),
+    ]
+    for row in report.rows[1:]:
         assert all(rec.status == "converged" for rec in row.starts)
+    for row in report.rows:
         assert row.level <= min(rec.level for rec in row.starts) * (1.0 + 1e-12)
 
 
