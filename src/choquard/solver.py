@@ -61,10 +61,6 @@ from .errors import (
 from .fields import Field
 from .variational import MODE_DIRICHLET, MODE_FULL, ProblemSpec
 
-INIT_WELL_BUMP = "well-bump"
-INIT_RANDOM_POSITIVE = "random-positive"
-_INITIALIZERS = (INIT_WELL_BUMP, INIT_RANDOM_POSITIVE)
-
 STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
 STATUS_INADMISSIBLE = "inadmissible"
@@ -77,46 +73,40 @@ _TIE_TOL = 1.0e-12
 # a random start merges into an earlier row once their limits are certified
 # to lie within this relative A-distance of each other (see _lockstep_descent)
 _MERGE_TOL = 1.0e-3
+# dimension >= 3 solves by CG to this relative residual within this many
+# iterations; dimension <= 2 solves with a cached sparse LU factor
+_CG_TOL = 1.0e-10
+_CG_MAX_ITERATIONS = 5000
+# the Armijo test's decrease factor, and the step's shrink per rejected trial
+_SUFFICIENT_DECREASE = 1.0e-4
+_SHRINK = 0.5
+# the largest relative constraint defect |a - D| / a of a converged start
+_NEHARI_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent, linear-solve, and restart parameters.
+    """Descent and restart parameters.
 
-    ``cg_tol`` and ``cg_max_iterations`` apply to the CG solve used in
-    dimension >= 3 only; dimension <= 2 solves with a cached sparse LU factor.
-    ``restarts`` random positive starts join the primary start in a lone
+    ``restarts`` random positive starts join the well-bump start in a lone
     solve, on a sweep's well problem, and in its coupling rows until one
     coupling has converged (see lambda_sweep).
     """
 
     max_iterations: int = 400
     residual_tol: float = 1.0e-8
-    nehari_tol: float = 1.0e-10
-    cg_tol: float = 1.0e-10
-    cg_max_iterations: int = 5000
-    shrink: float = 0.5
-    sufficient_decrease: float = 1.0e-4
-    initializer: str = INIT_WELL_BUMP
     restarts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("residual_tol", "nehari_tol", "cg_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ParameterError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if not 0.0 < self.sufficient_decrease < 1.0:
-            raise ParameterError(f"sufficient_decrease must lie in (0, 1), got {self.sufficient_decrease}")
-        if self.max_iterations < 1 or self.cg_max_iterations < 1:
-            raise ParameterError("iteration limits must be >= 1")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ParameterError(f"residual_tol must be finite and > 0, got {self.residual_tol}")
+        if self.max_iterations < 1:
+            raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.restarts < 0:
             raise ParameterError(f"restarts must be >= 0, got {self.restarts}")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.initializer not in _INITIALIZERS:
-            raise ParameterError(f"initializer must be one of {_INITIALIZERS}, got {self.initializer!r}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +176,7 @@ def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
     return Field(prob.window, prob.extend(_var.operator_values(prob.restrict(u.values), prob)))
 
 
-def cg_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
+def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Solve A x = rhs for one row of free-site values by diagonally preconditioned CG."""
     n_free = prob.free_indices().size
     if rhs.shape != (n_free,):
@@ -196,18 +186,18 @@ def cg_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarra
         return np.zeros(n_free)
     matrix = prob.operator_matrix()
     precond = diags(1.0 / prob.operator_diagonal())
-    x, info = _scipy_cg(matrix, rhs, rtol=cfg.cg_tol, atol=0.0, maxiter=cfg.cg_max_iterations, M=precond)
+    x, info = _scipy_cg(matrix, rhs, rtol=_CG_TOL, atol=0.0, maxiter=_CG_MAX_ITERATIONS, M=precond)
     if info != 0:
         residual = float(np.linalg.norm(matrix @ x - rhs)) / b_norm
         raise ConvergenceError(
-            f"linear solve stalled after {cfg.cg_max_iterations} iterations "
+            f"linear solve stalled after {_CG_MAX_ITERATIONS} iterations "
             f"(relative residual {residual:.3e})",
             residual=residual,
         )
     return x
 
 
-def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.ndarray:
+def linear_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Solve A x = rhs for every row of free-site values rhs.
 
     ``rhs`` holds one right-hand side per row of at most one leading axis,
@@ -235,7 +225,7 @@ def linear_solve(rhs: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> np.nd
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
         try:
-            out[i] = cg_solve(row, prob, cfg)
+            out[i] = cg_solve(row, prob)
         except ConvergenceError:
             out[i] = np.nan
     return out.reshape(rhs.shape)
@@ -302,7 +292,7 @@ def _lockstep_descent(
         level = 0.5 * a - pair / two_p
         defect = a - pair
         grad = _var.gradient_values(x, ax, conv, prob)
-        z = linear_solve(grad, prob, cfg)
+        z = linear_solve(grad, prob)
         finite = np.isfinite(z).all(axis=1)
         gz = row_dot(grad, z)
         dual = np.sqrt(np.maximum(gz, 0.0))
@@ -315,7 +305,7 @@ def _lockstep_descent(
         # the line search's batched convolutions set the peak memory; free
         # what it does not need
         del z, last_step
-        done = finite & (dual <= cfg.residual_tol * np.sqrt(a)) & (np.abs(defect) <= cfg.nehari_tol * a)
+        done = finite & (dual <= cfg.residual_tol * np.sqrt(a)) & (np.abs(defect) <= _NEHARI_TOL * a)
         ratio = np.divide(dual, last_dual, out=np.full(rows.size, np.inf), where=last_dual > 0.0)
         rho = np.maximum(ratio, last_ratio)
         reach = np.divide(dual, 1.0 - rho, out=np.full(rows.size, np.inf), where=rho < 1.0)
@@ -337,7 +327,7 @@ def _lockstep_descent(
             trial = _var.project_values(prob.extend(x[live] - step[live, None] * direction[live]), prob)
             ok = np.isfinite(trial.energy)
             bad = ~ok & ~trial.vanishes
-            bound = (level - cfg.sufficient_decrease * step * slope + noise)[live]
+            bound = (level - _SUFFICIENT_DECREASE * step * slope + noise)[live]
             passed = ok & (trial.energy <= bound)
             # accepted rows leave the search, so their iterate is replaced in place
             won = live[passed]
@@ -347,7 +337,7 @@ def _lockstep_descent(
             taken[won] = step[won]
             overflow[live[bad]] = True
             searching[live[passed | bad]] = False
-            step[live[~passed & ~bad]] *= cfg.shrink
+            step[live[~passed & ~bad]] *= _SHRINK
 
         keep = np.zeros(rows.size, dtype=bool)
         values = zip(rows, level.tolist(), a.tolist(), defect.tolist(), dual.tolist(), taken.tolist())
@@ -419,7 +409,7 @@ def ground_state(
 ) -> SolveResult:
     """Least-level minimizer over the configured starts.
 
-    Runs projected descent from the primary initializer, ``cfg.restarts``
+    Runs projected descent from a smoothed well bump, ``cfg.restarts``
     random positive fields, and any extra starts, all in lockstep, and
     returns the first converged run, in start order, whose level is within a
     relative 1e-12 of the least converged level, so that round-off among
@@ -432,10 +422,7 @@ def ground_state(
     failed ones included.
     """
     rng = np.random.default_rng(cfg.seed)
-    if cfg.initializer == INIT_RANDOM_POSITIVE:
-        labels, starts = ["random-positive-0"], [rng.random(prob.window.count)]
-    else:
-        labels, starts = [INIT_WELL_BUMP], [bump_field(prob.window, prob.well, smoothing_time=1.0).values]
+    labels, starts = ["well-bump"], [bump_field(prob.window, prob.well, smoothing_time=1.0).values]
     for k in range(cfg.restarts):
         labels.append(f"random-positive-{k + 1}")
         starts.append(rng.random(prob.window.count))
@@ -461,7 +448,7 @@ def ground_state(
     if not listed:
         stalled = [(label, exc) for label, exc in zip(labels, outcomes) if isinstance(exc, ConvergenceError)]
         if not stalled:
-            raise InitializerError("every start has vanishing pair energy; no admissible initial field")
+            raise InitializerError(f"no start is admissible; last failure [{labels[-1]}]: {outcomes[-1]}")
         label, exc = stalled[-1]
         raise ConvergenceError(
             f"no start converged ({len(stalled)} stalled, "
@@ -517,6 +504,7 @@ class SweepRow:
     iterations: Optional[int]
     dual_residual: Optional[float] = field(metadata={"key": "residual"})
     starts: Tuple[StartRecord, ...]
+    reason: Optional[str]
 
 
 @dataclass(frozen=True)
@@ -571,7 +559,8 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
     found so far and mu2 falls as the coupling grows.  Each row keeps the
     StartRecords of the starts it ran, where the random starts may be
     merged (see ground_state).  A row whose solve raises a package error is
-    marked as not converged, with no starts, and the sweep continues.
+    marked as not converged, with no starts and the error as its reason,
+    and the sweep continues.
     """
     grid = tuple(float(x) for x in lambda_grid)
     if not grid:
@@ -596,8 +585,8 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
             extras, row_cfg = (u_ref, previous), replace(cfg, restarts=0)
         try:
             res = ground_state(prob, row_cfg, extra_starts=extras)
-        except ChoquardError:
-            rows.append(SweepRow(lam, False, None, None, None, None, None, ()))
+        except ChoquardError as exc:
+            rows.append(SweepRow(lam, False, None, None, None, None, None, (), f"{type(exc).__name__}: {exc}"))
             continue
         previous = res.u
         a_vals = prob.potential.values_on(prob.window)
@@ -612,6 +601,7 @@ def lambda_sweep(base: ProblemSpec, lambda_grid: Sequence[float], cfg: SolverCon
                 iterations=res.iterations,
                 dual_residual=res.dual_residual,
                 starts=res.starts,
+                reason=None,
             )
         )
     rows = tuple(rows)

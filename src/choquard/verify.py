@@ -71,7 +71,10 @@ def _suite_ops(prob: ProblemSpec, seed: int) -> SuiteResult:
         v = _random_field(prob, rng)
         au = apply_quadratic_operator(u, prob)
         av = apply_quadratic_operator(v, prob)
-        worst_sym = max(worst_sym, _rel_gap(float(v.values @ au.values), float(u.values @ av.values)))
+        # v.Au cancels for sign-changing fields, so the gap is measured
+        # against the dot product's round-off scale sum_i |v_i (Au)_i|
+        gap = abs(float(v.values @ au.values) - float(u.values @ av.values))
+        worst_sym = max(worst_sym, gap / float(np.abs(v.values) @ np.abs(au.values)))
         quad = float(u.values @ au.values)
         if prob.mode == MODE_FULL:
             direct = _calculus.energy_norm_sq(u, prob.potential, prob.lam)
@@ -79,12 +82,15 @@ def _suite_ops(prob: ProblemSpec, seed: int) -> SuiteResult:
             direct = _calculus.dirichlet_norm_sq(u, prob.well)
         worst_form = max(worst_form, _rel_gap(quad, direct))
         positive = positive and quad >= float(u.values @ u.values) - 1.0e-9 * quad
+    matrix = prob.operator_matrix()
+    exactly_symmetric = (matrix != matrix.T).nnz == 0
 
     passed = (
         worst_parts <= 1.0e-12
         and worst_dist <= 1.0e-12
         and anchor_gap <= 1.0e-12
         and worst_sym <= 1.0e-12
+        and exactly_symmetric
         and worst_form <= 1.0e-10
         and positive
     )
@@ -96,6 +102,7 @@ def _suite_ops(prob: ProblemSpec, seed: int) -> SuiteResult:
             "distributional_identity_max": worst_dist,
             "point_mass_norm_gap": anchor_gap,
             "operator_symmetry_max": worst_sym,
+            "operator_exactly_symmetric": exactly_symmetric,
             "operator_form_gap_max": worst_form,
             "operator_positive": positive,
         },

@@ -151,9 +151,11 @@ def test_removed_cache_option_is_rejected(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"output": {"cache_dir": "x"}}))
     assert main(["kernel", "--radius", "6", "--config", str(cfg_path)]) == 1
     assert "unknown configuration key output.cache_dir" in capsys.readouterr().err
-    cfg_path.write_text(json.dumps({"problem": {"potential_bound": 1.0}}))
-    assert main(["solve", "--radius", "6", "--config", str(cfg_path)]) == 1
-    assert "unknown configuration key problem.potential_bound" in capsys.readouterr().err
+    solver_keys = ("cg_tol", "cg_max_iterations", "shrink", "sufficient_decrease", "nehari_tol", "initializer")
+    for block, key in [("problem", "potential_bound")] + [("solver", key) for key in solver_keys]:
+        cfg_path.write_text(json.dumps({block: {key: 1.0}}))
+        assert main(["solve", "--radius", "6", "--config", str(cfg_path)]) == 1
+        assert f"unknown configuration key {block}.{key}" in capsys.readouterr().err
 
 
 def test_kernel_command_rejects_out_of_range_alpha(capsys):
@@ -246,8 +248,8 @@ def test_sweep_convergence_failure_exit_code(tmp_path, capsys):
 def test_sweep_non_finite_direction_is_a_convergence_failure(tmp_path, monkeypatch, capsys):
     real = solver.linear_solve
 
-    def broken(rhs, prob, cfg):
-        out = real(rhs, prob, cfg)
+    def broken(rhs, prob):
+        out = real(rhs, prob)
         if prob.mode == "full":
             out[:] = np.nan
         return out
@@ -286,6 +288,9 @@ def test_sweep_row_whose_every_start_is_inadmissible_fails(tmp_path, monkeypatch
         ("merged", 7, "merged into well-bump at iteration 7"),
         ("merged", 7, "merged into well-bump at iteration 7"),
     ]
+    assert [row["reason"] for row in report["rows"]] == [
+        "InitializerError: no start is admissible; last failure [extra-0]: squared norm or pair energy is not finite",
+    ] * 2
     assert "lambda=10: did not converge" in capsys.readouterr().out
 
 
@@ -306,6 +311,7 @@ def test_sweep_row_that_raises_is_recorded_and_the_sweep_continues(tmp_path, mon
     assert [row["converged"] for row in report["rows"]] == [True, False, True]
     assert report["rows"][1]["m_lambda"] is None
     assert report["rows"][1]["starts"] == []
+    assert [row["reason"] for row in report["rows"]] == [None, "InternalError: injected failure", None]
     assert [entry["label"] for entry in report["rows"][2]["starts"]] == ["well-bump", "extra-0", "extra-1"]
     assert report["all_converged"] is False
     assert "lambda=10: did not converge" in capsys.readouterr().out

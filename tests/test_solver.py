@@ -27,33 +27,17 @@ from choquard import (
 
 def test_solver_config_validation_and_round_trip():
     cfg = SolverConfig()
+    assert [f.name for f in dataclasses.fields(cfg)] == ["max_iterations", "residual_tol", "restarts", "seed"]
     assert SolverConfig(**dataclasses.asdict(cfg)) == cfg
-    with pytest.raises(ParameterError):
-        SolverConfig(residual_tol=0.0)
-    with pytest.raises(ParameterError):
-        SolverConfig(nehari_tol=-1.0)
-    with pytest.raises(ParameterError):
-        SolverConfig(cg_tol=0.0)
-    for name in ("residual_tol", "nehari_tol", "cg_tol"):
-        for value in (math.inf, math.nan):
-            with pytest.raises(ParameterError):
-                SolverConfig(**{name: value})
-    with pytest.raises(ParameterError):
-        SolverConfig(shrink=1.0)
-    with pytest.raises(ParameterError):
-        SolverConfig(sufficient_decrease=0.0)
-    with pytest.raises(ParameterError):
+    for value in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="residual_tol must be finite and > 0"):
+            SolverConfig(residual_tol=value)
+    with pytest.raises(ParameterError, match="max_iterations must be >= 1"):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ParameterError):
-        SolverConfig(cg_max_iterations=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="restarts must be >= 0"):
         SolverConfig(restarts=-1)
     with pytest.raises(ParameterError, match="seed must be >= 0"):
         SolverConfig(seed=-1)
-    with pytest.raises(ParameterError):
-        SolverConfig(initializer="warm")
-    with pytest.raises(ParameterError):
-        SolverConfig(initializer="supplied")
 
 
 def test_apply_quadratic_operator_matches_norm(small_prob, small_dirichlet):
@@ -72,30 +56,32 @@ def test_apply_quadratic_operator_matches_norm(small_prob, small_dirichlet):
         c.apply_quadratic_operator(Field(small_dirichlet.window, np.ones(small_dirichlet.window.count)), small_dirichlet)
 
 
-def test_cg_solve_accuracy_and_failure(small_prob):
+def test_cg_solve_accuracy_and_failure(small_prob, monkeypatch):
     rng = np.random.default_rng(31)
     rhs = rng.standard_normal(small_prob.free_indices().size)
-    cfg = SolverConfig(cg_tol=1e-12)
-    x = c.cg_solve(rhs, small_prob, cfg)
+    monkeypatch.setattr(c.solver, "_CG_TOL", 1e-12)
+    x = c.cg_solve(rhs, small_prob)
     residual = small_prob.operator_matrix() @ x - rhs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
-    zero = c.cg_solve(np.zeros(rhs.size), small_prob, cfg)
+    zero = c.cg_solve(np.zeros(rhs.size), small_prob)
     assert zero.shape == rhs.shape and not zero.any()
     with pytest.raises(InputError):
-        c.cg_solve(np.zeros(get_window(2, 4).count), small_prob, cfg)
-    with pytest.raises(ConvergenceError) as info:
-        c.cg_solve(rhs, small_prob, SolverConfig(cg_max_iterations=1))
+        c.cg_solve(np.zeros(get_window(2, 4).count), small_prob)
+    monkeypatch.setattr(c.solver, "_CG_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="stalled after 1 iterations") as info:
+        c.cg_solve(rhs, small_prob)
     assert info.value.residual > 0.0
 
 
-def test_dual_residual_is_directional_supremum(small_prob):
+def test_dual_residual_is_directional_supremum(small_prob, monkeypatch):
     rng = np.random.default_rng(32)
     _, u = c.nehari_project(
         Field(small_prob.window, np.abs(rng.standard_normal(small_prob.window.count)) + 0.1),
         small_prob,
     )
     grad = c.euler_lagrange_residual(u, small_prob)
-    rep = c.cg_solve(grad.values, small_prob, SolverConfig(cg_tol=1e-12))
+    monkeypatch.setattr(c.solver, "_CG_TOL", 1e-12)
+    rep = c.cg_solve(grad.values, small_prob)
     dual = math.sqrt(float(grad.values @ rep))
 
     def pairing(vals):
@@ -113,15 +99,16 @@ def test_dual_residual_is_directional_supremum(small_prob):
 
 
 @pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
-def test_linear_solve_factor_residual_and_agreement_with_cg(request, name):
+def test_linear_solve_factor_residual_and_agreement_with_cg(request, name, monkeypatch):
     prob = request.getfixturevalue(name)
     rhs = np.random.default_rng(33).standard_normal(prob.free_indices().size)
-    x = c.linear_solve(rhs, prob, SolverConfig())
+    x = c.linear_solve(rhs, prob)
     assert prob.operator_factor() is prob.operator_factor()
     assert x.shape == rhs.shape
     residual = prob.operator_matrix() @ x - rhs
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
-    ref = c.cg_solve(rhs, prob, SolverConfig(cg_tol=1e-12))
+    monkeypatch.setattr(c.solver, "_CG_TOL", 1e-12)
+    ref = c.cg_solve(rhs, prob)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(x)
 
 
@@ -143,10 +130,10 @@ def test_restrict_and_extend_move_rows_to_and_from_the_free_sites(small_prob, sm
 def test_linear_solve_rows_match_single_solves(request, name):
     prob = request.getfixturevalue(name)
     rhs = np.random.default_rng(36).standard_normal((4, prob.free_indices().size))
-    x = c.linear_solve(rhs, prob, SolverConfig())
+    x = c.linear_solve(rhs, prob)
     assert x.shape == rhs.shape
     for row, sol in zip(rhs, x):
-        alone = c.linear_solve(row, prob, SolverConfig())
+        alone = c.linear_solve(row, prob)
         assert np.abs(sol - alone).max() <= 1e-15 * np.abs(alone).max()
 
 
@@ -162,33 +149,31 @@ def test_linear_solve_routes_by_dimension(small_prob, cube_table, monkeypatch):
     dims = []
     real = c.solver.cg_solve
 
-    def spy(rhs, prob, cfg):
+    def spy(rhs, prob):
         dims.append(prob.dim)
-        return real(rhs, prob, cfg)
+        return real(rhs, prob)
 
     monkeypatch.setattr(c.solver, "cg_solve", spy)
+    monkeypatch.setattr(c.solver, "_CG_TOL", 1e-12)
     rng = np.random.default_rng(34)
     for prob in (small_prob, cube):
         rhs = rng.standard_normal(prob.free_indices().size)
-        x = c.linear_solve(rhs, prob, SolverConfig(cg_tol=1e-12))
+        x = c.linear_solve(rhs, prob)
         assert np.linalg.norm(prob.operator_matrix() @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
     assert dims == [3]
 
 
+# a demanding decrease test makes the line search backtrack
+DEMANDING_DECREASE = {"_SUFFICIENT_DECREASE": 0.5, "_SHRINK": 0.3}
+
+
 @pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SolverConfig(restarts=0, residual_tol=1e-10),
-        # a demanding decrease test makes the line search backtrack
-        SolverConfig(
-            restarts=0, residual_tol=1e-10, initializer="random-positive",
-            sufficient_decrease=0.5, shrink=0.3,
-        ),
-    ],
-)
+# the solver module constants each case sets
+@pytest.mark.parametrize("cfg", [{}, DEMANDING_DECREASE])
 def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, monkeypatch):
     prob = request.getfixturevalue(name)
+    for constant, value in cfg.items():
+        monkeypatch.setattr(c.solver, constant, value)
     rows = []
     real = c.kernels.convolve_values
 
@@ -197,13 +182,15 @@ def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, mon
         return real(table, window, values, *args, **kwargs)
 
     monkeypatch.setattr(c.kernels, "convolve_values", counting)
-    res = c.ground_state(prob, cfg)
+    res = c.ground_state(prob, SolverConfig(restarts=0, residual_tol=1e-10))
     # an accepted step s = shrink^k is the (k+1)-th trial; the last iteration
     # converges without a line search and records step 0
     trials = sum(
-        round(math.log(rec.step) / math.log(cfg.shrink)) + 1 for rec in res.history if rec.step > 0.0
+        round(math.log(rec.step) / math.log(c.solver._SHRINK)) + 1 for rec in res.history if rec.step > 0.0
     )
     assert trials >= res.iterations - 1
+    if cfg:
+        assert any(0.0 < rec.step < 1.0 for rec in res.history)
     # one start: its projection, then one line-search round per trial
     assert rows == [1] * (1 + trials)
 
@@ -214,7 +201,7 @@ def test_ground_state_converges_with_certificates(small_prob):
     assert res.converged
     a = c.norm_sq(res.u, small_prob)
     assert res.dual_residual <= cfg.residual_tol * math.sqrt(a)
-    assert abs(res.nehari_defect) <= cfg.nehari_tol * a
+    assert abs(res.nehari_defect) <= c.solver._NEHARI_TOL * a
     assert res.level == pytest.approx(c.energy(res.u, small_prob), rel=1e-12)
     assert len(res.history) == res.iterations
     assert res.history[-1].step == 0.0
@@ -315,10 +302,12 @@ BACKTRACKING_STARTS = {
 
 
 @pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
-def test_backtracking_starts_alone_match_their_batch_rows(request, name):
+def test_backtracking_starts_alone_match_their_batch_rows(request, name, monkeypatch):
     prob = request.getfixturevalue(name)
-    # a demanding decrease test makes rows backtrack by different amounts
-    cfg = SolverConfig(restarts=3, residual_tol=1e-10, sufficient_decrease=0.5, shrink=0.3)
+    # rows backtrack by different amounts
+    for constant, value in DEMANDING_DECREASE.items():
+        monkeypatch.setattr(c.solver, constant, value)
+    cfg = SolverConfig(restarts=3, residual_tol=1e-10)
     batch = c.ground_state(prob, cfg)
     assert [(rec.status, rec.iterations, rec.reason) for rec in batch.starts] == BACKTRACKING_STARTS[name]
     for position, rec in enumerate(batch.starts):
@@ -353,8 +342,8 @@ def test_ground_state_overflowing_trial_stalls_only_its_start(small_prob, monkey
     real = c.solver.linear_solve
     calls = []
 
-    def blow_up_second_row(rhs, prob, cfg):
-        out = real(rhs, prob, cfg)
+    def blow_up_second_row(rhs, prob):
+        out = real(rhs, prob)
         if not calls:
             out[1] *= 1e200
         calls.append(1)
@@ -382,11 +371,11 @@ def test_ground_state_cg_stall_fails_only_its_start(cube_table, monkeypatch):
     real = c.solver.cg_solve
     calls = []
 
-    def stall_second_call(rhs, prob, cfg):
+    def stall_second_call(rhs, prob):
         calls.append(1)
         if len(calls) == 2:
             raise ConvergenceError("linear solve stalled", residual=1.0)
-        return real(rhs, prob, cfg)
+        return real(rhs, prob)
 
     monkeypatch.setattr(c.solver, "cg_solve", stall_second_call)
     res = c.ground_state(cube, SolverConfig(restarts=2))
@@ -473,8 +462,8 @@ def test_merged_start_stalls_with_its_target(small_prob, monkeypatch):
     # merged into it; they share its failure, and the extra start converges
     real = c.solver.linear_solve
 
-    def fail_well_bump_after_the_merges(rhs, prob, cfg):
-        out = real(rhs, prob, cfg)
+    def fail_well_bump_after_the_merges(rhs, prob):
+        out = real(rhs, prob)
         if out.shape[0] == 1:
             out[0] = np.nan
         return out
@@ -645,6 +634,7 @@ def test_lambda_sweep_rows_verdicts_and_serialization(small_prob):
                 {"label": r.label, "status": r.status, "iterations": r.iterations, "level": r.level, "reason": r.reason}
                 for r in row.starts
             ],
+            "reason": None,
         }
     assert set(data["verdicts"]) == {
         "level_nondecreasing", "level_at_most_well", "distance_decreasing",
@@ -706,6 +696,7 @@ def test_lambda_sweep_keeps_random_starts_after_a_failed_first_coupling(small_pr
         ["well-bump", "extra-0", "extra-1"],
     ]
     assert c.json_form(report)["rows"][0]["starts"] == []
+    assert [row.reason for row in report.rows] == ["ConvergenceError: injected failure", None, None]
 
 
 def test_lambda_sweep_levels_at_p6_stay_at_most_the_pinned_levels():

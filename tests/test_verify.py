@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import choquard as c
@@ -22,6 +23,28 @@ def test_suites_are_reproducible(small_prob):
     second = run_suites(("ops", "hls", "nehari"), small_prob, seed=3)
     for a, b in zip(first, second):
         assert a.details == b.details and a.passed == b.passed
+
+
+def test_ops_symmetry_gap_is_read_against_the_dot_products_round_off(desk_prob):
+    # v.Au cancels for random sign-changing fields; at radius 16 seed 318
+    # the gap relative to max(1, |v.Au|) read 1.1e-12
+    (res,) = run_suites(("ops",), desk_prob, seed=318)
+    assert res.passed, res.details
+    assert res.details["operator_symmetry_max"] <= 1e-15
+    assert res.details["operator_exactly_symmetric"] is True
+
+
+def test_ops_fails_on_one_asymmetric_operator_entry(small_prob, monkeypatch):
+    tampered = small_prob.operator_matrix().copy()
+    i, j = 0, tampered.indices[tampered.indptr[1] - 1]
+    assert i != j
+    tampered[i, j] = np.nextafter(tampered[i, j], np.inf)
+    monkeypatch.setattr(c.ProblemSpec, "operator_matrix", lambda self: tampered)
+    (res,) = run_suites(("ops",), small_prob, seed=0)
+    assert not res.passed
+    assert res.details["operator_exactly_symmetric"] is False
+    # one ulp in one entry is far below what random fields can see
+    assert res.details["operator_symmetry_max"] <= 1e-12
 
 
 def test_unknown_suite_name_rejected(small_prob):
