@@ -15,13 +15,14 @@ the radius-16 sweep.
 Multi-start over a smoothed well bump plus random positive fields
 approximates minimality, and all starts descend in lockstep as rows of one
 array of free-site values: each step makes one product A X, one
-linear_solve for every row still running (a sparse LU factor of A, built
-once per problem, in dimension <= 2; preconditioned CG per row in
-dimension >= 3) and one batched convolution per round of line-search
-trials.  Each trial costs one convolved row, which also gives the next
-iterate's pair energy and Euler-Lagrange term.  The coupling sweep solves
-the well problem once, then the weighted problem over an increasing grid
-with warm starts, reporting levels, distances, and outside-well mass.
+linear_solve for every row still running (a band Cholesky or sparse LU
+factor of A, built once per problem, in dimension <= 2; preconditioned
+CG per row in dimension >= 3) and one batched convolution per round of
+line-search trials.  Each trial costs one convolved row, which also gives
+the next iterate's pair energy and Euler-Lagrange term.  The coupling
+sweep solves the well problem once, then the weighted problem over an
+increasing grid with warm starts, reporting levels, distances, and
+outside-well mass.
 
 ``restarts`` random starts run in a lone solve, on the sweep's well problem,
 and in each coupling row until one coupling has converged.  Later rows run
@@ -74,7 +75,7 @@ _TIE_TOL = 1.0e-12
 # to lie within this relative A-distance of each other (see _lockstep_descent)
 _MERGE_TOL = 1.0e-3
 # dimension >= 3 solves by CG to this relative residual within this many
-# iterations; dimension <= 2 solves with a cached sparse LU factor
+# iterations; dimension <= 2 solves with a cached factor of A
 _CG_TOL = 1.0e-10
 _CG_MAX_ITERATIONS = 5000
 # the Armijo test's decrease factor, and the step's shrink per rejected trial
@@ -202,26 +203,41 @@ def linear_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
 
     ``rhs`` holds one right-hand side per row of at most one leading axis,
     each with one value per free site (prob.free_indices()); the solutions
-    come back the same way.  Dimension <= 2 solves all rows at once with the
-    sparse LU factor cached on the problem (ProblemSpec.operator_factor), as
-    one (n_free, k) right-hand side whose columns the triangular solves
-    treat one at a time, so a row's solution does not depend on the batch.
-    Dimension >= 3 runs cg_solve row by row, and a row whose solve stalls
-    comes back as NaN, so that only that row fails.  Single runs on a
-    2-core VM (lam = 100, random right-hand side) set the crossover:
+    come back the same way, and any other shape raises InputError.
+    Dimension <= 2 solves all rows at once with the factor cached on the
+    problem (ProblemSpec.operator_factor), as one (n_free, k) right-hand
+    side whose columns the triangular solves treat one at a time, so a
+    row's solution does not depend on the batch.  Dimension >= 3 runs
+    cg_solve row by row, and a row whose solve stalls comes back as NaN,
+    so that only that row fails.  Runs on a 2-core VM at lam = 100 set the
+    crossovers:
 
-    - dimension 2: the factor takes 7 ms at radius 16, 33 ms at radius 32 and
-      0.25 s at radius 64; a solve then takes 0.20, 0.98 and 7.3 ms against
-      1.7, 2.8 and 10.7 ms for CG;
+    - band Cholesky against sparse LU, in dimension 2, where a box of
+      radius r has half-bandwidth kd = 2(2r + 1).  The band factor takes
+      2.7 ms at radius 16 against 5.7 ms, and 12 ms at radius 32 against
+      28 ms.  Each band solve reads the whole band, so past radius 32 the
+      solves lose what the factor gains.  In ``solve --lambda 100`` (8
+      calls, 43 rows) factor and solves together take 44 against 69 ms at
+      radius 36, 95 against 118 ms at radius 40 (kd = 162), 114 against
+      94 ms at radius 44 and 147 against 133 ms at radius 48 (medians of
+      5), so bands up to kd = 162 use the band factor.  From radius 40 on
+      the band also raises the command's peak RSS: by 1.8 MB at radius 40
+      and by 7.8 MB at radius 64;
+    - sparse LU against CG: the LU factor takes 7 ms at radius 16, 33 ms
+      at radius 32 and 0.25 s at radius 64; a solve then takes 0.20, 0.98
+      and 7.3 ms against 1.7, 2.8 and 10.7 ms for CG;
     - dimension 3: the fill grows too fast.  At radius 8 the factor takes
       0.40 s and 38 MB, and a solve 8.4 ms against 5.6 ms for CG; at radius
       12 the factor takes 5.3 s and 0.53 GB, and at radius 16 36 s and
       1.8 GB.  The whole ``solve --dim 3 --radius 8 --lambda 100`` command
       took 1.0-1.2 s and 80 MB with CG against 2.3-2.4 s and 110 MB with LU.
     """
+    n_free = prob.free_indices().size
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != n_free:
+        raise InputError(f"expected one or more rows of {n_free} free-site values, got shape {rhs.shape}")
     if prob.dim <= 2:
-        return prob.operator_factor().solve(rhs.T).T
-    rows = rhs.reshape(-1, rhs.shape[-1])
+        return prob.operator_factor()(rhs.T).T
+    rows = np.atleast_2d(rhs)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
         try:

@@ -67,6 +67,18 @@ def cube_table():
 
 
 @pytest.fixture(scope="session")
+def small_cube(cube_table):
+    return c.ProblemSpec(
+        mode="full",
+        window=c.get_window(3, 4),
+        potential=c.PotentialSpec(well=c.ball((0, 0, 0), 1)),
+        kernel=cube_table,
+        p=2.0,
+        lam=5.0,
+    )
+
+
+@pytest.fixture(scope="session")
 def small_prob(small_window, small_table):
     return c.ProblemSpec(
         mode="full",

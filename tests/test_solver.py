@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -126,26 +127,102 @@ def test_restrict_and_extend_move_rows_to_and_from_the_free_sites(small_prob, sm
     assert np.count_nonzero(back) == x.size
 
 
+# the largest half-bandwidth factored as a band Cholesky: every band, or none
+FACTOR_PATHS = {"band": 10**9, "lu": -1}
+
+
+def _on_factor_path(prob, path, monkeypatch):
+    """A fresh copy of prob, whose operator factor is built on the given path."""
+    monkeypatch.setattr(c.variational, "_BAND_MAX_KD", FACTOR_PATHS[path])
+    fresh = dataclasses.replace(prob)
+    fresh.operator_factor()
+    return fresh
+
+
+def test_operator_factor_is_a_band_cholesky_up_to_the_crossover(small_prob, monkeypatch):
+    built = []
+    for name in ("cholesky_banded", "splu"):
+        real = getattr(c.variational, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            built.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(c.variational, name, spy)
+    kd = 2 * (2 * small_prob.window.radius + 1)
+    for limit in (kd, kd - 1):
+        monkeypatch.setattr(c.variational, "_BAND_MAX_KD", limit)
+        dataclasses.replace(small_prob).operator_factor()
+    assert built == ["cholesky_banded", "splu"]
+
+
 @pytest.mark.parametrize("name", ["small_prob", "small_dirichlet"])
-def test_linear_solve_rows_match_single_solves(request, name):
-    prob = request.getfixturevalue(name)
-    rhs = np.random.default_rng(36).standard_normal((4, prob.free_indices().size))
-    x = c.linear_solve(rhs, prob)
-    assert x.shape == rhs.shape
-    for row, sol in zip(rhs, x):
-        alone = c.linear_solve(row, prob)
-        assert np.abs(sol - alone).max() <= 1e-15 * np.abs(alone).max()
+def test_linear_solve_rows_match_single_solves(request, name, monkeypatch):
+    for path in FACTOR_PATHS:
+        prob = _on_factor_path(request.getfixturevalue(name), path, monkeypatch)
+        rhs = np.random.default_rng(36).standard_normal((4, prob.free_indices().size))
+        x = c.linear_solve(rhs, prob)
+        assert x.shape == rhs.shape
+        for row, sol in zip(rhs, x):
+            assert np.array_equal(sol, c.linear_solve(row, prob))
 
 
-def test_linear_solve_routes_by_dimension(small_prob, cube_table, monkeypatch):
-    cube = ProblemSpec(
-        mode="full",
-        window=get_window(3, 4),
-        potential=PotentialSpec(well=ball((0, 0, 0), 1)),
-        kernel=cube_table,
+@lru_cache(maxsize=None)
+def _riesz_table(dim):
+    return c.build_kernel_table("riesz", 0.5, get_window(dim, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    shape=st.sampled_from(["box", "ball"]),
+    mode=st.sampled_from(["full", "dirichlet"]),
+    lam=st.floats(math.log(0.1), math.log(1e4)).map(math.exp),
+    radius=st.integers(3, 12),
+    well_radius=st.integers(0, 2),
+    nan_row=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_and_sparse_factors_agree(dim, shape, mode, lam, radius, well_radius, nan_row, seed):
+    # a window of radius 2 holds no well at the required margin of 3
+    well_radius = min(well_radius, radius - 3)
+    prob = ProblemSpec(
+        mode=mode,
+        window=get_window(dim, radius, shape),
+        potential=PotentialSpec(well=ball((0,) * dim, well_radius)),
+        kernel=_riesz_table(dim),
         p=2.0,
-        lam=5.0,
+        lam=lam if mode == "full" else None,
     )
+    rhs = np.random.default_rng(seed).standard_normal((3, prob.free_indices().size))
+    poisoned = rhs.copy()
+    poisoned[nan_row, 0] = np.nan
+    solutions = {}
+    for path in FACTOR_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            on_path = _on_factor_path(prob, path, mp)
+        x = c.linear_solve(rhs, on_path)
+        residual = prob.operator_matrix() @ x.T - rhs.T
+        assert np.all(np.linalg.norm(residual, axis=0) <= 1e-12 * np.linalg.norm(rhs, axis=1))
+        y = c.linear_solve(poisoned, on_path)
+        assert np.isnan(y[nan_row]).all()
+        others = np.arange(3) != nan_row
+        assert np.array_equal(y[others], x[others])
+        solutions[path] = x
+    gap = np.linalg.norm(solutions["band"] - solutions["lu"], axis=1)
+    assert np.all(gap <= 1e-12 * np.linalg.norm(solutions["lu"], axis=1))
+
+
+@pytest.mark.parametrize("path", ["band", "lu", "cg"])
+def test_linear_solve_rejects_misshapen_right_hand_sides(small_prob, small_cube, path, monkeypatch):
+    prob = small_cube if path == "cg" else _on_factor_path(small_prob, path, monkeypatch)
+    n = prob.free_indices().size
+    for shape in [(n + 1,), (2, n - 1), (2, 3, n), ()]:
+        with pytest.raises(InputError, match=f"rows of {n} free-site values, got shape"):
+            c.linear_solve(np.ones(shape), prob)
+
+
+def test_linear_solve_routes_by_dimension(small_prob, small_cube, monkeypatch):
     dims = []
     real = c.solver.cg_solve
 
@@ -156,7 +233,7 @@ def test_linear_solve_routes_by_dimension(small_prob, cube_table, monkeypatch):
     monkeypatch.setattr(c.solver, "cg_solve", spy)
     monkeypatch.setattr(c.solver, "_CG_TOL", 1e-12)
     rng = np.random.default_rng(34)
-    for prob in (small_prob, cube):
+    for prob in (small_prob, small_cube):
         rhs = rng.standard_normal(prob.free_indices().size)
         x = c.linear_solve(rhs, prob)
         assert np.linalg.norm(prob.operator_matrix() @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -359,15 +436,7 @@ def test_ground_state_overflowing_trial_stalls_only_its_start(small_prob, monkey
     assert res.start_labels == ("well-bump", "random-positive-2")
 
 
-def test_ground_state_cg_stall_fails_only_its_start(cube_table, monkeypatch):
-    cube = ProblemSpec(
-        mode="full",
-        window=get_window(3, 4),
-        potential=PotentialSpec(well=ball((0, 0, 0), 1)),
-        kernel=cube_table,
-        p=2.0,
-        lam=5.0,
-    )
+def test_ground_state_cg_stall_fails_only_its_start(small_cube, monkeypatch):
     real = c.solver.cg_solve
     calls = []
 
@@ -378,7 +447,7 @@ def test_ground_state_cg_stall_fails_only_its_start(cube_table, monkeypatch):
         return real(rhs, prob)
 
     monkeypatch.setattr(c.solver, "cg_solve", stall_second_call)
-    res = c.ground_state(cube, SolverConfig(restarts=2))
+    res = c.ground_state(small_cube, SolverConfig(restarts=2))
     assert [rec.status for rec in res.starts] == ["converged", "stalled", "merged"]
     assert res.starts[1].reason == "search direction is not finite at iteration 1"
     assert res.starts[1].iterations == 0
