@@ -23,6 +23,7 @@ integral, which inverts the Green's function on interior sites.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,7 +58,7 @@ _T_SPLIT = 1.0
 
 
 def scaled_bessel_profile(z, m_max: int) -> np.ndarray:
-    """e^{-z} I_m(z) for all orders m = 0..m_max, one row per argument z >= 0.
+    """e^{-z} I_m(z) for all orders m = 0..m_max, one row per finite argument z >= 0.
 
     A scalar z gives shape (m_max + 1,); an array of arguments gives one row
     per entry.  The values come from ``scipy.special.ive``, which keeps full
@@ -65,8 +66,9 @@ def scaled_bessel_profile(z, m_max: int) -> np.ndarray:
     where the values underflow gracefully to zero.
     """
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z < 0.0):
-        raise InputError(f"argument must be >= 0, got {z.min()}")
+    ok = (z >= 0.0) & (z < math.inf)
+    if not ok.all():
+        raise InputError(f"argument must be finite and >= 0, got {z[~ok].flat[0]}")
     if m_max < 0:
         raise InputError(f"m_max must be >= 0, got {m_max}")
     return ive(np.arange(m_max + 1), z[..., None])
@@ -91,8 +93,8 @@ def heat_kernel(t: float, v: Sequence[int], dim: int) -> float:
     """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
-    if t < 0.0:
-        raise InputError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise InputError(f"time must be finite and >= 0, got {t}")
     vec = _check_vector(v, dim)
     profile = _bessel_profile(t, max(abs(c) for c in vec))
     out = 1.0
@@ -110,8 +112,8 @@ def heat_kernel_spectral(t: float, v: Sequence[int], dim: int, torus_size: int) 
     """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
-    if t < 0.0:
-        raise InputError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise InputError(f"time must be finite and >= 0, got {t}")
     vec = _check_vector(v, dim)
     L = int(torus_size)
     max_abs = max((abs(c) for c in vec), default=0)
@@ -158,8 +160,8 @@ class QuadratureSpec:
     nodes: int = 48
 
     def __post_init__(self):
-        if self.nodes < 8:
-            raise ParameterError(f"nodes must be >= 8, got {self.nodes}")
+        if not isinstance(self.nodes, numbers.Integral) or self.nodes < 8:
+            raise ParameterError(f"nodes must be an integer >= 8, got {self.nodes!r}")
 
 
 def _time_segments(head: float, order: float, extra: float, quad: QuadratureSpec, decades: int):
@@ -536,8 +538,8 @@ def heat_semigroup_apply(u: Field, t: float) -> Field:
     The semigroup factorises over coordinates, so the kernel is applied as a
     dense one-dimensional convolution along each axis in turn.
     """
-    if t < 0.0:
-        raise InputError(f"time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise InputError(f"time must be finite and >= 0, got {t}")
     u = _box_embedding(u)
     if t == 0.0:
         return Field(u.window, u.values.copy())

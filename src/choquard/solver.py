@@ -143,8 +143,9 @@ class StartRecord:
 class SolveResult:
     """Converged minimizer with its level and per-iteration history.
 
-    ground_state sets the fields from ``start_labels`` on; one start's
-    descent leaves their defaults.
+    ground_state sets the fields from ``start_labels`` on, and makes ``u``
+    a Field; one start's descent (_lockstep_descent) leaves their defaults
+    and its free-site row in ``u``.
     """
 
     u: Field
@@ -186,7 +187,7 @@ def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     if b_norm == 0.0:
         return np.zeros(n_free)
     matrix = prob.operator_matrix()
-    precond = diags(1.0 / prob.operator_diagonal())
+    precond = diags(1.0 / matrix.diagonal())
     x, info = _scipy_cg(matrix, rhs, rtol=_CG_TOL, atol=0.0, maxiter=_CG_MAX_ITERATIONS, M=precond)
     if info != 0:
         residual = float(np.linalg.norm(matrix @ x - rhs)) / b_norm
@@ -281,7 +282,7 @@ def _lockstep_descent(
     two_p = 2.0 * prob.p
     outcomes = [None] * len(x0)
     histories = [[] for _ in x0]
-    start = _var.project_values(prob.extend(x0), prob)
+    start = _var.project_values(x0, prob)
     admissible = np.isfinite(start.energy)
     for i in np.nonzero(~admissible)[0]:
         outcomes[i] = NoProjectionError(
@@ -290,7 +291,7 @@ def _lockstep_descent(
             else "squared norm or pair energy is not finite"
         )
     rows = np.nonzero(admissible)[0]
-    x = prob.restrict(start.values)[rows]
+    x = start.values[rows]
     pair = start.pair_energy[rows]
     conv = start.conv[rows]
     may_merge = np.zeros(rows.size, dtype=bool) if mergeable is None else np.asarray(mergeable)[rows]
@@ -340,14 +341,14 @@ def _lockstep_descent(
             live = np.nonzero(searching & (step >= _MIN_STEP))[0]
             if live.size == 0:
                 break
-            trial = _var.project_values(prob.extend(x[live] - step[live, None] * direction[live]), prob)
+            trial = _var.project_values(x[live] - step[live, None] * direction[live], prob)
             ok = np.isfinite(trial.energy)
             bad = ~ok & ~trial.vanishes
             bound = (level - _SUFFICIENT_DECREASE * step * slope + noise)[live]
             passed = ok & (trial.energy <= bound)
             # accepted rows leave the search, so their iterate is replaced in place
             won = live[passed]
-            x[won] = prob.restrict(trial.values[passed])
+            x[won] = trial.values[passed]
             pair[won] = trial.pair_energy[passed]
             conv[won] = trial.conv[passed]
             taken[won] = step[won]
@@ -367,7 +368,7 @@ def _lockstep_descent(
             history.append(IterationRecord(it, lv, av, df, du, st))
             if done[pos]:
                 outcomes[i] = SolveResult(
-                    u=Field(prob.window, prob.extend(x[pos])),
+                    u=x[pos],
                     level=lv,
                     dual_residual=du,
                     nehari_defect=df,
@@ -480,8 +481,10 @@ def ground_state(
         for i, (_, out) in enumerate(listed)
         if isinstance(out, SolveResult) and out.level <= least + _TIE_TOL * abs(least)
     )
+    best = listed[best_pos][1]
     return replace(
-        listed[best_pos][1],
+        best,
+        u=Field(prob.window, prob.extend(best.u)),
         start_labels=tuple(label for label, _ in listed),
         start_levels=levels,
         start_index=best_pos,

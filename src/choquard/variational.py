@@ -8,6 +8,10 @@ excluded.  The constraint set is the set of nonzero fields with
 (J'(u), u) = 0; every field with positive pair energy has a unique positive
 scale landing on it, given in closed form, and ground states minimize J
 there.
+
+The array cores (operator_values, pair_terms, constraint_terms,
+gradient_values, project_values) take rows of free-site values, one per
+ProblemSpec.free_indices() site; the Field functions restrict and extend.
 """
 
 from __future__ import annotations
@@ -127,19 +131,6 @@ class ProblemSpec:
             self._cache[key] = value
         return value
 
-    def weight_values(self) -> np.ndarray:
-        """Diagonal norm weight per window site."""
-
-        def build():
-            if self.mode == MODE_FULL:
-                w = 1.0 + self.lam * self.potential.values_on(self.window)
-            else:
-                w = np.ones(self.window.count)
-            w.setflags(write=False)
-            return w
-
-        return self._cached("weight", build)
-
     def free_indices(self) -> np.ndarray:
         """Window indices of the unknowns (all sites, or the well's sites, sorted, in dirichlet mode)."""
 
@@ -194,7 +185,11 @@ class ProblemSpec:
         """CSR matrix of Delta^2 - Delta + weight on the free sites."""
 
         def build():
-            a = (_difference_operator(self.window) + sparse.diags(self.weight_values())).tocsr()
+            if self.mode == MODE_FULL:
+                weight = 1.0 + self.lam * self.potential.values_on(self.window)
+            else:
+                weight = np.ones(self.window.count)
+            a = (_difference_operator(self.window) + sparse.diags(weight)).tocsr()
             if self.mode == MODE_DIRICHLET:
                 free = self.free_indices()
                 a = a[free][:, free].tocsr()
@@ -238,14 +233,6 @@ class ProblemSpec:
 
         return self._cached("factor", build)
 
-    def operator_diagonal(self) -> np.ndarray:
-        def build():
-            d = self.operator_matrix().diagonal()
-            d.setflags(write=False)
-            return d
-
-        return self._cached("diag", build)
-
     def __repr__(self) -> str:
         tail = f", lam={self.lam!r}" if self.mode == MODE_FULL else ""
         return (
@@ -271,35 +258,41 @@ def norm_sq(u: Field, prob: ProblemSpec) -> float:
     return float(_quadratic_form(prob.restrict(u.values), prob))
 
 
-def constraint_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """||v||^2 and D(v) per row of window values v (vanishing off the free sites).
+def constraint_terms(x: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """||v||^2 and D(v) per row of free-site values x of v.
 
     One batched operator product and one batched convolution; a row's terms
     equal norm_sq and nonlocal_term of that row alone.
     """
-    return _quadratic_form(prob.restrict(values), prob), pair_terms(values, prob)[1]
+    return _quadratic_form(x, prob), pair_terms(x, prob)[1]
+
+
+def _free_rows(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """x itself, after checking that its last axis holds one value per free site."""
+    if np.shape(x)[-1:] != prob.free_indices().shape:
+        raise InputError(f"expected rows of {prob.free_indices().size} free-site values, got shape {np.shape(x)}")
+    return x
 
 
 def operator_values(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """A x for free-site values x, one row per leading index (at most one)."""
-    return np.ascontiguousarray((prob.operator_matrix() @ x.T).T)
+    return np.ascontiguousarray((prob.operator_matrix() @ _free_rows(x, prob).T).T)
 
 
 def _quadratic_form(x: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     return _calculus.row_dot(x, operator_values(x, prob))
 
 
-def pair_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
+def pair_terms(x: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.ndarray]:
     """K * |v|^p (diagonal excluded) on the free sites and the pair energy D(v).
 
-    ``values`` are window values vanishing off the free sites, one field per
-    row of any leading axes, and only their free sites are read.  The
-    convolution runs over ProblemSpec.pair_window: in dirichlet mode the
-    box of the well, not the whole window.  D is exactly 0 for a row with
-    fewer than two nonzero sites (calculus.pair_sums).
+    ``x`` holds the free-site values of v, one field per row of any leading
+    axes.  The convolution runs over ProblemSpec.pair_window: in dirichlet
+    mode the box of the well, not the whole window.  D is exactly 0 for a
+    row with fewer than two nonzero sites (calculus.pair_sums).
     """
     window, at = prob.pair_window()
-    power = np.abs(prob.restrict(values)) ** prob.p
+    power = np.abs(_free_rows(x, prob)) ** prob.p
     if at is None:
         return _calculus.pair_sums(prob.kernel, window, power)
     h = np.zeros(power.shape[:-1] + (window.count,))
@@ -311,7 +304,7 @@ def pair_terms(values: np.ndarray, prob: ProblemSpec) -> Tuple[np.ndarray, np.nd
 def nonlocal_term(u: Field, prob: ProblemSpec) -> float:
     """Pair energy D(u) of the problem kernel; u must vanish off the free sites."""
     _require_admissible(u, prob)
-    return float(pair_terms(u.values, prob)[1])
+    return float(pair_terms(prob.restrict(u.values), prob)[1])
 
 
 def energy(u: Field, prob: ProblemSpec) -> float:
@@ -340,7 +333,7 @@ def euler_lagrange_residual(u: Field, prob: ProblemSpec) -> Field:
     """
     _check_window(u, prob)
     x = prob.restrict(u.values)
-    conv, _ = pair_terms(u.values, prob)
+    conv, _ = pair_terms(x, prob)
     return Field(prob.window, prob.extend(gradient_values(x, operator_values(x, prob), conv, prob)))
 
 
@@ -354,7 +347,7 @@ class Projection:
     """Fields scaled onto the constraint set, with their energies and pair terms.
 
     Each entry has one value (or one row) per field projected; ``values``
-    rows hold window values and ``conv`` rows K * |tv|^p on the free sites
+    rows hold tv and ``conv`` rows K * |tv|^p, both on the free sites
     (pair_terms).  A field with D(v) = 0 ``vanishes``: no scale lands it on
     the constraint set, and its entries are not finite.
     """
@@ -367,10 +360,10 @@ class Projection:
     vanishes: np.ndarray
 
 
-def project_values(values: np.ndarray, prob: ProblemSpec) -> Projection:
-    """Scale window values v (vanishing off the free sites) onto the constraint set.
+def project_values(x: np.ndarray, prob: ProblemSpec) -> Projection:
+    """Scale fields v, given by their free-site values x, onto the constraint set.
 
-    ``values`` holds one field, or one field per row.  With a = ||v||^2 the
+    ``x`` holds one field, or one field per row.  With a = ||v||^2 the
     scale is t = (a / D(v))^(1/(2(p-1))).  Both pair terms are homogeneous,
     K * |tv|^p = t^p K * |v|^p and D(tv) = t^(2p) D(v), so the one
     convolution of |v|^p also gives J(tv) = t^2 a / 2 - t^(2p) D(v) / (2p)
@@ -381,13 +374,13 @@ def project_values(values: np.ndarray, prob: ProblemSpec) -> Projection:
     """
     p = prob.p
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = _quadratic_form(prob.restrict(values), prob)
-        conv, d = pair_terms(values, prob)
+        a = _quadratic_form(x, prob)
+        conv, d = pair_terms(x, prob)
         t = _calculus.row_power(a / d, 1.0 / (2.0 * (p - 1.0)))
         pair = t ** (2.0 * p) * d
         return Projection(
             scale=t,
-            values=t[..., None] * values,
+            values=t[..., None] * x,
             energy=0.5 * t * t * a - pair / (2.0 * p),
             pair_energy=pair,
             conv=(t**p)[..., None] * conv,
@@ -403,10 +396,10 @@ def nehari_project(u: Field, prob: ProblemSpec) -> Tuple[float, Field]:
     NoProjectionError.
     """
     _require_admissible(u, prob)
-    proj = project_values(u.values, prob)
+    proj = project_values(prob.restrict(u.values), prob)
     if proj.vanishes:
         raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
-    return float(proj.scale), Field(prob.window, proj.values)
+    return float(proj.scale), Field(prob.window, prob.extend(proj.values))
 
 
 def nehari_level(u: Field, prob: ProblemSpec) -> float:
@@ -473,12 +466,12 @@ def mountain_pass_probe(prob: ProblemSpec, rho: float, samples: int, seed: int =
         keep = a != 0.0
         if not keep.any():
             continue
-        u = prob.extend(x[keep] * (rho / np.sqrt(a[keep]))[:, None])
-        a, d = constraint_terms(u, prob)
+        x = x[keep] * (rho / np.sqrt(a[keep]))[:, None]
+        a, d = constraint_terms(x, prob)
         theta = min(theta, *(0.5 * a - d / (2.0 * prob.p)).tolist())
         hits = np.nonzero(d > 0.0)[0]
         if witness is None and hits.size:
-            witness = Field(prob.window, (1.0 / rho) * u[hits[0]])
+            witness = Field(prob.window, prob.extend((1.0 / rho) * x[hits[0]]))
     if witness is None:
         raise ProbeInconclusiveError("no sampled field has positive pair energy")
     a = norm_sq(witness, prob)

@@ -230,7 +230,7 @@ def _suite_nehari(prob: ProblemSpec, seed: int) -> SuiteResult:
     norms = []
     levels = []
     for x in _var.sample_chunks(rng, 100, prob.free_indices().shape):
-        proj = _var.project_values(prob.extend(x), prob)
+        proj = _var.project_values(x, prob)
         if proj.vanishes.any():
             raise NoProjectionError("pair energy vanishes; no scale meets the constraint")
         a_rows, d_rows = _var.constraint_terms(proj.values, prob)

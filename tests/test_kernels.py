@@ -84,6 +84,12 @@ def test_scaled_bessel_profile_gives_one_row_per_argument():
         scaled_bessel_profile(1.0, -1)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, np.array([1.0, math.nan])])
+def test_scaled_bessel_profile_rejects_a_non_finite_argument(z):
+    with pytest.raises(InputError, match="argument must be finite and >= 0, got (nan|inf)"):
+        scaled_bessel_profile(z, 2)
+
+
 def test_heat_kernel_product_structure_and_edge_cases():
     t = 0.7
     k2 = heat_kernel(t, (3, -2), 2)
@@ -94,6 +100,18 @@ def test_heat_kernel_product_structure_and_edge_cases():
         heat_kernel(-1.0, (0,), 1)
     with pytest.raises(InputError):
         heat_kernel(1.0, (0, 0), 1)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_heat_kernel_rejects_a_non_finite_time(t):
+    with pytest.raises(InputError, match=f"time must be finite and >= 0, got {t}"):
+        heat_kernel(t, (0, 0), 2)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_heat_kernel_spectral_rejects_a_non_finite_time(t):
+    with pytest.raises(InputError, match=f"time must be finite and >= 0, got {t}"):
+        heat_kernel_spectral(t, (0, 0), 2, 64)
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
@@ -114,6 +132,12 @@ def test_heat_kernel_spectral_agreement(t):
 def test_quadrature_spec_validation_and_digest():
     with pytest.raises(ParameterError):
         QuadratureSpec(nodes=4)
+
+
+@pytest.mark.parametrize("nodes", [8.5, 48.0])
+def test_quadrature_spec_rejects_a_non_integer_node_count(nodes):
+    with pytest.raises(ParameterError, match=f"nodes must be an integer >= 8, got {nodes}"):
+        QuadratureSpec(nodes=nodes)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.6, 1.0, 1.9, 2.5])
@@ -386,6 +410,12 @@ def test_heat_semigroup_preserves_mass_and_positivity():
     r = out.window.radius
     one_dim = sum(heat_kernel(1.5, (m,), 1) for m in range(-r, r + 1))
     assert out.values.sum() == pytest.approx(one_dim**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_heat_semigroup_apply_rejects_a_non_finite_time(t):
+    with pytest.raises(InputError, match=f"time must be finite and >= 0, got {t}"):
+        c.heat_semigroup_apply(Field.delta(get_window(2, 3)), t)
 
 
 def _torus_fractional_laplacian(u, s, size):

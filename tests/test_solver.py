@@ -474,9 +474,10 @@ def test_descent_safeguard_never_raises_the_energy(small_prob, small_dirichlet, 
         assert all(rec.step > 0.0 for rec in history[:-1])
 
 
-def _a_distance(u, v, prob):
-    """Sign-aligned A-distance of two converged fields."""
-    return math.sqrt(min(c.norm_sq(u - v, prob), c.norm_sq(u + v, prob)))
+def _a_distance(x, y, prob):
+    """Sign-aligned A-distance of two converged free-site rows."""
+    a, _ = c.variational.constraint_terms(np.array([x - y, x + y]), prob)
+    return math.sqrt(a.min())
 
 
 @settings(max_examples=25, deadline=None)
@@ -499,7 +500,7 @@ def test_merged_start_follows_its_lone_run_into_the_target_basin(small_prob, sma
         assert alone.history[: k - 1] == out.history[:-1]
         # the merge iteration takes no step
         assert out.history[-1] == dataclasses.replace(alone.history[k - 1], step=0.0)
-        norm = math.sqrt(c.norm_sq(target.u, prob))
+        norm = math.sqrt(c.variational.constraint_terms(target.u, prob)[0])
         assert _a_distance(alone.u, target.u, prob) <= c.solver._MERGE_TOL * norm
         assert alone.level >= reported * (1.0 - 1e-12)
 

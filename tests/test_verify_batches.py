@@ -144,7 +144,7 @@ def test_batched_suites_report_what_the_per_field_loops_report(request, name, se
 def test_projection_rows_match_single_fields_exactly(small_prob, small_dirichlet, p):
     for prob in (dataclasses.replace(small_prob, p=p), dataclasses.replace(small_dirichlet, p=p)):
         rng = np.random.default_rng(11)
-        rows = prob.extend(rng.standard_normal((13, prob.free_indices().size)))
+        rows = rng.standard_normal((13, prob.free_indices().size))
         batch = variational.project_values(rows, prob)
         for i, row in enumerate(rows):
             alone = variational.project_values(row, prob)
