@@ -14,7 +14,7 @@ inequality of Hardy-Littlewood-Sobolev type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,11 +22,6 @@ from . import kernels as _kernels
 from .errors import DomainError, InputError, ParameterError
 from .fields import Field
 from .lattice import LatticeWindow, SiteSet, vertex_boundary
-
-PROFILE_DISTANCE = "distance"
-PROFILE_CAPPED = "capped"
-PROFILE_QUADRATIC = "quadratic"
-_PROFILES = (PROFILE_DISTANCE, PROFILE_CAPPED, PROFILE_QUADRATIC)
 
 
 # ---------------------------------------------------------------------------
@@ -72,28 +67,15 @@ def biharmonic(u: Field) -> Field:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Confining potential a(x) built from the word distance to a well.
-
-    The well is the zero set of the potential; profiles are the raw distance,
-    the distance capped at ``cap`` or the squared distance.
-    """
+    """Confining potential a(x): the word distance to a well, its zero set."""
 
     well: SiteSet
-    profile: str = PROFILE_DISTANCE
-    cap: Optional[float] = None
 
     def __post_init__(self):
         if len(self.well) == 0:
             raise InputError("the potential well must be nonempty")
         if not self.well.is_connected():
             raise InputError("the potential well must be connected")
-        if self.profile not in _PROFILES:
-            raise ParameterError(f"profile must be one of {_PROFILES}, got {self.profile!r}")
-        if self.profile == PROFILE_CAPPED:
-            if self.cap is None or not self.cap > 0.0:
-                raise ParameterError("capped profile requires cap > 0")
-        elif self.cap is not None:
-            raise ParameterError("cap is only meaningful for the capped profile")
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -109,12 +91,7 @@ class PotentialSpec:
         coords = np.asarray(coords, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != self.dim:
             raise InputError(f"expected shape (n, {self.dim}), got {coords.shape}")
-        dist = self._distances(coords).astype(float)
-        if self.profile == PROFILE_DISTANCE:
-            return dist
-        if self.profile == PROFILE_CAPPED:
-            return np.minimum(dist, self.cap)
-        return dist**2
+        return self._distances(coords).astype(float)
 
     def values_on(self, window: LatticeWindow) -> np.ndarray:
         cached = self._cache.get(window)

@@ -6,7 +6,8 @@ overrides.  Reports are written as deterministic JSON (sorted keys, shortest
 round-trip floats) so repeated runs with the same inputs are byte-identical.
 
 Exit codes: 0 success, 1 usage or configuration error (a non-finite number
-included), 2 convergence failure, 3 verification failure.
+included), 2 convergence failure, 3 verification failure (a failed suite, or
+a false sweep verdict).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .calculus import PotentialSpec
 from .errors import ChoquardError, ConvergenceError, InitializerError
 from .fields import save_field
-from .kernels import GREEN, KINDS, asymptotics_bracket, build_kernel_table, cross_method_deviation
+from .kernels import asymptotics_bracket, build_kernel_table, cross_method_deviation
 from .lattice import ball, get_window
 from .solver import SolverConfig, ground_state, json_form, lambda_sweep, sweep_csv
 from .variational import MODE_FULL, MODES, ProblemSpec
@@ -38,26 +39,17 @@ class UsageError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-# The type of each key is that of its default: int, float, str, or a list of
-# floats or of strings.  Only the keys whose default is None declare theirs.
-_NONE_DEFAULT_TYPES = {"potential_cap": float, "out": str}
-
-
 def default_config() -> Dict[str, Dict[str, object]]:
     """Fully populated configuration with the documented defaults."""
     return {
         "problem": {
             "dim": 2,
             "radius": 16,
-            "window_shape": "box",
             "alpha": 1.0,
             "p": 2.0,
             "lam": 100.0,
             "lambda_grid": [1.0, 10.0, 100.0, 1000.0, 10000.0],
             "omega_radius": 2,
-            "potential_profile": "distance",
-            "potential_cap": None,
-            "kernel_kind": "green",
             "mode": "full",
         },
         "solver": asdict(SolverConfig()),
@@ -79,12 +71,16 @@ def _number(value) -> bool:
 
 
 def _coerce(block: str, key: str, default: object, value: object) -> object:
-    """Check a value against the type of the key's default and normalise it."""
+    """Check a value against the type of the key's default and normalise it.
+
+    The type is that of the default: int, float, str, or a list of floats or
+    of strings.  The one key whose default is None, output.out, takes a string.
+    """
     label = f"{block}.{key}"
     if default is None:
         if value is None:
             return None
-        default = _NONE_DEFAULT_TYPES[key]()
+        default = ""
     if isinstance(default, str):
         if not isinstance(value, str):
             raise UsageError(f"{label} must be a string, got {value!r}")
@@ -171,14 +167,9 @@ def resolve_config(args: argparse.Namespace) -> Dict[str, Dict[str, object]]:
 def build_problem(cfg: Dict[str, Dict[str, object]]) -> ProblemSpec:
     """Construct the problem described by a resolved configuration."""
     pb = cfg["problem"]
-    window = get_window(pb["dim"], pb["radius"], pb["window_shape"])
-    well = ball((0,) * pb["dim"], pb["omega_radius"])
-    potential = PotentialSpec(
-        well=well,
-        profile=pb["potential_profile"],
-        cap=pb["potential_cap"],
-    )
-    kernel = build_kernel_table(pb["kernel_kind"], pb["alpha"], window)
+    window = get_window(pb["dim"], pb["radius"])
+    potential = PotentialSpec(well=ball((0,) * pb["dim"], pb["omega_radius"]))
+    kernel = build_kernel_table(pb["alpha"], window)
     lam = pb["lam"] if pb["mode"] == MODE_FULL else None
     return ProblemSpec(
         mode=pb["mode"], window=window, potential=potential, kernel=kernel, p=pb["p"], lam=lam
@@ -208,10 +199,9 @@ def _out_base(out: str) -> Path:
 def cmd_kernel(cfg: Dict[str, Dict[str, object]]) -> int:
     """Build the kernel table and print its summary diagnostics."""
     pb = cfg["problem"]
-    window = get_window(pb["dim"], pb["radius"], pb["window_shape"])
-    table = build_kernel_table(pb["kernel_kind"], pb["alpha"], window)
+    table = build_kernel_table(pb["alpha"], get_window(pb["dim"], pb["radius"]))
     print(
-        f"kernel table: kind={table.kind} alpha={table.alpha!r} dim={table.dim} "
+        f"kernel table: alpha={table.alpha!r} dim={table.dim} "
         f"radius={table.radius} m_max={table.m_max} orbits={table.orbit_values.size}"
     )
     if table.m_max >= 5:
@@ -221,10 +211,9 @@ def cmd_kernel(cfg: Dict[str, Dict[str, object]]) -> int:
             f"asymptotic envelope on 5 <= |v|_1 <= {r_max}: "
             f"c1={c1:.6g} c2={c2:.6g} ratio={c2 / c1:.4g}"
         )
-    if table.kind == GREEN:
-        r_cross = min(10, table.m_max)
-        dev = cross_method_deviation(table, r_cross)
-        print(f"cross-method deviation (quadrature vs torus spectral, |v|_1 <= {r_cross}): {dev:.3e}")
+    r_cross = min(10, table.m_max)
+    dev = cross_method_deviation(table, r_cross)
+    print(f"cross-method deviation (quadrature vs torus spectral, |v|_1 <= {r_cross}): {dev:.3e}")
     return 0
 
 
@@ -267,7 +256,11 @@ def _plot_lines(header: str, pairs: Sequence[Tuple[float, float]]) -> str:
 
 
 def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
-    """Sweep the coupling over the grid and report levels, distances, verdicts."""
+    """Sweep the coupling over the grid and report levels, distances, verdicts.
+
+    A row that did not converge maps to exit code 2; with every row
+    converged, a false verdict maps to exit code 3.
+    """
     prob = build_problem(cfg)
     grid = [float(x) for x in cfg["problem"]["lambda_grid"]]
     base = replace(prob, mode=MODE_FULL, lam=grid[0])
@@ -306,9 +299,16 @@ def cmd_sweep(cfg: Dict[str, Dict[str, object]]) -> int:
             )
         else:
             print(f"lambda={row.lam:g}: did not converge")
-    for name, value in payload["report"]["verdicts"].items():
+    verdicts = payload["report"]["verdicts"]
+    for name, value in verdicts.items():
         print(f"verdict {name}: {value}")
-    return 0 if report.all_converged else 2
+    if not report.all_converged:
+        return 2
+    failed = [name for name, value in verdicts.items() if value is False]
+    if failed:
+        print(f"failed verdicts: {', '.join(failed)}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_verify(cfg: Dict[str, Dict[str, object]]) -> int:
@@ -383,7 +383,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         help="comma-separated coupling grid for sweeps",
     )
     parser.add_argument("--omega-radius", dest="omega_radius", type=int, help="well radius")
-    parser.add_argument("--kernel", dest="kernel_kind", choices=KINDS, help="kernel kind")
     parser.add_argument("--mode", choices=MODES, help="problem mode")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", metavar="PATH", help="report file; side files share its stem")

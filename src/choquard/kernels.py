@@ -12,10 +12,10 @@ lattice Green's function of the fractional Laplacian,
 
 for 0 < alpha < N, which decays like |v|^{alpha - N}.  The Bessel factors come
 from ``scipy.special.ive``, and the subordination integral from a
-Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  The
-module tabulates kernels over all difference vectors of a window
-(reduced to orbits of the coordinate-permutation-and-sign symmetry group) and
-applies tabulated kernels to fields by windowed convolution.  It also
+Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  R_alpha
+is the only convolution kernel: the module tabulates it over all difference
+vectors of a window (reduced to orbits of the coordinate-permutation-and-sign
+symmetry group) and applies the table to fields by windowed convolution.  It also
 implements the fractional Laplacian (-Delta)^{alpha/2} through the semigroup
 integral, which inverts the Green's function on interior sites.
 """
@@ -42,10 +42,6 @@ from .errors import (
     ParameterError,
 )
 from .lattice import BOX, LatticeWindow, embedding_map, get_window
-
-GREEN = "green"
-RIESZ = "riesz"
-KINDS = (GREEN, RIESZ)
 
 _SEGMENT_RATIO = 10.0
 # end of the head segment of the time quadrature
@@ -279,7 +275,7 @@ def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[Quad
 
 
 class KernelTable:
-    """Kernel values tabulated over all difference vectors of a window.
+    """Green's function values tabulated over all difference vectors of a window.
 
     Differences of sites of a radius-R window span [-2R, 2R]^N; values are
     stored once per orbit of coordinate permutations and sign flips, in the
@@ -289,18 +285,7 @@ class KernelTable:
     it is called on.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        alpha: float,
-        dim: int,
-        radius: int,
-        quad: QuadratureSpec,
-        orbit_values: np.ndarray,
-    ):
-        if kind not in KINDS:
-            raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
-        self.kind = kind
+    def __init__(self, alpha: float, dim: int, radius: int, quad: QuadratureSpec, orbit_values: np.ndarray):
         self.alpha = float(alpha)
         self.dim = int(dim)
         self.radius = int(radius)
@@ -317,7 +302,7 @@ class KernelTable:
 
     @property
     def diagonal(self) -> float:
-        """Kernel value at the zero difference (0 by convention for riesz)."""
+        """Kernel value at the zero difference."""
         return float(self._grid[(0,) * self.dim])
 
     def values_at(self, vs: np.ndarray) -> np.ndarray:
@@ -352,28 +337,14 @@ def _orbit_layout(dim: int, m_max: int) -> Tuple[np.ndarray, np.ndarray]:
     return keys, inverse
 
 
-def build_kernel_table(
-    kind: str,
-    alpha: float,
-    window: LatticeWindow,
-    quad: Optional[QuadratureSpec] = None,
-) -> KernelTable:
-    """Tabulate a kernel over the difference range of a window."""
-    if kind not in KINDS:
-        raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
+def build_kernel_table(alpha: float, window: LatticeWindow, quad: Optional[QuadratureSpec] = None) -> KernelTable:
+    """Tabulate the Green's function R_alpha over the difference range of a window."""
     if not 0.0 < alpha < window.dim:
         raise ParameterError("alpha must lie in (0, N)")
     quad = quad or QuadratureSpec()
-
     orbits = _orbit_layout(window.dim, 2 * window.radius)[0]
-    if kind == GREEN:
-        values = _green_values(alpha, window.dim, orbits, quad, _bessel_profile)
-    else:
-        norms = np.sqrt((orbits.astype(float) ** 2).sum(axis=1))
-        with np.errstate(divide="ignore"):
-            values = norms ** (alpha - window.dim)
-        values[norms == 0.0] = 0.0  # convolutions exclude the diagonal
-    return KernelTable(kind, alpha, window.dim, window.radius, quad, values)
+    values = _green_values(alpha, window.dim, orbits, quad, _bessel_profile)
+    return KernelTable(alpha, window.dim, window.radius, quad, values)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +448,8 @@ def asymptotics_bracket(table: KernelTable, r_min: int = 5, r_max: int = 30) -> 
 def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
     """Largest relative gap to the torus-spectral evaluation on |v|_1 <= r_max.
 
-    Only meaningful for subordination tables; the comparison floor 1e-14
-    absorbs summation round-off on values near zero.
+    The comparison floor 1e-14 absorbs summation round-off on values near zero.
     """
-    if table.kind != GREEN:
-        raise InputError("cross-method comparison applies to subordination tables only")
     norms = np.abs(table.orbit_keys).sum(axis=1)
     vs = table.orbit_keys[norms <= r_max]
     reference = table.values_at(vs)

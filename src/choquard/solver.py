@@ -179,7 +179,10 @@ def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
 
 
 def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """Solve A x = rhs for one row of free-site values by diagonally preconditioned CG."""
+    """Solve A x = rhs for one row of free-site values by diagonally preconditioned CG.
+
+    The preconditioner is built on the first call for a problem and cached on it.
+    """
     n_free = prob.free_indices().size
     if rhs.shape != (n_free,):
         raise InputError(f"expected {n_free} free-site values, got shape {rhs.shape}")
@@ -187,7 +190,7 @@ def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     if b_norm == 0.0:
         return np.zeros(n_free)
     matrix = prob.operator_matrix()
-    precond = diags(1.0 / matrix.diagonal())
+    precond = prob._cached("jacobi", lambda: diags(1.0 / matrix.diagonal()))
     x, info = _scipy_cg(matrix, rhs, rtol=_CG_TOL, atol=0.0, maxiter=_CG_MAX_ITERATIONS, M=precond)
     if info != 0:
         residual = float(np.linalg.norm(matrix @ x - rhs)) / b_norm

@@ -235,10 +235,7 @@ class ProblemSpec:
 
     def __repr__(self) -> str:
         tail = f", lam={self.lam!r}" if self.mode == MODE_FULL else ""
-        return (
-            f"ProblemSpec({self.mode!r}, {self.window!r}, kind={self.kernel.kind!r}, "
-            f"alpha={self.kernel.alpha!r}, p={self.p!r}{tail})"
-        )
+        return f"ProblemSpec({self.mode!r}, {self.window!r}, alpha={self.kernel.alpha!r}, p={self.p!r}{tail})"
 
 
 def _check_window(u: Field, prob: ProblemSpec) -> None:

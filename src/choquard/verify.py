@@ -306,8 +306,6 @@ def _suite_mountainpass(prob: ProblemSpec, seed: int) -> SuiteResult:
 def _suite_green(prob: ProblemSpec, seed: int) -> SuiteResult:
     table = prob.kernel
     alpha, dim = table.alpha, table.dim
-    if table.kind != _kernels.GREEN:
-        return SuiteResult("green", False, {"error": "suite requires the subordination kernel"})
     if not 0.0 < alpha < 2.0:
         return SuiteResult("green", False, {"error": "suite requires alpha in (0, 2)"})
     if prob.window.radius < 14:

@@ -16,7 +16,7 @@ def desk_window():
 
 @pytest.fixture(scope="session")
 def desk_table(desk_window):
-    return c.build_kernel_table("green", 1.0, desk_window)
+    return c.build_kernel_table(1.0, desk_window)
 
 
 @pytest.fixture(scope="session")
@@ -58,12 +58,12 @@ def small_window():
 
 @pytest.fixture(scope="session")
 def small_table(small_window):
-    return c.build_kernel_table("green", 1.0, small_window)
+    return c.build_kernel_table(1.0, small_window)
 
 
 @pytest.fixture(scope="session")
 def cube_table():
-    return c.build_kernel_table("green", 1.0, c.get_window(3, 4))
+    return c.build_kernel_table(1.0, c.get_window(3, 4))
 
 
 @pytest.fixture(scope="session")

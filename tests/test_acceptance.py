@@ -164,7 +164,7 @@ def test_criterion_09_translation_splitting_defects():
     # defect exactly zero; the pair-energy defect decreases over shifts
     # {8, 16, 24} and obeys the kernel-decay bound at the last shift
     window = get_window(2, 28)
-    table = c.build_kernel_table("green", 1.0, window)
+    table = c.build_kernel_table(1.0, window)
     pot = c.PotentialSpec(well=c.ball((0, 0), 2))
     prob = c.ProblemSpec(mode="full", window=window, potential=pot, kernel=table, p=2.0, lam=100.0)
     u_vals = np.zeros(window.count)

@@ -116,36 +116,20 @@ def test_potential_spec_validation():
         PotentialSpec(well=SiteSet([]))
     with pytest.raises(InputError):
         PotentialSpec(well=SiteSet([(0, 0), (5, 5)]))
-    with pytest.raises(ParameterError):
-        PotentialSpec(well=ball((0, 0), 1), profile="cubic")
-    with pytest.raises(ParameterError):
-        PotentialSpec(well=ball((0, 0), 1), profile="capped")
-    with pytest.raises(ParameterError):
-        PotentialSpec(well=ball((0, 0), 1), profile="capped", cap=0.0)
-    with pytest.raises(ParameterError):
-        PotentialSpec(well=ball((0, 0), 1), cap=3.0)
 
 
 def _brute_distance(site, well):
     return min(abs(site[0] - p[0]) + abs(site[1] - p[1]) for p in well)
 
 
-@pytest.mark.parametrize("profile, cap", [("distance", None), ("capped", 2.0), ("quadratic", None)])
-def test_potential_profiles_match_brute_force(profile, cap):
+def test_potential_matches_brute_force():
     well = ball((1, -1), 1)
-    spec = PotentialSpec(well=well, profile=profile, cap=cap)
+    spec = PotentialSpec(well=well)
     w = get_window(2, 5)
     vals = spec.values_on(w)
     for idx in range(w.count):
         site = tuple(int(v) for v in w.sites[idx])
-        d = _brute_distance(site, list(well))
-        if profile == "distance":
-            expected = float(d)
-        elif profile == "capped":
-            expected = float(min(d, cap))
-        else:
-            expected = float(d * d)
-        assert vals[idx] == expected
+        assert vals[idx] == float(_brute_distance(site, list(well)))
     assert spec.values_on(w) is vals  # cached per window
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: configs, reports, determinism, and exit codes."""
 
 import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -67,7 +68,6 @@ _FLAGS = [
     (["--lambda", "7"], "problem", "lam", 7.0),
     (["--lambda-grid", "1,2"], "problem", "lambda_grid", [1.0, 2.0]),
     (["--omega-radius", "1"], "problem", "omega_radius", 1),
-    (["--kernel", "riesz"], "problem", "kernel_kind", "riesz"),
     (["--mode", "dirichlet"], "problem", "mode", "dirichlet"),
     (["--seed", "4"], "solver", "seed", 4),
     (["--out", "r.json"], "output", "out", "r.json"),
@@ -138,24 +138,26 @@ def test_flags_override_config_file(tmp_path, capsys):
 def test_kernel_command_builds_then_reuses_cache(capsys):
     assert main(["kernel", "--radius", "6"]) == 0
     out = capsys.readouterr().out
-    assert "kernel table: kind=green alpha=1.0 dim=2 radius=6 m_max=12" in out
+    assert "kernel table: alpha=1.0 dim=2 radius=6 m_max=12" in out
     assert "asymptotic envelope on 5 <= |v|_1 <= 12" in out
     assert "cross-method deviation" in out
     assert "cache:" not in out
 
 
 def test_removed_cache_option_is_rejected(tmp_path, capsys):
-    assert main(["kernel", "--radius", "6", "--cache-dir", str(tmp_path)]) == 1
-    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    for flag, value in (("--cache-dir", str(tmp_path)), ("--kernel", "riesz")):
+        assert main(["kernel", "--radius", "6", flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"output": {"cache_dir": "x"}}))
-    assert main(["kernel", "--radius", "6", "--config", str(cfg_path)]) == 1
-    assert "unknown configuration key output.cache_dir" in capsys.readouterr().err
+    problem_keys = ("potential_bound", "kernel_kind", "potential_profile", "potential_cap", "window_shape")
     solver_keys = ("cg_tol", "cg_max_iterations", "shrink", "sufficient_decrease", "nehari_tol", "initializer")
-    for block, key in [("problem", "potential_bound")] + [("solver", key) for key in solver_keys]:
+    removed = [("output", "cache_dir")] + [("problem", key) for key in problem_keys]
+    for block, key in removed + [("solver", key) for key in solver_keys]:
         cfg_path.write_text(json.dumps({block: {key: 1.0}}))
         assert main(["solve", "--radius", "6", "--config", str(cfg_path)]) == 1
         assert f"unknown configuration key {block}.{key}" in capsys.readouterr().err
+        assert f"`{block}.{key}`" in readme
 
 
 def test_kernel_command_rejects_out_of_range_alpha(capsys):
@@ -243,6 +245,26 @@ def test_sweep_convergence_failure_exit_code(tmp_path, capsys):
     argv = ["sweep", "--config", cfg, "--radius", "6", "--lambda-grid", "1,10", "--omega-radius", "1"]
     assert main(argv) == 2
     assert "convergence failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("all_converged, code", [(True, 3), (False, 2)])
+def test_sweep_false_verdict_exits_three_once_every_row_converged(tmp_path, monkeypatch, capsys, all_converged, code):
+    real = cli.lambda_sweep
+
+    def one_false_verdict(base, grid, cfg):
+        report = real(base, grid, cfg)
+        verdicts = dataclasses.replace(report.verdicts, distance_decreasing=False)
+        return dataclasses.replace(report, verdicts=verdicts, all_converged=all_converged)
+
+    monkeypatch.setattr(cli, "lambda_sweep", one_false_verdict)
+    out = tmp_path / "rep.json"
+    argv = ["sweep", "--radius", "6", "--omega-radius", "1", "--lambda-grid", "1,10", "--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "verdict distance_decreasing: False" in captured.out
+    assert "verdict level_at_most_well: True" in captured.out
+    assert json.loads(out.read_text())["report"]["verdicts"]["distance_decreasing"] is False
+    assert captured.err == ("failed verdicts: distance_decreasing\n" if all_converged else "")
 
 
 def test_sweep_non_finite_direction_is_a_convergence_failure(tmp_path, monkeypatch, capsys):
@@ -352,13 +374,13 @@ def test_verify_detects_tampered_kernel_table(capsys, monkeypatch):
     assert main(["verify", "--radius", "16", "--suites", "green"]) == 0
     assert "green: PASS" in capsys.readouterr().out
 
-    def tampered_build(kind, alpha, window):
-        table = build_kernel_table(kind, alpha, window)
+    def tampered_build(alpha, window):
+        table = build_kernel_table(alpha, window)
         values = table.orbit_values.copy()
         nearest = np.flatnonzero((table.orbit_keys == (1, 0)).all(axis=1))
         assert nearest.size == 1
         values[nearest] *= 1.001
-        return KernelTable(kind, alpha, table.dim, table.radius, table.quad, values)
+        return KernelTable(alpha, table.dim, table.radius, table.quad, values)
 
     monkeypatch.setattr(cli, "build_kernel_table", tampered_build)
     assert main(["verify", "--radius", "16", "--suites", "green"]) == 3

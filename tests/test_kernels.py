@@ -24,8 +24,6 @@ from choquard import (
 )
 import choquard.kernels as kernels
 from choquard.kernels import (
-    GREEN,
-    RIESZ,
     green_function,
     heat_kernel,
     heat_kernel_spectral,
@@ -178,11 +176,9 @@ def test_green_function_decay_exponent():
 
 def test_build_table_validates_inputs(small_window):
     with pytest.raises(ParameterError, match=r"alpha must lie in \(0, N\)"):
-        c.build_kernel_table(GREEN, 2.0, small_window)
+        c.build_kernel_table(2.0, small_window)
     with pytest.raises(ParameterError, match=r"alpha must lie in \(0, N\)"):
-        c.build_kernel_table(GREEN, 0.0, small_window)
-    with pytest.raises(InputError):
-        c.build_kernel_table("bessel", 1.0, small_window)
+        c.build_kernel_table(0.0, small_window)
 
 
 def test_table_lookup_matches_direct_evaluation(small_table):
@@ -193,19 +189,11 @@ def test_table_lookup_matches_direct_evaluation(small_table):
         small_table.values_at(np.array([[13, 0]]))
 
 
-def test_riesz_table_zeroes_diagonal(small_window):
-    table = c.build_kernel_table(RIESZ, 1.0, small_window)
-    assert table.values_at(np.array([[0, 0]]))[0] == 0.0
-    assert table.values_at(np.array([[3, -4]]))[0] == pytest.approx(0.2, rel=1e-15)
-    table = c.build_kernel_table(RIESZ, 1.5, small_window)
-    assert table.values_at(np.array([[0, 2]]))[0] == pytest.approx(2.0 ** (-0.5), rel=1e-15)
-
-
 def test_kernel_table_rejects_bad_orbit_values(small_table):
     t = small_table
 
     def rebuilt(values):
-        return c.KernelTable(t.kind, t.alpha, t.dim, t.radius, t.quad, values)
+        return c.KernelTable(t.alpha, t.dim, t.radius, t.quad, values)
 
     assert np.array_equal(rebuilt(t.orbit_values.copy())._grid, t._grid)
     assert not t.orbit_keys.flags.writeable
@@ -226,7 +214,7 @@ _SYMMETRY_TABLES = {1: (0.6, 8), 2: (1.3, 6), 3: (2.5, 3)}
 @functools.lru_cache(maxsize=None)
 def _symmetry_table(dim):
     alpha, radius = _SYMMETRY_TABLES[dim]
-    return c.build_kernel_table(GREEN, alpha, get_window(dim, radius))
+    return c.build_kernel_table(alpha, get_window(dim, radius))
 
 
 @settings(max_examples=30, deadline=None)
@@ -517,14 +505,11 @@ def test_green_table_inverts_fractional_laplacian(desk_table):
     assert err <= 1e-4
 
 
-def test_asymptotics_bracket_and_cross_method(small_table, small_window):
+def test_asymptotics_bracket_and_cross_method(small_table):
     c1, c2 = c.asymptotics_bracket(small_table, 5, 12)
     assert 0.0 < c1 <= c2
     assert c2 / c1 <= 10.0
     assert c.cross_method_deviation(small_table, 8) <= 1e-6
-    riesz = c.build_kernel_table(RIESZ, 1.0, small_window)
-    with pytest.raises(InputError):
-        c.cross_method_deviation(riesz, 8)
     # orbit keys reach word length dim * m_max = 24, so 25 starts past the table
     with pytest.raises(InputError):
         c.asymptotics_bracket(small_table, 25, 30)

@@ -74,6 +74,24 @@ def test_cg_solve_accuracy_and_failure(small_prob, monkeypatch):
     assert info.value.residual > 0.0
 
 
+def test_cg_preconditioner_is_built_once_per_problem(small_cube, monkeypatch):
+    real = c.solver.diags
+    built = []
+
+    def counting(diagonal):
+        built.append(diagonal)
+        return real(diagonal)
+
+    monkeypatch.setattr(c.solver, "diags", counting)
+    prob = dataclasses.replace(small_cube)
+    rhs = np.random.default_rng(37).standard_normal((3, prob.free_indices().size))
+    x = c.linear_solve(rhs, prob)
+    assert np.array_equal(c.linear_solve(rhs, prob), x)
+    assert len(built) == 1
+    c.cg_solve(rhs[0], dataclasses.replace(prob, lam=2.0 * prob.lam))
+    assert len(built) == 2
+
+
 def test_dual_residual_is_directional_supremum(small_prob, monkeypatch):
     rng = np.random.default_rng(32)
     _, u = c.nehari_project(
@@ -168,8 +186,8 @@ def test_linear_solve_rows_match_single_solves(request, name, monkeypatch):
 
 
 @lru_cache(maxsize=None)
-def _riesz_table(dim):
-    return c.build_kernel_table("riesz", 0.5, get_window(dim, 12))
+def _green_table(dim):
+    return c.build_kernel_table(0.5, get_window(dim, 12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,7 +208,7 @@ def test_band_and_sparse_factors_agree(dim, shape, mode, lam, radius, well_radiu
         mode=mode,
         window=get_window(dim, radius, shape),
         potential=PotentialSpec(well=ball((0,) * dim, well_radius)),
-        kernel=_riesz_table(dim),
+        kernel=_green_table(dim),
         p=2.0,
         lam=lam if mode == "full" else None,
     )
@@ -306,7 +324,7 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
     rng = np.random.default_rng(seed)
     factors = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, table.orbit_values.size)
     nudged = c.KernelTable(
-        table.kind, table.alpha, table.dim, table.radius, table.quad, table.orbit_values * factors,
+        table.alpha, table.dim, table.radius, table.quad, table.orbit_values * factors,
     )
     res = c.ground_state(dataclasses.replace(desk_prob, kernel=nudged), SolverConfig())
     assert res.start_index == base.start_index
@@ -626,7 +644,7 @@ def test_level_stable_under_window_enlargement():
     levels = {}
     for radius in (12, 14):
         w = get_window(2, radius)
-        table = c.build_kernel_table(c.kernels.GREEN, 1.0, w)
+        table = c.build_kernel_table(1.0, w)
         pot = PotentialSpec(well=ball((0, 0), 1))
         prob = ProblemSpec(mode="full", window=w, potential=pot, kernel=table, p=2.0, lam=20.0)
         levels[radius] = c.ground_state(prob, SolverConfig(restarts=1, residual_tol=1e-10)).level
@@ -779,7 +797,7 @@ def test_lambda_sweep_levels_at_p6_stay_at_most_the_pinned_levels():
         mode="full",
         window=window,
         potential=PotentialSpec(well=ball((0, 0), 2)),
-        kernel=c.build_kernel_table("green", 1.0, window),
+        kernel=c.build_kernel_table(1.0, window),
         p=6.0,
         lam=1.0,
     )

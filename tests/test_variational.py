@@ -22,7 +22,6 @@ from choquard import (
     ball,
     get_window,
 )
-from choquard.kernels import GREEN
 
 
 def _free_field(prob, rng, scale=1.0):
@@ -357,7 +356,7 @@ def test_problem_spec_repr_and_caching(small_prob):
 @pytest.mark.parametrize("dim, shape", [(2, "box"), (2, "ball"), (3, "box")])
 def test_point_mass_has_exactly_zero_pair_energy(dim, shape):
     window = get_window(dim, 4, shape)
-    table = c.build_kernel_table(GREEN, 1.0, window)
+    table = c.build_kernel_table(1.0, window)
     prob = ProblemSpec(
         mode="full",
         window=window,
