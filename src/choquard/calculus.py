@@ -1,27 +1,28 @@
 """Difference operators, Sobolev-type norms, and nonlocal energies on windows.
 
 The graph Laplacian, the carre du champ bilinear form and the biharmonic
-operator act on zero-extended fields; their outputs live on windows enlarged
-by the stencil width (one site for first and second order, two for the
-biharmonic), which makes lattice-wide sums of the results exact.  On top of
-these the module defines the squared norms of the weighted energy space
-(with a confining potential scaled by a coupling), the plain second-order
-Sobolev norm, the Dirichlet norm over a well, the nonlocal pair energy
-driven by a tabulated kernel, and sampling diagnostics for the convolution
-inequality of Hardy-Littlewood-Sobolev type.
+operator (Field forms of lattice.difference_rows) act on zero-extended
+fields; their outputs live on windows enlarged by the stencil width (one
+site for first and second order, two for the biharmonic), which makes
+lattice-wide sums of the results exact.  On top of these the module defines
+the squared norms of the weighted energy space (with a confining potential
+scaled by a coupling), the plain second-order Sobolev norm, the Dirichlet
+norm over a well, the nonlocal pair energy driven by a tabulated kernel,
+and sampling diagnostics for the convolution inequality of
+Hardy-Littlewood-Sobolev type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import kernels as _kernels
 from .errors import DomainError, InputError, ParameterError
 from .fields import Field
-from .lattice import LatticeWindow, SiteSet, vertex_boundary
+from .lattice import LatticeWindow, SiteSet, difference_rows, vertex_boundary
 
 
 # ---------------------------------------------------------------------------
@@ -33,26 +34,16 @@ def laplacian(u: Field) -> Field:
     """Graph Laplacian (Delta u)(x) = sum_{y ~ x} (u(y) - u(x)).
 
     Returned on the window enlarged by one site, outside which the result of
-    a zero-extended field vanishes identically.
+    a zero-extended field vanishes identically (lattice.difference_rows).
     """
-    big = u.window.enlarged(1)
-    v = u.embed(big)
-    padded = np.append(v.values, 0.0)
-    neighbor_sum = padded[big.neighbors].sum(axis=1)
-    return Field(big, neighbor_sum - 2.0 * big.dim * v.values)
+    return Field(u.window.enlarged(1), difference_rows(u.window, u.values)[0])
 
 
 def gradient_form(u: Field, v: Field) -> Field:
     """Carre du champ Gamma(u, v)(x) = (1/2) sum_{y ~ x} (u(y)-u(x))(v(y)-v(x))."""
     if u.window != v.window:
         raise InputError(f"window mismatch: {u.window} vs {v.window}")
-    big = u.window.enlarged(1)
-    ue, ve = u.embed(big), v.embed(big)
-    up = np.append(ue.values, 0.0)
-    vp = np.append(ve.values, 0.0)
-    du = up[big.neighbors] - ue.values[:, None]
-    dv = vp[big.neighbors] - ve.values[:, None]
-    return Field(big, 0.5 * (du * dv).sum(axis=1))
+    return Field(u.window.enlarged(1), difference_rows(u.window, u.values, v.values)[1])
 
 
 def biharmonic(u: Field) -> Field:
@@ -107,11 +98,23 @@ class PotentialSpec:
 # ---------------------------------------------------------------------------
 
 
+def w22_norm_rows(window: LatticeWindow, x: np.ndarray, well: Optional[SiteSet] = None) -> np.ndarray:
+    """sum |Delta x|^2 + sum Gamma(x, x) + sum x^2 per row of window values x.
+
+    With ``well``, the Delta and gradient sums run over the closed well (well
+    plus vertex boundary) only, as dirichlet_norm_sq defines them.
+    """
+    lap, gamma = difference_rows(window, x)
+    if well is not None:
+        idx = window.enlarged(1).indices_of(well.union(vertex_boundary(well)).as_array())
+        closed = np.unique(idx[idx >= 0])
+        lap, gamma = np.take(lap, closed, axis=-1), np.take(gamma, closed, axis=-1)
+    return row_dot(lap, lap) + gamma.sum(axis=-1) + row_dot(x, x)
+
+
 def w22_norm_sq(u: Field) -> float:
     """Squared second-order Sobolev norm: sum |Delta u|^2 + |grad u|^2 + u^2."""
-    lap = laplacian(u)
-    gamma = gradient_form(u, u)
-    return float(lap.values @ lap.values + gamma.values.sum() + u.values @ u.values)
+    return float(w22_norm_rows(u.window, u.values))
 
 
 def energy_norm_sq(u: Field, potential: PotentialSpec, lam: float) -> float:
@@ -120,8 +123,12 @@ def energy_norm_sq(u: Field, potential: PotentialSpec, lam: float) -> float:
         raise InputError("potential dimension does not match the field")
     if not lam > 0.0:
         raise ParameterError(f"coupling must be > 0, got {lam}")
-    a_vals = potential.values_on(u.window)
-    return w22_norm_sq(u) + lam * float((a_vals * u.values) @ u.values)
+    return float(energy_norm_rows(u.window, u.values, potential, lam))
+
+
+def energy_norm_rows(window: LatticeWindow, x: np.ndarray, potential: PotentialSpec, lam: float) -> np.ndarray:
+    """energy_norm_sq per row of window values x."""
+    return w22_norm_rows(window, x) + lam * row_dot(potential.values_on(window) * x, x)
 
 
 def dirichlet_norm_sq(u: Field, well: SiteSet) -> float:
@@ -132,15 +139,7 @@ def dirichlet_norm_sq(u: Field, well: SiteSet) -> float:
     """
     if not u.is_supported_in(well):
         raise InputError("field is not supported in the well")
-    closed = well.union(vertex_boundary(well))
-    lap = laplacian(u)
-    gamma = gradient_form(u, u)
-    idx = lap.window.indices_of(closed.as_array())
-    mask = np.zeros(lap.window.count, dtype=bool)
-    mask[idx[idx >= 0]] = True
-    lap_sq = float(lap.values[mask] @ lap.values[mask])
-    grad = float(gamma.values[mask].sum())
-    return lap_sq + grad + float(u.values @ u.values)
+    return float(w22_norm_rows(u.window, u.values, well))
 
 
 # ---------------------------------------------------------------------------

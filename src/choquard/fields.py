@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .lattice import BALL, BOX, LatticeWindow, SiteSet, embedding_map, get_window
+from .lattice import BALL, BOX, LatticeWindow, SiteSet, _as_site, embed_rows, get_window
 
 _FIELD_FORMAT = "lattice-field v1"
 # sites per block of lines that save_field formats at once
@@ -59,9 +59,7 @@ class Field:
         """The same function on a window containing every site of the current one."""
         if target == self.window:
             return self
-        values = np.zeros(target.count)
-        values[embedding_map(self.window, target)] = self.values
-        return Field(target, values)
+        return Field(target, embed_rows(self.values, self.window, target))
 
     def support(self) -> SiteSet:
         nz = np.nonzero(self.values)[0]
@@ -72,8 +70,8 @@ class Field:
         return all(tuple(int(c) for c in self.window.sites[i]) in region for i in nz)
 
     def translated(self, shift: Sequence[int]) -> "Field":
-        """The field x -> u(x - shift); the moved support must stay inside the window."""
-        offset = np.asarray(shift, dtype=np.int64)
+        """The field x -> u(x - shift) for an integer shift; the moved support must stay inside the window."""
+        offset = np.asarray(_as_site(shift), dtype=np.int64)
         if offset.shape != (self.window.dim,):
             raise InputError(f"shift must have {self.window.dim} coordinates, got {offset.shape}")
         nz = np.nonzero(self.values)[0]

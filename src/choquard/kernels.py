@@ -41,7 +41,7 @@ from .errors import (
     InternalError,
     ParameterError,
 )
-from .lattice import BOX, LatticeWindow, embedding_map, get_window
+from .lattice import BOX, LatticeWindow, difference_rows, embed_rows, get_window
 
 _SEGMENT_RATIO = 10.0
 # end of the head segment of the time quadrature
@@ -419,7 +419,7 @@ def convolve_values(
         )
     shape, spectrum = _kernel_spectrum(table, reach)
     lead = values.shape[:-1]
-    grid = _box_values(window, values).reshape(lead + (2 * r_in + 1,) * table.dim)
+    grid = _box_values(window, values)[1].reshape(lead + (2 * r_in + 1,) * table.dim)
     freq = rfftn(grid, s=shape)
     freq *= spectrum
     full = irfftn(freq, s=shape)
@@ -462,20 +462,12 @@ def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _box_embedding(u: Field) -> Field:
-    if u.window.shape == BOX:
-        return u
-    return Field(get_window(u.window.dim, u.window.radius, BOX), _box_values(u.window, u.values))
-
-
-def _box_values(window: LatticeWindow, values: np.ndarray) -> np.ndarray:
-    """Rows of window values on the bounding box of the window, zero off it."""
+def _box_values(window: LatticeWindow, values: np.ndarray) -> Tuple[LatticeWindow, np.ndarray]:
+    """The bounding box of the window, and rows of window values on it, zero off the window."""
     if window.shape == BOX:
-        return values
+        return window, values
     box = get_window(window.dim, window.radius, BOX)
-    out = np.zeros(values.shape[:-1] + (box.count,))
-    out[..., embedding_map(window, box)] = values
-    return out
+    return box, embed_rows(values, window, box)
 
 
 def _semigroup_apply(profiles: np.ndarray, grid: np.ndarray, r_out: int) -> np.ndarray:
@@ -508,13 +500,13 @@ def heat_semigroup_apply(u: Field, t: float) -> Field:
     """
     if not 0.0 <= t < math.inf:
         raise InputError(f"time must be finite and >= 0, got {t}")
-    u = _box_embedding(u)
+    box, values = _box_values(u.window, u.values)
     if t == 0.0:
-        return Field(u.window, u.values.copy())
-    r = u.window.radius
-    grid = u.values.reshape((2 * r + 1,) * u.window.dim)
+        return Field(box, values.copy())
+    r = box.radius
+    grid = values.reshape((2 * r + 1,) * box.dim)
     profile = scaled_bessel_profile(2.0 * t, 2 * r)
-    return Field(u.window, _semigroup_apply(profile[None], grid, r).reshape(-1))
+    return Field(box, _semigroup_apply(profile[None], grid, r).reshape(-1))
 
 
 # float64 values that the node arrays of one block of quadrature nodes may
@@ -549,27 +541,24 @@ def fractional_laplacian(
     if out_window is not None and out_window.dim != u.window.dim:
         raise InputError("output window dimension does not match the field")
     quad = quad or QuadratureSpec()
-
-    from .calculus import laplacian  # local import to avoid a cycle at load time
-
-    out = _box_embedding(u)
+    window, values = _box_values(u.window, u.values)
     k = int(alpha // 2)
     frac = alpha - 2 * k
     for _ in range(k):
-        lap = laplacian(out)
-        out = Field(lap.window, -lap.values)
-    out_w = out_window or out.window
+        values = -difference_rows(window, values)[0]
+        window = window.enlarged(1)
+    out_w = out_window or window
     if frac == 0.0:
-        idx = out.window.indices_of(out_w.sites)
-        return Field(out_w, np.where(idx >= 0, out.values[idx], 0.0))
+        idx = window.indices_of(out_w.sites)
+        return Field(out_w, np.where(idx >= 0, values[idx], 0.0))
 
     s = frac / 2.0
     decades = 4  # the integral is cut at T = 1e4
     T = _T_SPLIT * _SEGMENT_RATIO**decades
-    dim = out.window.dim
-    r_in, r_out = out.window.radius, out_w.radius
+    dim = window.dim
+    r_in, r_out = window.radius, out_w.radius
     side_in, side_out = 2 * r_in + 1, 2 * r_out + 1
-    grid = out.values.reshape((side_in,) * dim)
+    grid = values.reshape((side_in,) * dim)
     # u on the output box: the input box cut down or zero-padded
     here = np.zeros((side_out,) * dim)
     m = min(r_in, r_out)
@@ -586,7 +575,7 @@ def fractional_laplacian(
             moved = _semigroup_apply(profiles[lo : lo + block], grid, r_out)
             total += cs[lo : lo + block] @ (moved.reshape(moved.shape[0], -1) - here)
     # tail: e^{t Delta} u ~ (sum u) (4 pi t)^{-N/2} and the exact -u part
-    mass = float(out.values.sum())
+    mass = float(values.sum())
     spread = mass * (4.0 * np.pi) ** (-dim / 2.0) * T ** (-(dim / 2.0 + s)) / (dim / 2.0 + s)
     total += spread - here * T**-s / s
     coef = 1.0 / math.gamma(-s)  # negative for s in (0, 1)

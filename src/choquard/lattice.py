@@ -2,17 +2,17 @@
 
 The lattice is the Cayley graph of Z^N with generators +/- e_i, so the graph
 distance between sites is the L1 distance and each site has 2N neighbours.
-This module provides balls, vertex boundaries of finite site sets, and
-indexed computational windows (boxes [-R, R]^N or word-metric balls) on
-which fields are stored, with the cached index maps that embed one window
-in a larger one.
+This module provides balls, vertex boundaries of finite site sets, indexed
+computational windows (boxes [-R, R]^N or word-metric balls) on which fields
+are stored, the cached index maps that embed one window in a larger one, and
+the difference stencils on rows of window values (difference_rows).
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -273,3 +273,36 @@ def embedding_map(source: LatticeWindow, target: LatticeWindow) -> np.ndarray:
         raise InputError(f"{target} does not contain {source}")
     idx.setflags(write=False)
     return idx
+
+
+def embed_rows(x: np.ndarray, source: LatticeWindow, target: LatticeWindow) -> np.ndarray:
+    """Rows of values on ``source`` (last axis), zero-extended to ``target``."""
+    out = np.zeros(x.shape[:-1] + (target.count,))
+    out[..., embedding_map(source, target)] = x
+    return out
+
+
+def difference_rows(window: LatticeWindow, x: np.ndarray, y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows of Delta x and of Gamma(x, y) (y defaults to x) on window.enlarged(1).
+
+    x and y hold rows of zero-extended values on the window (last axis).  Each
+    sum over the neighbours of a site runs over the 2N slots of the neighbour
+    table, and the rows come out C-contiguous (np.take, not fancy indexing),
+    so a row's values, and its sums along the last axis, do not depend on the batch.
+    """
+    big = window.enlarged(1)
+
+    def around(rows):
+        padded = np.zeros(rows.shape[:-1] + (big.count + 1,))
+        padded[..., embedding_map(window, big)] = rows
+        return padded[..., :-1], np.take(padded, big.neighbors, axis=-1)
+
+    here, gathered = around(x)
+    lap = gathered.sum(axis=-1) - 2.0 * big.dim * here
+    gathered -= here[..., None]
+    if y is None:
+        gathered *= gathered
+    else:
+        y_here, y_gathered = around(y)
+        gathered *= y_gathered - y_here[..., None]
+    return lap, 0.5 * gathered.sum(axis=-1)

@@ -42,6 +42,7 @@ starts of the radius-32 solve merge after 7 of the 14 steps they take alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -50,7 +51,7 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import cg as _scipy_cg
 
 from . import variational as _var
-from .calculus import bump_field, gradient_form, laplacian, nonlocal_energy, row_dot, w22_norm_sq
+from .calculus import bump_field, pair_sums, row_dot, w22_norm_sq
 from .errors import (
     ChoquardError,
     ConvergenceError,
@@ -60,6 +61,7 @@ from .errors import (
     ParameterError,
 )
 from .fields import Field
+from .lattice import _as_site, difference_rows
 from .variational import MODE_DIRICHLET, MODE_FULL, ProblemSpec
 
 STATUS_CONVERGED = "converged"
@@ -102,12 +104,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.residual_tol < math.inf:
             raise ParameterError(f"residual_tol must be finite and > 0, got {self.residual_tol}")
-        if self.max_iterations < 1:
-            raise ParameterError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.restarts < 0:
-            raise ParameterError(f"restarts must be >= 0, got {self.restarts}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("max_iterations", 1), ("restarts", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,6 @@ class _Merged:
     iterations: int
     level: float
     history: Tuple[IterationRecord, ...]
-
-
-def apply_quadratic_operator(u: Field, prob: ProblemSpec) -> Field:
-    """A u for A = Delta^2 - Delta + weight; u' A u equals the squared norm."""
-    _var._require_admissible(u, prob)
-    return Field(prob.window, prob.extend(_var.operator_values(prob.restrict(u.values), prob)))
 
 
 def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
@@ -653,52 +647,48 @@ def brezis_lieb_probe(
 ) -> Tuple[SplittingRow, ...]:
     """Splitting defects of norms and pair energy under translations of v.
 
-    For each shift z the probe forms u_z = u + v(. - z) and tabulates the
-    pointwise-summed defect of the squared W^{2,2} norm (exactly zero once
-    the difference stencils of u and the moved v are disjoint) and the pair
-    energy defect |D(u_z) - D(u_z - u) - D(u)|, which decays like the kernel
-    as the shift grows.  The moved fields leave the well, so D is the pair
-    energy over the whole window (calculus.nonlocal_energy) in either mode.
+    For each integer shift z the probe forms u_z = u + v(. - z) and
+    tabulates the pointwise-summed defect of the squared W^{2,2} norm
+    (exactly zero once the difference stencils of u and the moved v are
+    disjoint) and the pair energy defect |D(u_z) - D(u_z - u) - D(u)|, which
+    decays like the kernel as the shift grows.  The moved fields leave the
+    well, so D is the pair energy over the whole window in either mode; u,
+    all v(. - z) and all u_z are rows of one stencil call and one convolution.
     """
     _var._check_window(u, prob)
     _var._check_window(v, prob)
-    v_support = v.support().as_array().reshape(-1, prob.dim)
-    v_reach = prob.window.reach(v_support)
-    d_u = nonlocal_energy(u, prob.kernel, prob.p)
-    lap_u = laplacian(u)
-    gam_u = gradient_form(u, u)
-    rows = []
-    for shift in shifts:
-        offset = np.asarray(shift, dtype=np.int64)
+    window = prob.window
+    nz = np.nonzero(v.values)[0]
+    v_support = window.sites[nz]
+    v_reach = window.reach(v_support)
+    offsets = []
+    moved = np.zeros((len(shifts), window.count))
+    for row, shift in zip(moved, shifts):
+        offset = np.asarray(_as_site(shift), dtype=np.int64)
         if offset.shape != (prob.dim,):
             raise InputError(f"shift {shift!r} must have {prob.dim} coordinates")
-        moved_support = v_support + offset
-        margin = prob.window.radius - prob.window.reach(moved_support)
+        margin = window.radius - window.reach(v_support + offset)
         if margin < v_reach:
             raise InputError(
-                f"shift {tuple(int(c) for c in offset)} leaves margin {margin}, "
+                f"shift {tuple(offset.tolist())} leaves margin {margin}, "
                 f"need at least the support reach {v_reach}"
             )
-        vz = v.translated(offset)
-        combined = u + vz
-        d_vz = nonlocal_energy(vz, prob.kernel, prob.p)
-        d_comb = nonlocal_energy(combined, prob.kernel, prob.p)
-        lap_c, lap_v = laplacian(combined), laplacian(vz)
-        gam_c, gam_v = gradient_form(combined, combined), gradient_form(vz, vz)
-        norm_defect = float(
-            (lap_c.values**2 - lap_v.values**2 - lap_u.values**2).sum()
-            + (gam_c.values - gam_v.values - gam_u.values).sum()
-            + (combined.values**2 - vz.values**2 - u.values**2).sum()
-        )
-        rows.append(
-            SplittingRow(
-                shift=tuple(int(c) for c in offset),
-                distance=int(np.abs(offset).sum()),
-                norm_defect=norm_defect,
-                nonlocal_defect=abs(d_comb - d_vz - d_u),
-            )
-        )
-    return tuple(rows)
+        row[window.indices_of(v_support + offset)] = v.values[nz]
+        offsets.append(offset)
+    k = len(offsets)
+    rows = np.concatenate([u.values[None], moved, u.values + moved])
+    lap, gamma = difference_rows(window, rows)
+    _, d = pair_sums(prob.kernel, window, np.abs(rows) ** prob.p)
+    norm_defects = (
+        (lap[k + 1 :] ** 2 - lap[1 : k + 1] ** 2 - lap[0] ** 2).sum(axis=-1)
+        + (gamma[k + 1 :] - gamma[1 : k + 1] - gamma[0]).sum(axis=-1)
+        + (rows[k + 1 :] ** 2 - moved**2 - u.values**2).sum(axis=-1)
+    )
+    nonlocal_defects = np.abs(d[k + 1 :] - d[1 : k + 1] - d[0])
+    return tuple(
+        SplittingRow(tuple(offset.tolist()), int(np.abs(offset).sum()), norm, pair)
+        for offset, norm, pair in zip(offsets, norm_defects.tolist(), nonlocal_defects.tolist())
+    )
 
 
 # ---------------------------------------------------------------------------

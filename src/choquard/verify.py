@@ -10,6 +10,7 @@ constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -20,8 +21,8 @@ from . import kernels as _kernels
 from . import variational as _var
 from .errors import ChoquardError, InputError, NoProjectionError, ParameterError
 from .fields import Field
-from .lattice import BALL, BOX, ball, get_window
-from .solver import apply_quadratic_operator, brezis_lieb_probe
+from .lattice import BALL, BOX, ball, difference_rows, embed_rows, get_window
+from .solver import brezis_lieb_probe
 from .variational import MODE_FULL, ProblemSpec
 
 
@@ -32,56 +33,47 @@ class SuiteResult:
     details: Dict[str, object]
 
 
-def _random_field(prob: ProblemSpec, rng: np.random.Generator) -> Field:
-    return Field(prob.window, prob.extend(rng.standard_normal(prob.free_indices().size)))
-
-
-def _rel_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _rel_gaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def _suite_ops(prob: ProblemSpec, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     window = prob.window
-    n = window.dim
+    big, big2 = window.enlarged(1), window.enlarged(2)
     worst_parts = 0.0
     worst_dist = 0.0
-    for _ in range(50):
-        u = _random_field(prob, rng)
-        phi = _random_field(prob, rng)
-        lap = _calculus.laplacian(u)
-        gamma = _calculus.gradient_form(u, u)
-        lhs = float(gamma.values.sum())
-        rhs = -float(u.embed(lap.window).values @ lap.values)
-        worst_parts = max(worst_parts, _rel_gap(lhs, rhs))
-        bi = _calculus.biharmonic(u)
-        lap_phi = _calculus.laplacian(phi)
-        lhs2 = float(bi.values @ phi.embed(bi.window).values)
-        rhs2 = float(lap.values @ lap_phi.values)
-        worst_dist = max(worst_dist, _rel_gap(lhs2, rhs2))
+    for chunk in _var.sample_chunks(rng, 50, (2,) + prob.free_indices().shape):
+        u, phi = prob.extend(chunk[:, 0]), prob.extend(chunk[:, 1])
+        lap, gamma = difference_rows(window, u)
+        rhs = -_calculus.row_dot(embed_rows(u, window, big), lap)
+        worst_parts = max(worst_parts, *_rel_gaps(gamma.sum(axis=-1), rhs).tolist())
+        bi = difference_rows(big, lap)[0]
+        lap_phi = difference_rows(window, phi)[0]
+        lhs2 = _calculus.row_dot(bi, embed_rows(phi, window, big2))
+        worst_dist = max(worst_dist, *_rel_gaps(lhs2, _calculus.row_dot(lap, lap_phi)).tolist())
 
     delta_norm = _calculus.w22_norm_sq(Field.delta(window))
-    anchor_gap = abs(delta_norm - float((2 * n + 1) ** 2))
+    anchor_gap = abs(delta_norm - float((2 * prob.dim + 1) ** 2))
 
     worst_sym = 0.0
     worst_form = 0.0
     positive = True
-    for _ in range(20):
-        u = _random_field(prob, rng)
-        v = _random_field(prob, rng)
-        au = apply_quadratic_operator(u, prob)
-        av = apply_quadratic_operator(v, prob)
+    for chunk in _var.sample_chunks(rng, 20, (2,) + prob.free_indices().shape):
+        u, v = prob.extend(chunk[:, 0]), prob.extend(chunk[:, 1])
+        au = prob.extend(_var.operator_values(chunk[:, 0], prob))
+        av = prob.extend(_var.operator_values(chunk[:, 1], prob))
         # v.Au cancels for sign-changing fields, so the gap is measured
         # against the dot product's round-off scale sum_i |v_i (Au)_i|
-        gap = abs(float(v.values @ au.values) - float(u.values @ av.values))
-        worst_sym = max(worst_sym, gap / float(np.abs(v.values) @ np.abs(au.values)))
-        quad = float(u.values @ au.values)
+        gap = np.abs(_calculus.row_dot(v, au) - _calculus.row_dot(u, av))
+        worst_sym = max(worst_sym, *(gap / _calculus.row_dot(np.abs(v), np.abs(au))).tolist())
+        quad = _calculus.row_dot(u, au)
         if prob.mode == MODE_FULL:
-            direct = _calculus.energy_norm_sq(u, prob.potential, prob.lam)
+            direct = _calculus.energy_norm_rows(window, u, prob.potential, prob.lam)
         else:
-            direct = _calculus.dirichlet_norm_sq(u, prob.well)
-        worst_form = max(worst_form, _rel_gap(quad, direct))
-        positive = positive and quad >= float(u.values @ u.values) - 1.0e-9 * quad
+            direct = _calculus.w22_norm_rows(window, u, prob.well)
+        worst_form = max(worst_form, *_rel_gaps(quad, direct).tolist())
+        positive = positive and bool(np.all(quad >= _calculus.row_dot(u, u) - 1.0e-9 * quad))
     matrix = prob.operator_matrix()
     exactly_symmetric = (matrix != matrix.T).nnz == 0
 
@@ -355,8 +347,8 @@ def run_suites(names: Sequence[str], prob: ProblemSpec, seed: int = 0) -> Tuple[
     unknown = [n for n in names if n not in _DISPATCH]
     if unknown:
         raise InputError(f"unknown suites {unknown}; choose from {list(SUITE_NAMES)}")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     return tuple(_run_suite(name, prob, seed) for name in names)
 
 

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choquard as c
 from choquard import (
+    BALL,
+    BOX,
     DomainError,
     Field,
     InputError,
@@ -14,6 +18,7 @@ from choquard import (
     ball,
     get_window,
 )
+from choquard.lattice import difference_rows
 
 
 def _dense_laplacian_oracle(u):
@@ -86,6 +91,34 @@ def test_biharmonic_composes_laplacian_and_pairs_with_itself():
     lap = c.laplacian(u)
     pairing = float(bi.values @ u.embed(bi.window).values)
     assert pairing == pytest.approx(float(lap.values @ lap.values), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    radius=st.integers(1, 4),
+    shape=st.sampled_from([BOX, BALL]),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_difference_rows_match_the_field_stencils_row_by_row(dim, radius, shape, k, seed):
+    w = get_window(dim, radius, shape)
+    x, y = np.random.default_rng(seed).standard_normal((2, k, w.count))
+    lap, gamma_xx = difference_rows(w, x)
+    gamma_xy = difference_rows(w, x, y)[1]
+    bi = difference_rows(w.enlarged(1), lap)[0]
+    for i in range(k):
+        u, v = Field(w, x[i]), Field(w, y[i])
+        single = {
+            "lap": (lap, c.laplacian(u)),
+            "gamma_xx": (gamma_xx, c.gradient_form(u, u)),
+            "gamma_xy": (gamma_xy, c.gradient_form(u, v)),
+            "bi": (bi, c.biharmonic(u)),
+        }
+        for name, (rows, alone) in single.items():
+            assert np.array_equal(rows[i], alone.values), name
+            # a row sums as the field alone does, whatever the batch's layout
+            assert rows.sum(axis=-1)[i] == alone.values.sum(), name
 
 
 def test_w22_norm_of_point_mass_closed_form():

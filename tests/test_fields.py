@@ -88,6 +88,9 @@ def test_translated_moves_support():
         u.translated((4, 0))
     with pytest.raises(InputError):
         u.translated((1, 2, 3))
+    # a fractional shift is rejected, not truncated
+    with pytest.raises(InputError, match="integers"):
+        u.translated((2.7, 0))
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):

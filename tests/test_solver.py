@@ -33,28 +33,21 @@ def test_solver_config_validation_and_round_trip():
     for value in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="residual_tol must be finite and > 0"):
             SolverConfig(residual_tol=value)
-    with pytest.raises(ParameterError, match="max_iterations must be >= 1"):
+    with pytest.raises(ParameterError, match="max_iterations must be an integer >= 1"):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ParameterError, match="restarts must be >= 0"):
+    with pytest.raises(ParameterError, match="restarts must be an integer >= 0"):
         SolverConfig(restarts=-1)
-    with pytest.raises(ParameterError, match="seed must be >= 0"):
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
         SolverConfig(seed=-1)
 
 
-def test_apply_quadratic_operator_matches_norm(small_prob, small_dirichlet):
-    rng = np.random.default_rng(30)
-    delta = Field.delta(small_prob.window)
-    assert float(c.apply_quadratic_operator(delta, small_prob).values @ delta.values) == 25.0
-    u = Field(small_prob.window, rng.standard_normal(small_prob.window.count))
-    au = c.apply_quadratic_operator(u, small_prob)
-    assert float(au.values @ u.values) == pytest.approx(c.norm_sq(u, small_prob), rel=1e-14)
-    vals = np.zeros(small_dirichlet.window.count)
-    vals[small_dirichlet.free_indices()] = rng.standard_normal(small_dirichlet.free_indices().size)
-    v = Field(small_dirichlet.window, vals)
-    av = c.apply_quadratic_operator(v, small_dirichlet)
-    assert float(av.values @ v.values) == pytest.approx(c.norm_sq(v, small_dirichlet), rel=1e-14)
-    with pytest.raises(InputError):
-        c.apply_quadratic_operator(Field(small_dirichlet.window, np.ones(small_dirichlet.window.count)), small_dirichlet)
+@pytest.mark.parametrize(
+    "key, value",
+    [("restarts", 1.5), ("max_iterations", 2.5), ("seed", 1.5), ("restarts", 2.0), ("seed", "3")],
+)
+def test_solver_config_rejects_non_integer_counts(key, value):
+    with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+        SolverConfig(**{key: value})
 
 
 def test_cg_solve_accuracy_and_failure(small_prob, monkeypatch):
@@ -872,3 +865,6 @@ def test_brezis_lieb_probe_zero_and_invalid_shifts(small_prob):
         c.brezis_lieb_probe(u, u, [(7, 0)], small_prob)
     with pytest.raises(InputError):
         c.brezis_lieb_probe(u, u, [(1, 2, 3)], small_prob)
+    # a fractional shift is rejected, not truncated to (3, 0)
+    with pytest.raises(InputError, match="integers"):
+        c.brezis_lieb_probe(u, u, [(3.9, 0)], small_prob)

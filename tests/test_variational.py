@@ -85,6 +85,21 @@ def test_norm_matches_independent_quadratic_forms(small_prob, small_dirichlet):
         c.norm_sq(Field(get_window(2, 4), np.zeros(get_window(2, 4).count)), small_prob)
 
 
+def test_operator_values_match_the_norm(small_prob, small_dirichlet):
+    rng = np.random.default_rng(30)
+    delta = Field.delta(small_prob.window).values
+    assert float(c.variational.operator_values(delta, small_prob) @ delta) == 25.0
+    u = rng.standard_normal(small_prob.window.count)
+    au = c.variational.operator_values(u, small_prob)
+    assert float(au @ u) == pytest.approx(c.norm_sq(Field(small_prob.window, u), small_prob), rel=1e-14)
+    x = rng.standard_normal(small_dirichlet.free_indices().size)
+    v = Field(small_dirichlet.window, small_dirichlet.extend(x))
+    ax = c.variational.operator_values(x, small_dirichlet)
+    assert float(ax @ x) == pytest.approx(c.norm_sq(v, small_dirichlet), rel=1e-14)
+    with pytest.raises(InputError):
+        c.norm_sq(Field(small_dirichlet.window, np.ones(small_dirichlet.window.count)), small_dirichlet)
+
+
 def test_nonlocal_term_rejects_mass_off_the_well_in_dirichlet_mode(small_dirichlet):
     u = Field.from_sites(small_dirichlet.window, {(0, 0): 1.0, (3, 0): 1.0})
     for term in (c.nonlocal_term, c.norm_sq, c.energy):

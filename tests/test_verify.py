@@ -54,8 +54,11 @@ def test_unknown_suite_name_rejected(small_prob):
 def test_negative_seed_rejected_before_any_suite_runs(small_prob, monkeypatch):
     ran = []
     monkeypatch.setitem(c.verify._DISPATCH, "ops", lambda prob, seed: ran.append(seed))
-    with pytest.raises(ParameterError, match="seed must be >= 0"):
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
         run_suites(("ops", "hls"), small_prob, seed=-1)
+    for seed in (1.5, 2.0, "0"):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            run_suites(("ops", "hls"), small_prob, seed=seed)
     assert ran == []
 
 

@@ -128,6 +128,92 @@ def mountainpass_oracle(prob, seed):
 ORACLES = {"hls": hls_oracle, "nehari": nehari_oracle, "mountainpass": mountainpass_oracle}
 
 
+def _rel_gap(a, b):
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _apply_operator(u, prob):
+    return Field(prob.window, prob.extend(variational.operator_values(prob.restrict(u.values), prob)))
+
+
+def ops_oracle(prob, seed):
+    rng = np.random.default_rng(seed)
+    worst_parts = worst_dist = 0.0
+    for _ in range(50):
+        u = _random_field(prob, rng)
+        phi = _random_field(prob, rng)
+        lap = c.laplacian(u)
+        lhs = float(c.gradient_form(u, u).values.sum())
+        rhs = -float(u.embed(lap.window).values @ lap.values)
+        worst_parts = max(worst_parts, _rel_gap(lhs, rhs))
+        bi = c.biharmonic(u)
+        lhs2 = float(bi.values @ phi.embed(bi.window).values)
+        worst_dist = max(worst_dist, _rel_gap(lhs2, float(lap.values @ c.laplacian(phi).values)))
+    delta_norm = c.w22_norm_sq(Field.delta(prob.window))
+    worst_sym = worst_form = 0.0
+    positive = True
+    for _ in range(20):
+        u = _random_field(prob, rng)
+        v = _random_field(prob, rng)
+        au, av = _apply_operator(u, prob), _apply_operator(v, prob)
+        gap = abs(float(v.values @ au.values) - float(u.values @ av.values))
+        worst_sym = max(worst_sym, gap / float(np.abs(v.values) @ np.abs(au.values)))
+        quad = float(u.values @ au.values)
+        if prob.mode == "full":
+            direct = c.energy_norm_sq(u, prob.potential, prob.lam)
+        else:
+            direct = c.dirichlet_norm_sq(u, prob.well)
+        worst_form = max(worst_form, _rel_gap(quad, direct))
+        positive = positive and quad >= float(u.values @ u.values) - 1.0e-9 * quad
+    return {
+        "integration_by_parts_max": worst_parts,
+        "distributional_identity_max": worst_dist,
+        "point_mass_norm_gap": abs(delta_norm - float((2 * prob.dim + 1) ** 2)),
+        "operator_symmetry_max": worst_sym,
+        "operator_exactly_symmetric": True,
+        "operator_form_gap_max": worst_form,
+        "operator_positive": positive,
+    }
+
+
+def splitting_oracle(u, v, shifts, prob):
+    """(distance, norm defect, pair energy defect) per shift, one Field at a time."""
+    d_u = c.nonlocal_energy(u, prob.kernel, prob.p)
+    lap_u, gam_u = c.laplacian(u), c.gradient_form(u, u)
+    rows = []
+    for shift in shifts:
+        vz = v.translated(shift)
+        combined = u + vz
+        lap_c, lap_v = c.laplacian(combined), c.laplacian(vz)
+        gam_c, gam_v = c.gradient_form(combined, combined), c.gradient_form(vz, vz)
+        norm_defect = float(
+            (lap_c.values**2 - lap_v.values**2 - lap_u.values**2).sum()
+            + (gam_c.values - gam_v.values - gam_u.values).sum()
+            + (combined.values**2 - vz.values**2 - u.values**2).sum()
+        )
+        d_vz = c.nonlocal_energy(vz, prob.kernel, prob.p)
+        d_comb = c.nonlocal_energy(combined, prob.kernel, prob.p)
+        rows.append((int(np.abs(shift).sum()), norm_defect, abs(d_comb - d_vz - d_u)))
+    return rows
+
+
+def brezislieb_oracle(prob, seed):
+    u, v = verify._probe_fields(prob)
+    far = prob.window.radius - 2
+    rest = (0,) * (prob.dim - 1)
+    rows = splitting_oracle(u, v, [(6,) + rest, ((6 + far) // 2,) + rest, (far,) + rest], prob)
+    norms = math.sqrt(c.w22_norm_sq(u)) + math.sqrt(c.w22_norm_sq(v))
+    return {
+        "shifts": [row[0] for row in rows],
+        "norm_defects": [row[1] for row in rows],
+        "nonlocal_defects": [row[2] for row in rows],
+        "decay_bound": 10.0 * float(far) ** (prob.kernel.alpha - prob.dim) * norms ** (2.0 * prob.p),
+    }
+
+
+ROW_ORACLES = {"ops": ops_oracle, "brezislieb": brezislieb_oracle}
+
+
 @pytest.mark.parametrize(
     "name, seed",
     [("small_prob", 0), ("small_prob", 5), ("small_dirichlet", 2), ("desk_prob", 0)],
@@ -138,6 +224,46 @@ def test_batched_suites_report_what_the_per_field_loops_report(request, name, se
     for res in results:
         assert res.passed, f"{res.name}: {res.details}"
         assert res.details == ORACLES[res.name](prob, seed), res.name
+
+
+@pytest.mark.parametrize("seed", [0, 318])
+@pytest.mark.parametrize(
+    "name, suites",
+    [("desk_prob", ("ops", "brezislieb")), ("desk_dirichlet", ("ops", "brezislieb")), ("small_cube", ("ops",))],
+)
+def test_row_suites_report_what_the_per_field_loops_report(request, name, suites, seed):
+    prob = request.getfixturevalue(name)
+    for res in run_suites(suites, prob, seed=seed):
+        assert res.passed, f"{res.name}: {res.details}"
+        assert res.details == ROW_ORACLES[res.name](prob, seed), res.name
+
+
+def test_ops_suite_builds_no_field_per_sample(desk_prob, monkeypatch):
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, window, values):
+        built.append(window)
+        init(self, window, values)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    (res,) = run_suites(("ops",), desk_prob, seed=0)
+    assert res.passed
+    # the point-mass anchor; a Field per sample would make 70 or more
+    assert len(built) <= 2
+
+
+def test_splitting_probe_rows_match_the_per_field_oracle(small_prob, small_cube):
+    for prob, shifts in ((small_prob, [(3, 0), (0, -3), (2, 1)]), (small_cube, [(2, 0, 0), (0, 1, -1)])):
+        rng = np.random.default_rng(17)
+        u = Field.from_sites(prob.window, {(0,) * prob.dim: 1.0, (1,) + (0,) * (prob.dim - 1): -0.5})
+        v = c.bump_field(prob.window, c.ball((0,) * prob.dim, 1), smoothing_time=0.0)
+        v = Field(prob.window, v.values * rng.uniform(0.5, 1.5, prob.window.count))
+        rows = c.brezis_lieb_probe(u, v, shifts, prob)
+        assert [(row.distance, row.norm_defect, row.nonlocal_defect) for row in rows] == splitting_oracle(
+            u, v, shifts, prob
+        )
+        assert [row.shift for row in rows] == [tuple(shift) for shift in shifts]
 
 
 @pytest.mark.parametrize("p", [1.55, 2.0, 3.0])
