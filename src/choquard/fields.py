@@ -127,8 +127,8 @@ def save_field(u: Field, path) -> None:
         out.write("\n".join(header) + "\n")
         for start in range(0, nz.size, _SAVE_BLOCK):
             block = nz[start : start + _SAVE_BLOCK]
-            lines = zip(u.window.sites[block].tolist(), u.values[block].tolist())
-            out.write("".join(f"{' '.join(map(str, site))} {value!r}\n" for site, value in lines))
+            sites = [" ".join(map(str, site)) for site in u.window.sites[block].tolist()]
+            out.write("".join(f"{site} {value!r}\n" for site, value in zip(sites, u.values[block].tolist())))
 
 
 def load_field(path) -> Field:

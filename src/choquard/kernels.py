@@ -15,7 +15,10 @@ from ``scipy.special.ive``, and the subordination integral from a
 Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  R_alpha
 is the only convolution kernel: the module tabulates it over all difference
 vectors of a window (reduced to orbits of the coordinate-permutation-and-sign
-symmetry group) and applies the table to fields by windowed convolution.  It also
+symmetry group) and applies the table to fields by windowed convolution.  The
+quadrature sum factorises over coordinates, so a table is one contraction of
+the one-dimensional Bessel profiles, summed in a fixed order without BLAS:
+its values do not depend on the BLAS thread count.  The module also
 implements the fractional Laplacian (-Delta)^{alpha/2} through the semigroup
 integral, which inverts the Green's function on interior sites.
 """
@@ -245,27 +248,39 @@ def _green_values(
 
     ``profile(ts, m_max)`` gives, for each quadrature time t, the
     one-dimensional heat kernel k_t at displacements 0..m_max; the product
-    over coordinates is k_t(v).
+    over coordinates is k_t(v).  The sum sum_t w_t prod_i k_t(v_i) is one
+    separable contraction: the weighted products over the first N - 1 axes
+    are formed by broadcasting on the grid of the coordinate values that
+    occur on each axis, and ``np.einsum`` (no BLAS) contracts them with the
+    last axis's profiles.  Each grid value thus adds its terms in a fixed
+    order that no thread count changes, and the rows of vs read the grid.
     """
     m_max = int(vs.max()) if vs.size else 0
     ts, ws, T = _green_plan(alpha, quad, m_max)
-    kernel = np.ones((ts.size, vs.shape[0]))
-    for t_idx, row in enumerate(profile(ts, m_max)):
-        for axis in range(dim):
-            kernel[t_idx] *= row[vs[:, axis]]
-    integral = ws @ kernel + _green_tail(alpha, dim, vs, T)
+    profiles = profile(ts, m_max)
+    axes = [np.unique(vs[:, axis], return_inverse=True) for axis in range(dim)]
+    head = ws[:, None]
+    for values, _ in axes[:-1]:
+        head = (head[:, :, None] * profiles[:, None, values]).reshape(ts.size, -1)
+    grid = np.einsum("ta,tb->ab", head, profiles[:, axes[-1][0]])
+    at = np.ravel_multi_index([inverse for _, inverse in axes], [values.size for values, _ in axes])
+    integral = grid.reshape(-1)[at] + _green_tail(alpha, dim, vs, T)
     return integral / math.gamma(alpha / 2.0)
 
 
 def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[QuadratureSpec] = None) -> float:
-    """Subordinated lattice Green's function R_alpha(v) for 0 < alpha < dim."""
+    """Subordinated lattice Green's function R_alpha(v) for 0 < alpha < dim.
+
+    The value is computed at the orbit key of v (|v| sorted descending), so
+    every permutation and sign flip of v gives the same bits.
+    """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     if not 0.0 < alpha < dim:
         raise ParameterError("alpha must lie in (0, N)")
     vec = _check_vector(v, dim)
     quad = quad or QuadratureSpec()
-    vs = np.abs(np.array([vec], dtype=np.int64))
+    vs = np.sort(np.abs(np.array([vec], dtype=np.int64)), axis=1)[:, ::-1]
     return float(_green_values(alpha, dim, vs, quad, _bessel_profile)[0])
 
 
@@ -326,12 +341,17 @@ def _orbit_layout(dim: int, m_max: int) -> Tuple[np.ndarray, np.ndarray]:
     """Orbit keys and the orbit index of every point of [0, m_max]^dim.
 
     The keys are the sorted-descending absolute difference vectors, one per
-    orbit of coordinate permutations and sign flips, in ``np.unique`` order;
-    the indices run over the points in C order.  Both arrays are read-only.
+    orbit of coordinate permutations and sign flips, in increasing
+    lexicographic order; the indices run over the points in C order.  Each
+    canonical point is coded by its C-order index in the grid, whose order is
+    the lexicographic one, so one 1-D ``np.unique`` of the codes finds the
+    orbits.  Both arrays are read-only.
     """
-    mesh = np.meshgrid(*[np.arange(m_max + 1)] * dim, indexing="ij")
-    canon = np.sort(np.stack([m.ravel() for m in mesh], axis=1), axis=1)[:, ::-1]
-    keys, inverse = np.unique(canon, axis=0, return_inverse=True)
+    shape = (m_max + 1,) * dim
+    canon = np.sort(np.indices(shape).reshape(dim, -1), axis=0)[::-1]
+    codes = np.ravel_multi_index(canon, shape)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    keys = np.ascontiguousarray(canon[:, first].T)
     keys.setflags(write=False)
     inverse.setflags(write=False)
     return keys, inverse

@@ -259,9 +259,18 @@ class LatticeWindow:
         return f"LatticeWindow(dim={self._dim}, radius={self._radius}, shape={self._shape!r})"
 
 
-@lru_cache(maxsize=None)
 def get_window(dim: int, radius: int, shape: str = BOX) -> LatticeWindow:
-    """Memoised window factory; windows are immutable and safely shared."""
+    """Memoised window factory; windows are immutable and safely shared.
+
+    The memo is keyed on (dim, radius, shape) however the call spells them,
+    so ``get_window(2, 5)`` and ``get_window(2, radius=5, shape="box")`` are
+    one object.
+    """
+    return _window(dim, radius, shape)
+
+
+@lru_cache(maxsize=None)
+def _window(dim: int, radius: int, shape: str) -> LatticeWindow:
     return LatticeWindow(dim, radius, shape)
 
 

@@ -3,11 +3,16 @@
 import argparse
 import dataclasses
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choquard
 from choquard import KernelTable, build_kernel_table, cli, load_field, solver
 from choquard.cli import (
     UsageError,
@@ -144,6 +149,21 @@ def test_kernel_command_builds_then_reuses_cache(capsys):
     assert "cache:" not in out
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_allocator_thresholds_are_set_on_glibc():
+    assert cli._reuse_freed_heap() is True
+
+
+def test_commands_run_where_the_c_library_has_no_mallopt(monkeypatch, capsys):
+    def no_library(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    assert cli._reuse_freed_heap() is False
+    assert main(["kernel", "--radius", "6"]) == 0
+    assert "kernel table: alpha=1.0 dim=2 radius=6" in capsys.readouterr().out
+
+
 def test_removed_cache_option_is_rejected(tmp_path, capsys):
     for flag, value in (("--cache-dir", str(tmp_path)), ("--kernel", "riesz")):
         assert main(["kernel", "--radius", "6", flag, value]) == 1
@@ -190,6 +210,24 @@ def test_solve_writes_deterministic_report_and_field(tmp_path, capsys):
     capsys.readouterr()
     assert out.read_bytes() == report_bytes
     assert field_path.read_bytes() == field_bytes
+
+
+def test_radius_32_solve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # from radius 32 a BLAS product splits its sums by thread, so a report
+    # reduced through one would change in the last digits with the count
+    package_root = str(Path(choquard.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        run = tmp_path / f"threads{threads}"
+        run.mkdir()
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(
+            [sys.executable, "-m", "choquard", "solve", "--radius", "32", "--lambda", "100", "--out", "solve.json"],
+            cwd=run, env=env, check=True, capture_output=True,
+        )
+        outputs.append(((run / "solve.json").read_bytes(), (run / "solve.field.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_solve_summary_counts_each_start_status(capsys):

@@ -123,6 +123,25 @@ def test_save_writes_one_line_per_support_site_across_blocks(tmp_path):
     assert path.read_text() == "lattice-field v1\ndim 2\nradius 24\nshape box\nsupport 0\n"
 
 
+@pytest.mark.parametrize("dim, radius", [(2, 24), (3, 7)])
+def test_save_writes_the_bytes_of_the_per_line_formatter(tmp_path, dim, radius):
+    # negative, subnormal, tiny and large values, over more than one block
+    w = get_window(dim, radius)
+    rng = np.random.default_rng(dim)
+    scale = rng.choice([-1e300, -3.0, -1e-12, 5e-324, 1e-300, 2.5, 7e21, 1.0e300], size=w.count)
+    values = scale * rng.random(w.count)
+    values[::5] = 0.0
+    u = Field(w, values)
+    path = tmp_path / "field.txt"
+    save_field(u, path)
+    nz = np.nonzero(values)[0]
+    lines = zip(w.sites[nz].tolist(), values[nz].tolist())
+    body = "".join(f"{' '.join(map(str, site))} {value!r}\n" for site, value in lines)
+    header = f"lattice-field v1\ndim {dim}\nradius {radius}\nshape box\nsupport {nz.size}\n"
+    assert path.read_bytes() == (header + body).encode()
+    assert np.array_equal(load_field(path).values, values)
+
+
 def test_load_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("something else\n")

@@ -207,6 +207,38 @@ def test_kernel_table_rejects_bad_orbit_values(small_table):
             rebuilt(values)
 
 
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), m_max=st.integers(0, 9))
+def test_orbit_layout_keys_are_the_sorted_canonical_forms(dim, m_max):
+    keys, inverse = kernels._orbit_layout(dim, m_max)
+    points = np.indices((m_max + 1,) * dim).reshape(dim, -1).T.tolist()
+    canonical = [sorted(p, reverse=True) for p in points]
+    # keys[inverse] is each grid point's canonical form, in C order
+    assert keys[inverse].tolist() == canonical
+    # one key per orbit, in strictly increasing lexicographic order
+    rows = [tuple(k) for k in keys.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert set(rows) == {tuple(p) for p in canonical}
+    assert not keys.flags.writeable and not inverse.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), share=st.floats(0.05, 0.95), data=st.data())
+def test_green_values_match_a_correctly_rounded_quadrature_sum(dim, share, data):
+    alpha = share * dim
+    coords = st.lists(st.integers(0, 12), min_size=dim, max_size=dim)
+    vs = np.array(data.draw(st.lists(coords, min_size=1, max_size=6)), dtype=np.int64)
+    quad = QuadratureSpec()
+    got = kernels._green_values(alpha, dim, vs, quad, kernels._bessel_profile)
+    ts, ws, T = kernels._green_plan(alpha, quad, int(vs.max()))
+    profile = kernels._bessel_profile(ts, int(vs.max()))
+    tail = kernels._green_tail(alpha, dim, vs, T)
+    for v, value, rest in zip(vs, got, tail):
+        terms = ws * np.prod(profile[:, v], axis=1)
+        want = (math.fsum(terms) + rest) / math.gamma(alpha / 2.0)
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 # one table per dimension, with alpha < 1 in dimension 1
 _SYMMETRY_TABLES = {1: (0.6, 8), 2: (1.3, 6), 3: (2.5, 3)}
 

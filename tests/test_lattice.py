@@ -131,5 +131,10 @@ def test_window_validation():
 
 def test_get_window_is_memoised():
     assert get_window(2, 5) is get_window(2, 5)
+    # one window however the arguments are spelled
+    assert get_window(2, 5) is get_window(2, 5, BOX)
+    assert get_window(2, 5) is get_window(dim=2, radius=5, shape="box")
+    assert get_window(2, 5, BALL) is get_window(2, radius=5, shape=BALL)
+    assert get_window(2, 5).enlarged(1) is get_window(2, 6)
     assert get_window(2, 5) == LatticeWindow(2, 5)
     assert get_window(2, 5) != get_window(2, 5, BALL)
