@@ -232,12 +232,12 @@ def interpolation_check(u: Field, s: float, t: float) -> bool:
     return lhs <= rhs * (1.0 + 1e-12) + 1e-300
 
 
-def bump_field(window: LatticeWindow, region: SiteSet, smoothing_time: float = 1.0) -> Field:
-    """Indicator of a region smoothed once by the heat semigroup."""
+_BUMP_TIME = 1.0
+
+
+def bump_field(window: LatticeWindow, region: SiteSet) -> Field:
+    """Indicator of a region smoothed once by the heat semigroup, for time _BUMP_TIME."""
     values = np.zeros(window.count)
     for site in region:
         values[window.index_of(site)] = 1.0
-    raw = Field(window, values)
-    if smoothing_time == 0.0:
-        return raw
-    return _kernels.heat_semigroup_apply(raw, smoothing_time)
+    return _kernels.heat_semigroup_apply(Field(window, values), _BUMP_TIME)

@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .lattice import BALL, BOX, LatticeWindow, SiteSet, _as_site, embed_rows, get_window
+from .lattice import LatticeWindow, SiteSet, _as_site, embed_rows, get_window
 
 _FIELD_FORMAT = "lattice-field v1"
 # sites per block of lines that save_field formats at once
@@ -120,7 +120,7 @@ def save_field(u: Field, path) -> None:
         _FIELD_FORMAT,
         f"dim {u.window.dim}",
         f"radius {u.window.radius}",
-        f"shape {u.window.shape}",
+        "shape box",
         f"support {nz.size}",
     ]
     with path.open("w") as out:
@@ -140,10 +140,9 @@ def load_field(path) -> Field:
             raise InputError("unrecognised field file")
         header = dict(line.partition(" ")[::2] for line in lines[1:5])
         dim, radius, count = int(header["dim"]), int(header["radius"]), int(header["support"])
-        shape = header["shape"]
-        if shape not in (BOX, BALL):
-            raise InputError(f"bad window shape {shape!r}")
-        window = get_window(dim, radius, shape)
+        if header["shape"] != "box":
+            raise InputError(f"bad window shape {header['shape']!r}")
+        window = get_window(dim, radius)
         rows = [line.split() for line in lines[5:] if line.strip()]
         if len(rows) != count:
             raise InputError(f"expected {count} support rows, found {len(rows)}")

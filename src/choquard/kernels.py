@@ -44,7 +44,7 @@ from .errors import (
     InternalError,
     ParameterError,
 )
-from .lattice import BOX, LatticeWindow, difference_rows, embed_rows, get_window
+from .lattice import LatticeWindow, _as_int, _as_site, difference_rows
 
 _SEGMENT_RATIO = 10.0
 # end of the head segment of the time quadrature
@@ -70,7 +70,7 @@ def scaled_bessel_profile(z, m_max: int) -> np.ndarray:
         raise InputError(f"argument must be finite and >= 0, got {z[~ok].flat[0]}")
     if m_max < 0:
         raise InputError(f"m_max must be >= 0, got {m_max}")
-    return ive(np.arange(m_max + 1), z[..., None])
+    return ive(np.arange(_as_int(m_max, "m_max") + 1), z[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def scaled_bessel_profile(z, m_max: int) -> np.ndarray:
 
 
 def _check_vector(v: Sequence[int], dim: int) -> Tuple[int, ...]:
-    vec = tuple(int(c) for c in v)
+    vec = _as_site(v)
     if len(vec) != dim:
         raise InputError(f"difference vector has length {len(vec)}, expected {dim}")
     return vec
@@ -114,7 +114,7 @@ def heat_kernel_spectral(t: float, v: Sequence[int], dim: int, torus_size: int) 
     if not 0.0 <= t < math.inf:
         raise InputError(f"time must be finite and >= 0, got {t}")
     vec = _check_vector(v, dim)
-    L = int(torus_size)
+    L = _as_int(torus_size, "torus size")
     max_abs = max((abs(c) for c in vec), default=0)
     if L < max(8, 2 * max_abs + 2):
         raise InputError(f"torus size {L} too small for difference vector {vec}")
@@ -420,9 +420,9 @@ def convolve_values(
     The last axis of ``values`` holds the window sites; any leading axes are
     a batch, and the result has the same leading axes and one value per site
     of ``out_window`` (default: ``window``).  The sum is an exact linear
-    convolution of the bounding boxes of the two windows, evaluated by a
-    zero-padded real FFT over the trailing grid axes against the kernel
-    spectrum cached on the table, in O(n log n) time and O(n) memory per row.
+    convolution of the two windows, evaluated by a zero-padded real FFT over
+    the trailing grid axes against the kernel spectrum cached on the table,
+    in O(n log n) time and O(n) memory per row.
     The transforms of a batch run row by row through the same operations as
     a single field, so a row's values do not depend on the batch.
     """
@@ -439,7 +439,7 @@ def convolve_values(
         )
     shape, spectrum = _kernel_spectrum(table, reach)
     lead = values.shape[:-1]
-    grid = _box_values(window, values)[1].reshape(lead + (2 * r_in + 1,) * table.dim)
+    grid = values.reshape(lead + (2 * r_in + 1,) * table.dim)
     freq = rfftn(grid, s=shape)
     freq *= spectrum
     full = irfftn(freq, s=shape)
@@ -450,9 +450,7 @@ def convolve_values(
         out[(Ellipsis,) + (slice(r_out - m, r_out + m + 1),) * table.dim] += (
             table.diagonal * grid[(Ellipsis,) + (slice(r_in - m, r_in + m + 1),) * table.dim]
         )
-    if out_w.shape == BOX:
-        return out.reshape(lead + (-1,))
-    return out[(Ellipsis,) + tuple((out_w.sites + r_out).T)]
+    return out.reshape(lead + (-1,))
 
 
 def asymptotics_bracket(table: KernelTable, r_min: int = 5, r_max: int = 30) -> Tuple[float, float]:
@@ -480,14 +478,6 @@ def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
 # ---------------------------------------------------------------------------
 # heat semigroup and fractional Laplacian
 # ---------------------------------------------------------------------------
-
-
-def _box_values(window: LatticeWindow, values: np.ndarray) -> Tuple[LatticeWindow, np.ndarray]:
-    """The bounding box of the window, and rows of window values on it, zero off the window."""
-    if window.shape == BOX:
-        return window, values
-    box = get_window(window.dim, window.radius, BOX)
-    return box, embed_rows(values, window, box)
 
 
 def _semigroup_apply(profiles: np.ndarray, grid: np.ndarray, r_out: int) -> np.ndarray:
@@ -520,13 +510,12 @@ def heat_semigroup_apply(u: Field, t: float) -> Field:
     """
     if not 0.0 <= t < math.inf:
         raise InputError(f"time must be finite and >= 0, got {t}")
-    box, values = _box_values(u.window, u.values)
     if t == 0.0:
-        return Field(box, values.copy())
-    r = box.radius
-    grid = values.reshape((2 * r + 1,) * box.dim)
+        return Field(u.window, u.values.copy())
+    r = u.window.radius
+    grid = u.values.reshape((2 * r + 1,) * u.window.dim)
     profile = scaled_bessel_profile(2.0 * t, 2 * r)
-    return Field(box, _semigroup_apply(profile[None], grid, r).reshape(-1))
+    return Field(u.window, _semigroup_apply(profile[None], grid, r).reshape(-1))
 
 
 # float64 values that the node arrays of one block of quadrature nodes may
@@ -547,7 +536,7 @@ def fractional_laplacian(
     (the reciprocal gamma factor is negative, making the operator positive);
     even integer powers apply -Delta exactly and larger alpha composes the
     two.  The output lives on ``out_window``, as in convolve: by default the
-    bounding box of the window of u, enlarged by one site per factor -Delta.
+    window of u, enlarged by one site per factor -Delta.
     The operator acts on the zero-extended field, so any output window
     holds the same values at the sites it shares with another; the
     semigroup is formed only on the output rows of each axis, and a small
@@ -561,7 +550,7 @@ def fractional_laplacian(
     if out_window is not None and out_window.dim != u.window.dim:
         raise InputError("output window dimension does not match the field")
     quad = quad or QuadratureSpec()
-    window, values = _box_values(u.window, u.values)
+    window, values = u.window, u.values
     k = int(alpha // 2)
     frac = alpha - 2 * k
     for _ in range(k):
@@ -599,7 +588,4 @@ def fractional_laplacian(
     spread = mass * (4.0 * np.pi) ** (-dim / 2.0) * T ** (-(dim / 2.0 + s)) / (dim / 2.0 + s)
     total += spread - here * T**-s / s
     coef = 1.0 / math.gamma(-s)  # negative for s in (0, 1)
-    values = coef * total
-    if out_w.shape != BOX:
-        values = values.reshape((side_out,) * dim)[tuple((out_w.sites + r_out).T)]
-    return Field(out_w, values)
+    return Field(out_w, coef * total)

@@ -2,15 +2,16 @@
 
 The lattice is the Cayley graph of Z^N with generators +/- e_i, so the graph
 distance between sites is the L1 distance and each site has 2N neighbours.
-This module provides balls, vertex boundaries of finite site sets, indexed
-computational windows (boxes [-R, R]^N or word-metric balls) on which fields
-are stored, the cached index maps that embed one window in a larger one, and
-the difference stencils on rows of window values (difference_rows).
+This module provides balls, vertex boundaries of finite site sets, the indexed
+computational windows (boxes [-R, R]^N) on which fields are stored, the
+cached index maps that embed one window in a larger one, and the difference
+stencils on rows of window values (difference_rows).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -20,10 +21,13 @@ from .errors import InputError
 
 Site = Tuple[int, ...]
 
-BOX = "box"
-BALL = "ball"
 
-_SHAPES = (BOX, BALL)
+def _as_int(x, name: str) -> int:
+    """x as an int; a value that does not equal its int raises InputError."""
+    value = int(x)
+    if value != x:
+        raise InputError(f"{name} must be an integer, got {x!r}")
+    return value
 
 
 def _as_site(x: Sequence[int]) -> Site:
@@ -127,54 +131,38 @@ def vertex_boundary(region: SiteSet) -> SiteSet:
 
 
 class LatticeWindow:
-    """Indexed finite window of Z^N: a box [-R, R]^N or a word-metric ball.
+    """Indexed finite window of Z^N: the box [-R, R]^N.
 
-    Sites are enumerated row-major over the bounding box (balls keep the box
-    order of their member sites), giving a fixed bijection between sites and
-    indices 0..count-1.  The ``neighbors`` array lists the 2N neighbour
-    indices per site with ``count`` as the sentinel for exterior neighbours,
-    so stencil code can read zero-extended values from a padded array.
+    Sites are enumerated in C order over the box, so a site's index is its
+    row-major position and sites and indices 0..count-1 are in fixed
+    bijection.  The ``neighbors`` array lists the 2N neighbour indices per
+    site with ``count`` as the sentinel for exterior neighbours, so stencil
+    code can read zero-extended values from a padded array.
     """
 
-    def __init__(self, dim: int, radius: int, shape: str = BOX):
+    def __init__(self, dim: int, radius: int):
         if dim < 1:
             raise InputError(f"dim must be >= 1, got {dim}")
         if radius < 1:
             raise InputError(f"radius must be >= 1, got {radius}")
-        if shape not in _SHAPES:
-            raise InputError(f"shape must be one of {_SHAPES}, got {shape!r}")
-        self._dim = int(dim)
-        self._radius = int(radius)
-        self._shape = shape
+        self._dim = _as_int(dim, "dim")
+        self._radius = _as_int(radius, "radius")
 
-        side = 2 * self._radius + 1
-        axes = [np.arange(-self._radius, self._radius + 1)] * self._dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        coords = np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
-        if shape == BALL:
-            coords = coords[np.abs(coords).sum(axis=1) <= self._radius]
-        self._sites = coords
-        self._count = coords.shape[0]
+        self._grid_shape = (2 * self._radius + 1,) * self._dim
+        self._count = math.prod(self._grid_shape)
+        coords = np.indices(self._grid_shape, dtype=np.int64).reshape(self._dim, -1).T - self._radius
+        self._sites = np.ascontiguousarray(coords)
 
-        grid = np.full((side,) * self._dim, -1, dtype=np.int64)
-        grid[tuple((coords + self._radius).T)] = np.arange(self._count)
-        self._index_grid = grid
-
-        nb = np.full((self._count, 2 * self._dim), self._count, dtype=np.int64)
+        index = np.arange(self._count)
+        nb = np.empty((self._count, 2 * self._dim), dtype=np.int64)
         for axis in range(self._dim):
-            for k, delta in enumerate((-1, 1)):
-                shifted = coords.copy()
-                shifted[:, axis] += delta
-                inside = np.abs(shifted[:, axis]) <= self._radius
-                idx = np.full(self._count, -1, dtype=np.int64)
-                if inside.any():
-                    idx[inside] = grid[tuple((shifted[inside] + self._radius).T)]
-                slot = 2 * axis + k
-                nb[:, slot] = np.where(idx >= 0, idx, self._count)
+            stride = math.prod(self._grid_shape[axis + 1:])
+            c = self._sites[:, axis]
+            nb[:, 2 * axis] = np.where(c > -self._radius, index - stride, self._count)
+            nb[:, 2 * axis + 1] = np.where(c < self._radius, index + stride, self._count)
         self._neighbors = nb
         self._neighbors.setflags(write=False)
         self._sites.setflags(write=False)
-        self._index_grid.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -183,10 +171,6 @@ class LatticeWindow:
     @property
     def radius(self) -> int:
         return self._radius
-
-    @property
-    def shape(self) -> str:
-        return self._shape
 
     @property
     def count(self) -> int:
@@ -206,15 +190,13 @@ class LatticeWindow:
         s = _as_site(site)
         if len(s) != self._dim:
             raise InputError(f"dimension mismatch: {len(s)} vs {self._dim}")
-        if any(abs(c) > self._radius for c in s):
-            return False
-        return self._index_grid[tuple(c + self._radius for c in s)] >= 0
+        return all(abs(c) <= self._radius for c in s)
 
     def index_of(self, site: Sequence[int]) -> int:
         s = _as_site(site)
         if not self.contains(s):
             raise InputError(f"site {s} is outside the window")
-        return int(self._index_grid[tuple(c + self._radius for c in s)])
+        return int(np.ravel_multi_index(tuple(c + self._radius for c in s), self._grid_shape))
 
     def indices_of(self, coords: np.ndarray) -> np.ndarray:
         """Indices for an array of sites, -1 where a site lies outside."""
@@ -223,55 +205,47 @@ class LatticeWindow:
             raise InputError(f"expected shape (n, {self._dim}), got {coords.shape}")
         out = np.full(coords.shape[0], -1, dtype=np.int64)
         inbox = (np.abs(coords) <= self._radius).all(axis=1)
-        if inbox.any():
-            out[inbox] = self._index_grid[tuple((coords[inbox] + self._radius).T)]
+        out[inbox] = np.ravel_multi_index(tuple((coords[inbox] + self._radius).T), self._grid_shape)
         return out
 
     def reach(self, coords: np.ndarray) -> int:
-        """Least radius of a window of this shape that holds the sites (0 if none)."""
+        """Least radius of a window that holds the sites (0 if none)."""
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size == 0:
             return 0
-        if self._shape == BALL:
-            return int(np.abs(coords).sum(axis=1).max())
         return int(np.abs(coords).max())
 
     def enlarged(self, extra: int) -> "LatticeWindow":
-        """Window of the same shape with radius increased by ``extra``."""
+        """Window with radius increased by ``extra``."""
         if extra < 0:
             raise InputError(f"extra must be >= 0, got {extra}")
         if extra == 0:
             return self
-        return get_window(self._dim, self._radius + extra, self._shape)
+        return get_window(self._dim, self._radius + extra)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LatticeWindow)
-            and self._dim == other._dim
-            and self._radius == other._radius
-            and self._shape == other._shape
-        )
+        return isinstance(other, LatticeWindow) and self._dim == other._dim and self._radius == other._radius
 
     def __hash__(self) -> int:
-        return hash((self._dim, self._radius, self._shape))
+        return hash((self._dim, self._radius))
 
     def __repr__(self) -> str:
-        return f"LatticeWindow(dim={self._dim}, radius={self._radius}, shape={self._shape!r})"
+        return f"LatticeWindow(dim={self._dim}, radius={self._radius})"
 
 
-def get_window(dim: int, radius: int, shape: str = BOX) -> LatticeWindow:
+def get_window(dim: int, radius: int) -> LatticeWindow:
     """Memoised window factory; windows are immutable and safely shared.
 
-    The memo is keyed on (dim, radius, shape) however the call spells them,
-    so ``get_window(2, 5)`` and ``get_window(2, radius=5, shape="box")`` are
-    one object.
+    The memo is keyed on (dim, radius) however the call spells them, so
+    ``get_window(2, 5)``, ``get_window(dim=2, radius=5)`` and
+    ``get_window(2, 5.0)`` are one object.
     """
-    return _window(dim, radius, shape)
+    return _window(dim, radius)
 
 
 @lru_cache(maxsize=None)
-def _window(dim: int, radius: int, shape: str) -> LatticeWindow:
-    return LatticeWindow(dim, radius, shape)
+def _window(dim: int, radius: int) -> LatticeWindow:
+    return LatticeWindow(dim, radius)
 
 
 @lru_cache(maxsize=None)

@@ -436,7 +436,7 @@ def ground_state(
     failed ones included.
     """
     rng = np.random.default_rng(cfg.seed)
-    labels, starts = ["well-bump"], [bump_field(prob.window, prob.well, smoothing_time=1.0).values]
+    labels, starts = ["well-bump"], [bump_field(prob.window, prob.well).values]
     for k in range(cfg.restarts):
         labels.append(f"random-positive-{k + 1}")
         starts.append(rng.random(prob.window.count))

@@ -30,7 +30,7 @@ from . import calculus as _calculus
 from . import kernels as _kernels
 from .errors import InputError, NoProjectionError, ParameterError, ProbeInconclusiveError
 from .fields import Field
-from .lattice import BOX, LatticeWindow, SiteSet, get_window
+from .lattice import LatticeWindow, SiteSet, get_window
 
 # random fields are drawn and checked this many rows at a time
 SAMPLE_CHUNK = 8
@@ -174,7 +174,7 @@ class ProblemSpec:
             if self.mode == MODE_FULL:
                 return self.window, None
             well = self.window.sites[self.free_indices()]
-            box = get_window(self.dim, max(1, int(np.abs(well).max())), BOX)
+            box = get_window(self.dim, max(1, int(np.abs(well).max())))
             at = box.indices_of(well)
             at.setflags(write=False)
             return box, at

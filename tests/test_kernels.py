@@ -13,8 +13,6 @@ from scipy.special import ive
 
 import choquard as c
 from choquard import (
-    BALL,
-    BOX,
     Field,
     InputError,
     InternalError,
@@ -98,6 +96,25 @@ def test_heat_kernel_product_structure_and_edge_cases():
         heat_kernel(-1.0, (0,), 1)
     with pytest.raises(InputError):
         heat_kernel(1.0, (0, 0), 1)
+
+
+def test_kernel_inputs_reject_non_integer_vectors_and_sizes(small_table):
+    # a fractional coordinate or size is rejected, not truncated
+    with pytest.raises(InputError, match="integers"):
+        green_function(1.0, (2.7, 0), 2)
+    with pytest.raises(InputError, match="integers"):
+        heat_kernel(1.0, (1.5,), 1)
+    with pytest.raises(InputError, match="integers"):
+        small_table.value((1.9, 0))
+    with pytest.raises(InputError, match="torus size must be an integer"):
+        heat_kernel_spectral(1.0, (1, 0), 2, 64.5)
+    with pytest.raises(InputError, match="m_max must be an integer"):
+        scaled_bessel_profile(1.0, 2.5)
+    # integral floats are the integers they equal
+    assert green_function(1.0, (2.0, 0), 2) == green_function(1.0, (2, 0), 2)
+    assert small_table.value((1.0, 0)) == small_table.value((1, 0))
+    assert heat_kernel_spectral(1.0, (1, 0), 2, 64.0) == heat_kernel_spectral(1.0, (1, 0), 2, 64)
+    assert np.array_equal(scaled_bessel_profile(1.0, 2.0), scaled_bessel_profile(1.0, 2))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -308,17 +325,17 @@ def _double_sum(table, f, include_diagonal=False, out_window=None):
 @pytest.mark.parametrize(
     "table_name, field_window, out_window, include_diagonal",
     [
-        ("small_table", (2, 4, BOX), None, False),
-        ("small_table", (2, 4, BOX), None, True),
-        ("small_table", (2, 5, BALL), None, False),
-        ("small_table", (2, 5, BALL), None, True),
+        ("small_table", (2, 4), None, False),
+        ("small_table", (2, 4), None, True),
+        ("small_table", (2, 5), None, False),
+        ("small_table", (2, 5), None, True),
         # the green suite's case: a radius-2 source read out to radius 2R - 2
-        ("small_table", (2, 2, BOX), (2, 10, BOX), True),
-        ("small_table", (2, 6, BALL), (2, 3, BOX), True),
-        ("small_table", (2, 3, BOX), (2, 6, BALL), False),
-        ("cube_table", (3, 3, BOX), None, False),
-        ("cube_table", (3, 4, BALL), None, True),
-        ("cube_table", (3, 2, BOX), (3, 6, BOX), True),
+        ("small_table", (2, 2), (2, 10), True),
+        ("small_table", (2, 6), (2, 3), True),
+        ("small_table", (2, 3), (2, 6), False),
+        ("cube_table", (3, 3), None, False),
+        ("cube_table", (3, 4), None, True),
+        ("cube_table", (3, 2), (3, 6), True),
     ],
 )
 def test_convolve_matches_pairwise_sum(request, table_name, field_window, out_window, include_diagonal):
@@ -335,11 +352,11 @@ def test_convolve_matches_pairwise_sum(request, table_name, field_window, out_wi
 @pytest.mark.parametrize(
     "table_name, field_window, out_window, include_diagonal",
     [
-        ("small_table", (2, 4, BOX), None, False),
-        ("small_table", (2, 5, BALL), None, True),
-        ("small_table", (2, 6, BALL), (2, 3, BOX), True),
-        ("small_table", (2, 3, BOX), (2, 6, BALL), False),
-        ("cube_table", (3, 4, BALL), None, True),
+        ("small_table", (2, 4), None, False),
+        ("small_table", (2, 5), None, True),
+        ("small_table", (2, 6), (2, 3), True),
+        ("small_table", (2, 3), (2, 6), False),
+        ("cube_table", (3, 4), None, True),
     ],
 )
 def test_convolve_values_batch_rows_match_single_fields(
@@ -362,12 +379,12 @@ def test_convolve_rejects_windows_beyond_the_table(small_table, cube_table):
     with pytest.raises(InternalError):
         c.convolve(small_table, f, out_window=get_window(2, 7))
     with pytest.raises(InternalError):
-        c.convolve(small_table, Field.delta(get_window(2, 7, BALL)))
+        c.convolve(small_table, Field.delta(get_window(2, 7)))
     with pytest.raises(InternalError):
         c.convolve(cube_table, Field.delta(get_window(3, 2)), out_window=get_window(3, 7))
 
 
-_window_specs = st.tuples(st.integers(1, 6), st.sampled_from([BOX, BALL]))
+_window_radii = st.integers(1, 6)
 
 
 def _random_field(window, seed):
@@ -375,10 +392,10 @@ def _random_field(window, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=_window_specs, b=_window_specs, seed=st.integers(0, 2**32 - 1), diag=st.booleans())
+@given(a=_window_radii, b=_window_radii, seed=st.integers(0, 2**32 - 1), diag=st.booleans())
 def test_convolve_is_self_adjoint(small_table, a, b, seed, diag):
     # <K * f, g> = <f, K * g> for f on one window and g on another
-    wa, wb = get_window(2, *a), get_window(2, *b)
+    wa, wb = get_window(2, a), get_window(2, b)
     f, g = _random_field(wa, seed), _random_field(wb, seed + 1)
     lhs = c.convolve(small_table, f, include_diagonal=diag, out_window=wb).values @ g.values
     rhs = f.values @ c.convolve(small_table, g, include_diagonal=diag, out_window=wa).values
@@ -389,7 +406,7 @@ def test_convolve_is_self_adjoint(small_table, a, b, seed, diag):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    a=_window_specs,
+    a=_window_radii,
     seed=st.integers(0, 2**32 - 1),
     # subnormal scales round s*f to multiples of 5e-324 before convolve runs,
     # a relative error no double can keep below the bound
@@ -398,7 +415,7 @@ def test_convolve_is_self_adjoint(small_table, a, b, seed, diag):
     diag=st.booleans(),
 )
 def test_convolve_is_linear(small_table, a, seed, s, t, diag):
-    w = get_window(2, *a)
+    w = get_window(2, a)
     f, g = _random_field(w, seed), _random_field(w, seed + 1)
     both = c.convolve(small_table, Field(w, s * f.values + t * g.values), include_diagonal=diag)
     cf = c.convolve(small_table, f, include_diagonal=diag).values
@@ -505,8 +522,8 @@ _OUT_RADII = {1: 8, 2: 5, 3: 3}
 )
 def test_fractional_laplacian_on_an_output_window_restricts_the_full_output(dim, data, alpha, seed):
     top = _OUT_RADII[dim]
-    w = get_window(dim, data.draw(st.integers(1, top)), data.draw(st.sampled_from([BOX, BALL])))
-    out_w = get_window(dim, data.draw(st.integers(1, top + 2)), data.draw(st.sampled_from([BOX, BALL])))
+    w = get_window(dim, data.draw(st.integers(1, top)))
+    out_w = get_window(dim, data.draw(st.integers(1, top + 2)))
     u = Field(w, np.random.default_rng(seed).standard_normal(w.count))
     full = c.fractional_laplacian(alpha, u)
     part = c.fractional_laplacian(alpha, u, out_window=out_w)

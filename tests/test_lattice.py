@@ -5,10 +5,10 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choquard import (
-    BALL,
-    BOX,
     InputError,
     LatticeWindow,
     PotentialSpec,
@@ -83,13 +83,6 @@ def test_box_window_sites_and_indexing():
         w.index_of((4, 0))
 
 
-def test_ball_window_counts_growth():
-    w = get_window(2, 3, BALL)
-    assert w.count == growth_function(3, 2)
-    assert w.contains((2, 1))
-    assert not w.contains((2, 2))
-
-
 def test_indices_of_marks_outside_sites():
     w = get_window(2, 2)
     coords = np.array([[0, 0], [2, 2], [3, 0], [-2, 1]])
@@ -100,7 +93,7 @@ def test_indices_of_marks_outside_sites():
 
 
 def test_neighbors_table_matches_direct_lookup():
-    w = get_window(2, 2, BALL)
+    w = get_window(2, 2)
     steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     for idx in range(w.count):
         site = tuple(int(x) for x in w.sites[idx])
@@ -112,9 +105,10 @@ def test_neighbors_table_matches_direct_lookup():
 
 
 def test_enlarged_window_keeps_shape():
-    w = get_window(2, 2, BALL)
+    w = get_window(2, 2)
     big = w.enlarged(2)
-    assert big.radius == 4 and big.shape == BALL
+    assert big.radius == 4 and big.dim == 2
+    assert big.count == 9 * 9
     assert get_window(3, 1).enlarged(1) == get_window(3, 2)
 
 
@@ -124,17 +118,45 @@ def test_window_validation():
     with pytest.raises(InputError):
         LatticeWindow(2, 0)
     with pytest.raises(InputError):
-        LatticeWindow(2, 3, "disc")
-    with pytest.raises(InputError):
         ball((0, 0), -1)
 
 
 def test_get_window_is_memoised():
     assert get_window(2, 5) is get_window(2, 5)
     # one window however the arguments are spelled
-    assert get_window(2, 5) is get_window(2, 5, BOX)
-    assert get_window(2, 5) is get_window(dim=2, radius=5, shape="box")
-    assert get_window(2, 5, BALL) is get_window(2, radius=5, shape=BALL)
+    assert get_window(2, 5) is get_window(dim=2, radius=5)
+    assert get_window(2, 5) is get_window(2, radius=5)
     assert get_window(2, 5).enlarged(1) is get_window(2, 6)
     assert get_window(2, 5) == LatticeWindow(2, 5)
-    assert get_window(2, 5) != get_window(2, 5, BALL)
+    assert get_window(2, 5) != get_window(3, 5)
+
+
+def test_windows_reject_non_integer_sizes():
+    # a fractional size is rejected, not truncated
+    with pytest.raises(InputError, match="radius must be an integer"):
+        get_window(2, 2.5)
+    with pytest.raises(InputError, match="dim must be an integer"):
+        get_window(2.9, 3)
+    assert get_window(2, 3.0) is get_window(2, 3)
+    assert get_window(2, 3.0).radius == 3 and type(get_window(2, 3.0).radius) is int
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), radius=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_box_indexing_matches_the_c_order_enumeration(dim, radius, seed):
+    w = get_window(dim, radius)
+    sites = list(itertools.product(range(-radius, radius + 1), repeat=dim))
+    index = {site: i for i, site in enumerate(sites)}
+    assert w.count == len(sites)
+    assert [tuple(site) for site in w.sites.tolist()] == sites
+    probes = np.random.default_rng(seed).integers(-radius - 2, radius + 3, size=(50, dim))
+    assert w.indices_of(probes).tolist() == [index.get(tuple(p), -1) for p in probes.tolist()]
+    for p in probes.tolist():
+        assert w.contains(p) == (tuple(p) in index)
+        if tuple(p) in index:
+            assert w.index_of(p) == index[tuple(p)]
+    for i, site in enumerate(sites):
+        for axis in range(dim):
+            for k, delta in enumerate((-1, 1)):
+                nb = site[:axis] + (site[axis] + delta,) + site[axis + 1:]
+                assert w.neighbors[i, 2 * axis + k] == index.get(nb, w.count)

@@ -186,7 +186,6 @@ def _green_table(dim):
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from([1, 2]),
-    shape=st.sampled_from(["box", "ball"]),
     mode=st.sampled_from(["full", "dirichlet"]),
     lam=st.floats(math.log(0.1), math.log(1e4)).map(math.exp),
     radius=st.integers(3, 12),
@@ -194,12 +193,12 @@ def _green_table(dim):
     nan_row=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_band_and_sparse_factors_agree(dim, shape, mode, lam, radius, well_radius, nan_row, seed):
+def test_band_and_sparse_factors_agree(dim, mode, lam, radius, well_radius, nan_row, seed):
     # a window of radius 2 holds no well at the required margin of 3
     well_radius = min(well_radius, radius - 3)
     prob = ProblemSpec(
         mode=mode,
-        window=get_window(dim, radius, shape),
+        window=get_window(dim, radius),
         potential=PotentialSpec(well=ball((0,) * dim, well_radius)),
         kernel=_green_table(dim),
         p=2.0,
