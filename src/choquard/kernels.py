@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfftn
 from scipy.special import ive, roots_jacobi
 
 from .fields import Field
@@ -372,21 +372,27 @@ def build_kernel_table(alpha: float, window: LatticeWindow, quad: Optional[Quadr
 # ---------------------------------------------------------------------------
 
 
-def _kernel_spectrum(table: KernelTable, reach: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-    """Padded grid shape and real FFT of the kernel over [-reach, reach]^N.
+def _kernel_spectrum(table: KernelTable, reach: int) -> Tuple[int, np.ndarray]:
+    """Grid length and real FFT of the kernel over differences in [-reach, reach]^N.
 
-    The kernel, with its diagonal zeroed, sits at offset ``reach`` on each
-    axis of a grid padded to a fast FFT length of at least 2 reach + 1, so
-    no wrap-around lands on an output site.  One spectrum is cached per reach.
+    A circular convolution of length M reads slot (y - x) mod M on each axis,
+    and y - x lies in [-reach, reach].  With M >= 2 reach only d = reach and
+    d = -reach can share a slot, where the kernel, even in every coordinate,
+    takes one value; so the grid length is the fast FFT length of 2 reach.
+    The kernel sits at index 0 with wrap-around: slot m holds
+    K(min(m, M - m)) on each axis, 0 where that exceeds reach and at the
+    origin (the diagonal).  One spectrum is cached per reach.
     """
     cached = table._spectra.get(reach)
     if cached is not None:
         return cached
-    fold = np.abs(np.arange(-reach, reach + 1))
-    kernel = table._grid[np.ix_(*[fold] * table.dim)]
-    kernel[(reach,) * table.dim] = 0.0
-    shape = (next_fast_len(2 * reach + 1, real=True),) * table.dim
-    cached = (shape, rfftn(kernel, s=shape))
+    size = next_fast_len(2 * reach, real=True)
+    fold = np.minimum(np.arange(size), size - np.arange(size))
+    slots = np.flatnonzero(fold <= reach)
+    kernel = np.zeros((size,) * table.dim)
+    kernel[np.ix_(*[slots] * table.dim)] = table._grid[np.ix_(*[fold[slots]] * table.dim)]
+    kernel[(0,) * table.dim] = 0.0
+    cached = (size, rfftn(kernel))
     table._spectra[reach] = cached
     return cached
 
@@ -420,9 +426,15 @@ def convolve_values(
     The last axis of ``values`` holds the window sites; any leading axes are
     a batch, and the result has the same leading axes and one value per site
     of ``out_window`` (default: ``window``).  The sum is an exact linear
-    convolution of the two windows, evaluated by a zero-padded real FFT over
-    the trailing grid axes against the kernel spectrum cached on the table,
-    in O(n log n) time and O(n) memory per row.
+    convolution of the two windows, evaluated as a circular one on the grid
+    of ``_kernel_spectrum``, in O(n log n) time and O(n) memory per row.
+    Input site x sits at index x + r_in and output site y at index
+    (y + r_in) mod M on each axis, so slot (y - x) mod M holds K(y - x);
+    a window radius of at least 1 keeps M >= 2 r_in + 1, so no two input
+    sites share an index.  The transforms are pruned: the forward real FFT
+    runs over the 2 r_in + 1 input rows of the last axis before the other
+    axes are transformed, and the inverse transforms of the leading axes keep
+    only the output rows before the last axis is inverted.
     The transforms of a batch run row by row through the same operations as
     a single field, so a row's values do not depend on the batch.
     """
@@ -437,14 +449,17 @@ def convolve_values(
         raise InternalError(
             f"kernel table (radius {table.radius}) lacks difference vectors up to {reach}"
         )
-    shape, spectrum = _kernel_spectrum(table, reach)
+    size, spectrum = _kernel_spectrum(table, reach)
     lead = values.shape[:-1]
     grid = values.reshape(lead + (2 * r_in + 1,) * table.dim)
-    freq = rfftn(grid, s=shape)
+    freq = rfft(grid, n=size)
+    for axis in range(-2, -table.dim - 1, -1):
+        freq = fft(freq, n=size, axis=axis, overwrite_x=True)
     freq *= spectrum
-    full = irfftn(freq, s=shape)
-    # site x of the output box sits at index x + r_in + reach of the full grid
-    out = full[(Ellipsis,) + (slice(2 * r_in, 2 * reach + 1),) * table.dim]
+    rows = np.arange(r_in - r_out, r_in + r_out + 1) % size
+    for axis in range(-table.dim, -1):
+        freq = ifft(freq, axis=axis, overwrite_x=True).take(rows, axis=axis)
+    out = irfft(freq, n=size, overwrite_x=True).take(rows, axis=-1)
     if include_diagonal:
         m = min(r_in, r_out)
         out[(Ellipsis,) + (slice(r_out - m, r_out + m + 1),) * table.dim] += (

@@ -265,13 +265,26 @@ def embed_rows(x: np.ndarray, source: LatticeWindow, target: LatticeWindow) -> n
     return out
 
 
+def _slot_sum(g: np.ndarray) -> np.ndarray:
+    """Sum of g over its last axis as one left fold from g[..., 0] + 0.0.
+
+    numpy sums a last axis of fewer than 8 entries in the same order from
+    +0.0, so for the 2N <= 6 neighbour slots of dims 1-3 the bits, signed
+    zeros included, are those of g.sum(axis=-1), without a reduction per row.
+    """
+    total = g[..., 0] + 0.0
+    for slot in range(1, g.shape[-1]):
+        total += g[..., slot]
+    return total
+
+
 def difference_rows(window: LatticeWindow, x: np.ndarray, y: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Rows of Delta x and of Gamma(x, y) (y defaults to x) on window.enlarged(1).
 
     x and y hold rows of zero-extended values on the window (last axis).  Each
     sum over the neighbours of a site runs over the 2N slots of the neighbour
-    table, and the rows come out C-contiguous (np.take, not fancy indexing),
-    so a row's values, and its sums along the last axis, do not depend on the batch.
+    table (``_slot_sum``), and the rows come out C-contiguous (np.take, not
+    fancy indexing), so a row's values do not depend on the batch.
     """
     big = window.enlarged(1)
 
@@ -281,11 +294,11 @@ def difference_rows(window: LatticeWindow, x: np.ndarray, y: Optional[np.ndarray
         return padded[..., :-1], np.take(padded, big.neighbors, axis=-1)
 
     here, gathered = around(x)
-    lap = gathered.sum(axis=-1) - 2.0 * big.dim * here
+    lap = _slot_sum(gathered) - 2.0 * big.dim * here
     gathered -= here[..., None]
     if y is None:
         gathered *= gathered
     else:
         y_here, y_gathered = around(y)
         gathered *= y_gathered - y_here[..., None]
-    return lap, 0.5 * gathered.sum(axis=-1)
+    return lap, 0.5 * _slot_sum(gathered)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.special import ive
 
 import choquard as c
@@ -370,7 +371,43 @@ def test_convolve_values_batch_rows_match_single_fields(
     assert got.shape == (2, 3, (out or w).count)
     for index in np.ndindex(2, 3):
         alone = c.convolve(table, Field(w, batch[index]), include_diagonal, out).values
-        assert np.abs(got[index] - alone).max() <= 1e-15 * np.abs(alone).max()
+        assert np.array_equal(got[index], alone)
+
+
+_PAIRWISE_TABLES = {1: (0.5, 5), 2: (1.0, 5), 3: (1.0, 5)}
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_table(dim):
+    alpha, radius = _PAIRWISE_TABLES[dim]
+    return c.build_kernel_table(alpha, get_window(dim, radius))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    r_in=st.integers(1, 5),
+    r_out=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    include_diagonal=st.booleans(),
+)
+def test_convolve_values_match_the_pairwise_sum(dim, r_in, r_out, seed, include_diagonal):
+    # output windows below, equal to and above the input's: above it the
+    # output rows wrap around the circular grid
+    table = _pairwise_table(dim)
+    w, out = get_window(dim, r_in), get_window(dim, r_out)
+    f = _random_field(w, seed)
+    got = kernels.convolve_values(table, w, f.values, include_diagonal, out)
+    want = _double_sum(table, f, include_diagonal, out)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim, reach", [(1, 4), (2, 5), (2, 9), (2, 10), (3, 5)])
+def test_kernel_spectrum_grid_is_the_fast_length_of_twice_the_reach(dim, reach):
+    # the kernel is even in every coordinate, so length 2 reach suffices
+    size, spectrum = kernels._kernel_spectrum(_pairwise_table(dim), reach)
+    assert size == next_fast_len(2 * reach, real=True)
+    assert spectrum.shape == (size,) * (dim - 1) + (size // 2 + 1,)
 
 
 def test_convolve_rejects_windows_beyond_the_table(small_table, cube_table):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from choquard import (
     InputError,
@@ -17,6 +18,7 @@ from choquard import (
     get_window,
     vertex_boundary,
 )
+from choquard.lattice import _slot_sum
 
 
 def growth_function(r, dim):
@@ -160,3 +162,19 @@ def test_box_indexing_matches_the_c_order_enumeration(dim, radius, seed):
             for k, delta in enumerate((-1, 1)):
                 nb = site[:axis] + (site[axis] + delta,) + site[axis + 1:]
                 assert w.neighbors[i, 2 * axis + k] == index.get(nb, w.count)
+
+
+_slot_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_slot_sum_adds_the_neighbour_slots_as_numpy_sums_them(dim, data):
+    # bit for bit, signed zeros included: rows of -0.0 sum to +0.0 both ways
+    rows = data.draw(st.integers(1, 5))
+    g = data.draw(arrays(np.float64, (rows, 3, 2 * dim), elements=_slot_values))
+    zero_rows = data.draw(st.lists(st.integers(0, rows - 1), max_size=rows))
+    g[zero_rows] = -0.0
+    got, want = _slot_sum(g), g.sum(axis=-1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choquard as c
@@ -465,8 +465,16 @@ def test_ground_state_cg_stall_fails_only_its_start(small_cube, monkeypatch):
     assert res.starts[2].iterations == 10
 
 
+# the 5-unknown well problem converges slowly near p = 3.23 (up to 873
+# iterations in the pinned examples), so these descents get a budget past
+# the default 400
+_LONG_RUN = SolverConfig(max_iterations=2000)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.floats(1.6, 4.0), dirichlet=st.booleans())
+@example(seed=0, p=3.2323683096092624, dirichlet=True)
+@example(seed=2385422534, p=3.232421875, dirichlet=True)
 def test_descent_safeguard_never_raises_the_energy(small_prob, small_dirichlet, seed, p, dirichlet):
     # the conjugate direction is reset to A^{-1} J'(u) whenever it is no
     # descent direction (on the well problem it often is not), so every step
@@ -474,7 +482,7 @@ def test_descent_safeguard_never_raises_the_energy(small_prob, small_dirichlet, 
     # converges, and only a start's last record may have no step
     prob = dataclasses.replace(small_dirichlet if dirichlet else small_prob, p=p)
     starts = np.random.default_rng(seed).random((3, prob.window.count))
-    outcomes = c.solver._lockstep_descent(prob, SolverConfig(), prob.restrict(starts))
+    outcomes = c.solver._lockstep_descent(prob, _LONG_RUN, prob.restrict(starts))
     for outcome in outcomes:
         assert isinstance(outcome, c.SolveResult)
         history = outcome.history
@@ -492,11 +500,13 @@ def _a_distance(x, y, prob):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.floats(1.6, 4.0), dirichlet=st.booleans())
+@example(seed=0, p=3.2323683096092624, dirichlet=True)
+@example(seed=2385422534, p=3.232421875, dirichlet=True)
 def test_merged_start_follows_its_lone_run_into_the_target_basin(small_prob, small_dirichlet, seed, p, dirichlet):
     # a merged row stops on its lone path, and that path ends within the
     # merge tolerance of its target's limit, never below the reported level
     prob = dataclasses.replace(small_dirichlet if dirichlet else small_prob, p=p)
-    cfg = SolverConfig()
+    cfg = _LONG_RUN
     starts = prob.restrict(np.random.default_rng(seed).random((4, prob.window.count)))
     outcomes = c.solver._lockstep_descent(prob, cfg, starts, np.array([False, True, True, True]))
     reported = min(out.level for out in outcomes if isinstance(out, c.SolveResult))
