@@ -443,35 +443,61 @@ def sample_chunks(rng: np.random.Generator, samples: int, shape: Tuple[int, ...]
         yield rng.standard_normal((min(SAMPLE_CHUNK, samples - start),) + tuple(shape))
 
 
-def mountain_pass_probe(prob: ProblemSpec, rho: float, samples: int, seed: int = 0) -> MountainPassProbe:
-    """Minimum of J over random fields of norm rho, plus a negative-energy scale.
+def _sampled_sphere(prob: ProblemSpec, samples: int, seed: int) -> Tuple[np.ndarray, np.ndarray, Field, float]:
+    """a = ||x||^2 and D(x) of ``samples`` random fields x, the witness and its t_neg.
 
-    theta_hat estimates the energy barrier on the sphere of radius rho;
-    t_neg scales the first sampled field with positive pair energy (renormed
-    to norm 1) so that J(t_neg * witness) < 0.  A sample of zero norm is
-    skipped.  The samples are checked in chunks of rows (sample_chunks).
+    Each field is drawn (sample_chunks), multiplied by the operator and
+    convolved once; a field of zero norm is skipped.  The witness is the
+    first field with positive pair energy, renormed to norm 1.
     """
-    if not rho > 0.0:
-        raise ParameterError(f"rho must be > 0, got {rho}")
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    theta = math.inf
+    a_parts, d_parts = [], []
     witness = None
     for x in sample_chunks(rng, samples, prob.free_indices().shape):
         a = _quadratic_form(x, prob)
         keep = a != 0.0
         if not keep.any():
             continue
-        x = x[keep] * (rho / np.sqrt(a[keep]))[:, None]
-        a, d = constraint_terms(x, prob)
-        theta = min(theta, *(0.5 * a - d / (2.0 * prob.p)).tolist())
+        x, a = x[keep], a[keep]
+        d = pair_terms(x, prob)[1]
+        a_parts.append(a)
+        d_parts.append(d)
         hits = np.nonzero(d > 0.0)[0]
         if witness is None and hits.size:
-            witness = Field(prob.window, prob.extend((1.0 / rho) * x[hits[0]]))
+            witness = Field(prob.window, prob.extend(x[hits[0]] / math.sqrt(a[hits[0]])))
     if witness is None:
         raise ProbeInconclusiveError("no sampled field has positive pair energy")
     a = norm_sq(witness, prob)
     d = nonlocal_term(witness, prob)
     t_neg = (2.0 * prob.p * a / d) ** (1.0 / (2.0 * prob.p - 2.0))
+    return np.concatenate(a_parts), np.concatenate(d_parts), witness, t_neg
+
+
+def _sphere_minimum(rho_sq: float, a: np.ndarray, d: np.ndarray, p: float) -> float:
+    """Least J over the sampled fields x scaled to squared norm rho_sq.
+
+    With a = ||x||^2 and D = D(x), the field rho x / sqrt(a) has squared
+    norm rho_sq and pair energy (rho_sq / a)^p D, so its energy is
+    rho_sq / 2 - (rho_sq / a)^p D / (2p), in closed form for every radius.
+    D >= 0 makes the result at most rho_sq / 2 after rounding too.
+    """
+    return min((0.5 * rho_sq - _calculus.row_power(rho_sq / a, p) * d / (2.0 * p)).tolist())
+
+
+def mountain_pass_probe(prob: ProblemSpec, rho: float, samples: int, seed: int = 0) -> MountainPassProbe:
+    """Minimum of J over random fields of norm rho, plus a negative-energy scale.
+
+    theta_hat estimates the energy barrier on the sphere of radius rho;
+    t_neg scales the first sampled field with positive pair energy (renormed
+    to norm 1) so that J(t_neg * witness) < 0.  A sample of zero norm is
+    skipped.  Each sample is drawn, multiplied by the operator and convolved
+    once (_sampled_sphere), and theta_hat follows in closed form
+    (_sphere_minimum).
+    """
+    if not rho > 0.0:
+        raise ParameterError(f"rho must be > 0, got {rho}")
+    a, d, witness, t_neg = _sampled_sphere(prob, samples, seed)
+    theta = _sphere_minimum(rho * rho, a, d, prob.p)
     return MountainPassProbe(theta_hat=theta, t_neg=t_neg, witness=witness, rho=rho, samples=samples)

@@ -234,7 +234,8 @@ def _suite_nehari(prob: ProblemSpec, seed: int) -> SuiteResult:
             c_hat = max(c_hat, ratio)
             norms.append(math.sqrt(a))
             levels.append(level)
-    c_hat = max(c_hat, _worst_hls_ratio(prob, rng, 100, r))
+    # each sample's own ratio makes its floor a theorem: A >= I and pr >= 2
+    # give |v|_{pr} <= ||v||, so a = D <= ratio * a^p on the constraint set
     sigma_hat = (1.0 / c_hat) ** (1.0 / (2.0 * (prob.p - 1.0)))
     level_floor = (0.5 - 0.5 / prob.p) * sigma_hat**2
 
@@ -269,25 +270,20 @@ def _suite_nehari(prob: ProblemSpec, seed: int) -> SuiteResult:
 
 
 def _suite_mountainpass(prob: ProblemSpec, seed: int) -> SuiteResult:
-    rho = 1.0e-3
-    probe = _var.mountain_pass_probe(prob, rho, 100, seed=seed)
-    neg1 = _var.energy(probe.t_neg * probe.witness, prob)
-    neg2 = _var.energy(2.0 * probe.t_neg * probe.witness, prob)
-    small = _var.mountain_pass_probe(prob, 1.0e-4, 100, seed=seed)
-    ratio = small.theta_hat / 1.0e-8
-    passed = (
-        probe.theta_hat > 0.0
-        and probe.theta_hat >= rho**2 / 4.0
-        and neg1 < 0.0
-        and neg2 < 0.0
-        and 0.4 <= ratio <= 0.5
-    )
+    # one set of samples serves both radii (variational._sphere_minimum)
+    rho_sq, small_sq = 1.0e-3 * 1.0e-3, 1.0e-4 * 1.0e-4
+    a, d, witness, t_neg = _var._sampled_sphere(prob, 100, seed)
+    theta = _var._sphere_minimum(rho_sq, a, d, prob.p)
+    neg1 = _var.energy(t_neg * witness, prob)
+    neg2 = _var.energy(2.0 * t_neg * witness, prob)
+    ratio = _var._sphere_minimum(small_sq, a, d, prob.p) / small_sq
+    passed = theta > 0.0 and theta >= rho_sq / 4.0 and neg1 < 0.0 and neg2 < 0.0 and 0.4 <= ratio <= 0.5
     return SuiteResult(
         "mountainpass",
         passed,
         {
-            "theta_hat": probe.theta_hat,
-            "t_neg": probe.t_neg,
+            "theta_hat": theta,
+            "t_neg": t_neg,
             "energy_at_t_neg": neg1,
             "energy_at_2_t_neg": neg2,
             "small_rho_ratio": ratio,

@@ -383,7 +383,8 @@ def test_verify_suite_that_raises_fails_with_exit_three(tmp_path, monkeypatch, c
     def inconclusive(*args, **kwargs):
         raise ProbeInconclusiveError("no sampled field has positive pair energy")
 
-    monkeypatch.setattr(variational, "mountain_pass_probe", inconclusive)
+    # the suite draws its samples through the probe's sampling step
+    monkeypatch.setattr(variational, "_sampled_sphere", inconclusive)
     out = tmp_path / "verify.json"
     argv = ["verify", "--radius", "6", "--suites", "ops,mountainpass,lions", "--out", str(out)]
     assert main(argv) == 3

@@ -217,6 +217,28 @@ def test_pair_terms_are_homogeneous(small_prob, seed, t, p):
     assert np.abs(conv_t - t**p * conv).max() <= 1e-12 * t**p * np.abs(conv).max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+    p=st.floats(1.5, 6.0, exclude_min=True),
+    dirichlet=st.booleans(),
+)
+def test_sphere_terms_are_homogeneous(small_prob, small_dirichlet, seed, scale, p, dirichlet):
+    # the mountain-pass probe reads J at every radius from one sample's
+    # squared norm and pair energy
+    prob = dataclasses.replace(small_dirichlet if dirichlet else small_prob, p=p)
+    x = np.random.default_rng(seed).standard_normal(prob.free_indices().size)
+    a, a_s = (c.variational._quadratic_form(y, prob) for y in (x, scale * x))
+    d, d_s = (c.variational.pair_terms(y, prob)[1] for y in (x, scale * x))
+    assert abs(a_s - scale**2 * a) <= 1e-13 * scale**2 * a
+    # the FFT rounds relative to the largest terms, so D is compared with the
+    # pair sum's round-off scale (sum |x|^p)^2: on the 5-site well at p near
+    # 6 one site dominates, and D itself can lie 1e6 times below that scale
+    round_off = (np.abs(x) ** p).sum() ** 2
+    assert abs(d_s - scale ** (2.0 * p) * d) <= 1e-13 * scale ** (2.0 * p) * round_off
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3), dirichlet=st.booleans())
 def test_nehari_project_lands_on_constraint(small_prob, small_dirichlet, seed, scale, dirichlet):

@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choquard as c
-from choquard import calculus, variational, verify
+from choquard import calculus, kernels, variational, verify
 from choquard.errors import ProbeInconclusiveError
 from choquard.fields import Field
 from choquard.verify import run_suites
@@ -68,11 +70,13 @@ def nehari_oracle(prob, seed):
         worst_defect = max(worst_defect, abs(c.nehari_defect(w, prob)) / a)
         level = c.nehari_level(w, prob)
         worst_level = max(worst_level, abs(level - (0.5 - 0.5 / prob.p) * a) / max(1.0, abs(level)))
-        power = Field(prob.window, np.abs(w.values) ** prob.p)
-        c_hat = max(c_hat, c.hls_ratio(power, power, prob.kernel, r, r))
+        # the hls ratio of (|w|^p, |w|^p) is D(w) over the squared l^r norm
+        # of |w|^p; hls_ratio would convolve over the whole window, not over
+        # the well's box as D does in dirichlet mode, and round otherwise
+        norm = np.linalg.norm(np.abs(prob.restrict(w.values)) ** prob.p, r)
+        c_hat = max(c_hat, c.nonlocal_term(w, prob) / (norm * norm))
         norms.append(math.sqrt(a))
         levels.append(level)
-    c_hat = max(c_hat, _worst_ratio(prob, rng, 100, r))
     sigma_hat = (1.0 / c_hat) ** (1.0 / (2.0 * (prob.p - 1.0)))
     return {
         "projection_defect_max": worst_defect,
@@ -86,24 +90,30 @@ def nehari_oracle(prob, seed):
     }
 
 
-def probe_oracle(prob, rho, rows):
-    """(theta_hat, t_neg, witness values) of mountain_pass_probe over free-site rows, one at a time."""
-    theta = math.inf
+def sphere_oracle(prob, rows):
+    """(a, D) of each free-site row of nonzero norm, the witness values and t_neg, one row at a time."""
+    terms = []
     witness = None
     for x in rows:
         u = Field(prob.window, prob.extend(x))
         a = c.norm_sq(u, prob)
         if a == 0.0:
             continue
-        u = (rho / math.sqrt(a)) * u
-        theta = min(theta, c.energy(u, prob))
-        if witness is None and c.nonlocal_term(u, prob) > 0.0:
-            witness = (1.0 / rho) * u
+        d = c.nonlocal_term(u, prob)
+        terms.append((a, d))
+        if witness is None and d > 0.0:
+            witness = u.values / math.sqrt(a)
     if witness is None:
         raise ProbeInconclusiveError("no sampled field has positive pair energy")
-    a, d = c.norm_sq(witness, prob), c.nonlocal_term(witness, prob)
+    w = Field(prob.window, witness)
+    a, d = c.norm_sq(w, prob), c.nonlocal_term(w, prob)
     t_neg = (2.0 * prob.p * a / d) ** (1.0 / (2.0 * prob.p - 2.0))
-    return theta, t_neg, witness.values
+    return terms, witness, t_neg
+
+
+def sphere_level_oracle(prob, rho_sq, terms):
+    """Least J(rho x / sqrt(a)) = rho_sq / 2 - (rho_sq / a)^p D / (2p) over the samples."""
+    return min(0.5 * rho_sq - (rho_sq / a) ** prob.p * d / (2.0 * prob.p) for a, d in terms)
 
 
 def _seeded_rows(prob, samples, seed):
@@ -112,16 +122,16 @@ def _seeded_rows(prob, samples, seed):
 
 
 def mountainpass_oracle(prob, seed):
-    theta, t_neg, witness = probe_oracle(prob, 1.0e-3, _seeded_rows(prob, 100, seed))
+    terms, witness, t_neg = sphere_oracle(prob, _seeded_rows(prob, 100, seed))
     neg1 = c.energy(Field(prob.window, t_neg * witness), prob)
     neg2 = c.energy(Field(prob.window, 2.0 * t_neg * witness), prob)
-    small, _, _ = probe_oracle(prob, 1.0e-4, _seeded_rows(prob, 100, seed))
+    small_sq = 1.0e-4 * 1.0e-4
     return {
-        "theta_hat": theta,
+        "theta_hat": sphere_level_oracle(prob, 1.0e-3 * 1.0e-3, terms),
         "t_neg": t_neg,
         "energy_at_t_neg": neg1,
         "energy_at_2_t_neg": neg2,
-        "small_rho_ratio": small / 1.0e-8,
+        "small_rho_ratio": sphere_level_oracle(prob, small_sq, terms) / small_sq,
     }
 
 
@@ -292,6 +302,21 @@ def test_nehari_ratio_is_the_hls_ratio_of_the_projected_power(small_prob, desk_p
         assert np.array_equal(verify._self_hls_ratios(power, pair, r), expected)
 
 
+@pytest.mark.parametrize("p", [1.55, 2.0, 3.0])
+def test_nehari_ratio_is_the_hls_ratio_up_to_round_off_in_dirichlet_mode(small_dirichlet, desk_dirichlet, p):
+    # there D convolves over the well's box and hls_ratios over the window:
+    # the same sum, rounded on another FFT grid
+    for prob in (dataclasses.replace(small_dirichlet, p=p), dataclasses.replace(desk_dirichlet, p=p)):
+        r = _hls_exponent(prob)
+        rows = np.random.default_rng(13).standard_normal((9, prob.free_indices().size))
+        values = variational.project_values(rows, prob).values
+        _, pair = variational.constraint_terms(values, prob)
+        power = np.abs(values) ** prob.p
+        full = prob.extend(power)
+        expected = calculus.hls_ratios(prob.kernel, prob.window, full, full, r, r)
+        np.testing.assert_allclose(verify._self_hls_ratios(power, pair, r), expected, rtol=1e-13, atol=0.0)
+
+
 def test_hls_ratios_rows_match_single_calls(small_prob, desk_prob):
     for prob in (small_prob, desk_prob):
         r = _hls_exponent(prob)
@@ -328,10 +353,25 @@ def test_mountain_pass_probe_matches_the_per_sample_oracle(request, name):
     prob = request.getfixturevalue(name)
     for rho, samples, seed in ((1.0e-3, 100, 0), (0.5, 21, 4)):
         probe = c.mountain_pass_probe(prob, rho, samples, seed=seed)
-        theta, t_neg, witness = probe_oracle(prob, rho, _seeded_rows(prob, samples, seed))
-        assert probe.theta_hat == theta
+        terms, witness, t_neg = sphere_oracle(prob, _seeded_rows(prob, samples, seed))
+        assert probe.theta_hat == sphere_level_oracle(prob, rho * rho, terms)
         assert probe.t_neg == t_neg
         assert np.array_equal(probe.witness.values, witness)
+
+
+@pytest.mark.parametrize("name", ["small_prob", "small_dirichlet", "desk_prob"])
+def test_sphere_level_is_the_energy_of_the_scaled_samples(request, name):
+    # the closed form against J of each sample scaled to the sphere, at
+    # radii where the pair term is a small and a large part of J
+    prob = request.getfixturevalue(name)
+    rows = _seeded_rows(prob, 12, 3)
+    terms, _, _ = sphere_oracle(prob, rows)
+    for rho in (1.0e-3, 0.5, 3.0):
+        energies = []
+        for x in rows:
+            u = Field(prob.window, prob.extend(x))
+            energies.append(c.energy((rho / math.sqrt(c.norm_sq(u, prob))) * u, prob))
+        assert sphere_level_oracle(prob, rho * rho, terms) == pytest.approx(min(energies), rel=1e-12, abs=0.0)
 
 
 def test_mountain_pass_probe_skips_zero_norm_samples(small_prob, monkeypatch):
@@ -341,11 +381,68 @@ def test_mountain_pass_probe_skips_zero_norm_samples(small_prob, monkeypatch):
     chunks[1][0] = 0.0
     monkeypatch.setattr(variational, "sample_chunks", lambda rng, samples, shape: iter(chunks))
     probe = c.mountain_pass_probe(small_prob, 1.0e-3, 5)
-    theta, t_neg, witness = probe_oracle(small_prob, 1.0e-3, [row for chunk in chunks for row in chunk])
-    assert (probe.theta_hat, probe.t_neg) == (theta, t_neg)
+    terms, witness, t_neg = sphere_oracle(small_prob, [row for chunk in chunks for row in chunk])
+    assert len(terms) == 2
+    assert (probe.theta_hat, probe.t_neg) == (sphere_level_oracle(small_prob, 1.0e-6, terms), t_neg)
     assert np.array_equal(probe.witness.values, witness)
     first = Field(small_prob.window, chunks[1][1])
     assert np.allclose(witness, first.values / math.sqrt(c.norm_sq(first, small_prob)), rtol=1e-14, atol=0.0)
+
+
+def test_small_radius_ratio_is_one_half_without_a_pair_term(desk_prob, monkeypatch):
+    sampled = variational._sampled_sphere
+
+    def no_pair_term(prob, samples, seed):
+        a, d, witness, t_neg = sampled(prob, samples, seed)
+        return a, np.zeros_like(d), witness, t_neg
+
+    monkeypatch.setattr(variational, "_sampled_sphere", no_pair_term)
+    (res,) = run_suites(("mountainpass",), desk_prob, seed=0)
+    assert res.passed, res.details
+    assert res.details["small_rho_ratio"] == 0.5
+    assert res.details["theta_hat"] == 0.5 * (1.0e-3 * 1.0e-3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rho=st.floats(1.0e-6, 1.0e3),
+    p=st.floats(1.5, 6.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sphere_level_is_at_most_half_the_squared_radius(rho, p, seed):
+    # D >= 0, and rounding is monotone, so theta / rho^2 <= 1/2 holds in
+    # floating point too, also where the pair term is below rho^2's last bit
+    rng = np.random.default_rng(seed)
+    a, d = rng.uniform(0.1, 10.0, 8), rng.uniform(0.0, 1.0, 8)
+    d[0] = 0.0
+    rho_sq = rho * rho
+    assert variational._sphere_minimum(rho_sq, a, d, p) / rho_sq <= 0.5
+
+
+@pytest.mark.parametrize("name", ["desk_prob", "desk_dirichlet"])
+def test_sampling_suites_do_each_samples_work_once(request, name, monkeypatch):
+    prob = request.getfixturevalue(name)
+    rows = {"convolved": 0, "operator": 0}
+
+    def counted(key, fn, at):
+        def wrapper(*args, **kwargs):
+            rows[key] += int(np.prod(np.shape(args[at])[:-1]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kernels, "convolve_values", counted("convolved", kernels.convolve_values, 2))
+    monkeypatch.setattr(variational, "operator_values", counted("operator", variational.operator_values, 0))
+    (res,) = run_suites(("mountainpass",), prob, seed=0)
+    assert res.passed
+    # each of the 100 samples once, then the witness's norm and pair energy
+    # and the energies at t_neg and 2 t_neg
+    assert rows == {"convolved": 103, "operator": 103}
+    rows.update(convolved=0, operator=0)
+    (res,) = run_suites(("nehari",), prob, seed=0)
+    assert res.passed
+    # the projection and the defect check per sample, then the point mass
+    assert rows == {"convolved": 201, "operator": 201}
 
 
 def test_sample_chunks_draw_the_per_sample_stream():
