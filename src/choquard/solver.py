@@ -1,28 +1,25 @@
 """Ground-state solver, coupling sweep, and splitting probe.
 
 The solver minimizes J over the constraint set by projected nonlinear
-conjugate gradients: each step solves A z = J'(u) with the problem operator
-A (so z is the gradient in the problem inner product), takes the
-Fletcher-Reeves direction d = z + beta * (the last accepted step), with beta
-the ratio of <J'(u), z> to its value at the previous step, backtracks along
-u - s d, and re-projects onto the constraint set.  A start whose d is no
-descent direction (<J'(u), d> <= 0) falls back to d = z.  Steepest descent
-along z contracts the dual residual only by the second eigenvalue of
-N'(u)h = mu A h per step, which nears 1 at small couplings and at p near
-(N + alpha)/N; the conjugate directions take about a third fewer steps on
-the radius-16 sweep.
+conjugate gradients, in the driver _lockstep_descent: each step solves
+A z = J'(u) with the problem operator A (so z is the gradient in the problem
+inner product), takes the Fletcher-Reeves direction d of _fr_direction,
+backtracks along u - s d with re-projection onto the constraint set in
+_line_search, and records the step or the start's outcome in _settle.
+Steepest descent along z contracts the dual residual only by the second
+eigenvalue of N'(u)h = mu A h per step, which nears 1 at small couplings
+and at p near (N + alpha)/N; the conjugate directions take about a third
+fewer steps on the radius-16 sweep.
 
 Multi-start over a smoothed well bump plus random positive fields
 approximates minimality, and all starts descend in lockstep as rows of one
 array of free-site values: each step makes one product A X, one
-linear_solve for every row still running (a band Cholesky or sparse LU
-factor of A, built once per problem, in dimension <= 2; preconditioned
-CG per row in dimension >= 3) and one batched convolution per round of
-line-search trials.  Each trial costs one convolved row, which also gives
-the next iterate's pair energy and Euler-Lagrange term.  The coupling
-sweep solves the well problem once, then the weighted problem over an
-increasing grid with warm starts, reporting levels, distances, and
-outside-well mass.
+linear_solve of every row still running, and one batched convolution per
+round of line-search trials.  Each trial costs one convolved row, which
+also gives the next iterate's pair energy and Euler-Lagrange term.  The
+coupling sweep solves the well problem once, then the weighted problem
+over an increasing grid with warm starts, reporting levels, distances,
+and outside-well mass.
 
 ``restarts`` random starts run in a lone solve, on the sweep's well problem,
 and in each coupling row until one coupling has converged.  Later rows run
@@ -44,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,14 +50,7 @@ from scipy.sparse.linalg import cg as _scipy_cg
 
 from . import variational as _var
 from .calculus import bump_field, pair_sums, row_dot, w22_norm_sq
-from .errors import (
-    ChoquardError,
-    ConvergenceError,
-    InitializerError,
-    InputError,
-    NoProjectionError,
-    ParameterError,
-)
+from .errors import ChoquardError, ConvergenceError, InitializerError, InputError, ParameterError
 from .fields import Field
 from .lattice import _as_site, difference_rows
 from .variational import MODE_DIRICHLET, MODE_FULL, ProblemSpec
@@ -141,12 +132,7 @@ class StartRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Converged minimizer with its level and per-iteration history.
-
-    ground_state sets the fields from ``start_labels`` on, and makes ``u``
-    a Field; one start's descent (_lockstep_descent) leaves their defaults
-    and its free-site row in ``u``.
-    """
+    """Converged minimizer with its level and per-iteration history (see ground_state)."""
 
     u: Field
     level: float
@@ -155,21 +141,26 @@ class SolveResult:
     iterations: int
     converged: bool
     history: Tuple[IterationRecord, ...]
-    start_labels: Tuple[str, ...] = ()
-    start_levels: Tuple[float, ...] = ()
-    start_index: int = 0
-    restart_spread: float = 0.0
-    starts: Tuple[StartRecord, ...] = ()
+    start_labels: Tuple[str, ...]
+    start_levels: Tuple[float, ...]
+    start_index: int
+    restart_spread: float
+    starts: Tuple[StartRecord, ...]
 
 
 @dataclass(frozen=True)
-class _Merged:
-    """A row that left the descent at iteration ``iterations`` for the earlier row ``into``."""
+class _Outcome:
+    """How one row of _lockstep_descent ended, with one record per iteration.
 
-    into: int
-    iterations: int
-    level: float
-    history: Tuple[IterationRecord, ...]
+    ``level`` is set when the row converged (``u`` holds its free-site values) or merged (into row ``into``).
+    """
+
+    status: str
+    history: Tuple[IterationRecord, ...] = ()
+    level: Optional[float] = None
+    reason: Optional[str] = None
+    u: Optional[np.ndarray] = None
+    into: int = -1
 
 
 def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
@@ -250,22 +241,12 @@ def _lockstep_descent(
 ) -> list:
     """Projected descent from every row of x0 (free-site values) at once.
 
-    Returns one outcome per row: a SolveResult when the row converges, a
-    _Merged when it merges into an earlier row, a ConvergenceError when it
-    stalls, and a NoProjectionError when the start admits no projection.
-    All rows take their steps together: one A x, one linear_solve and one
-    batched convolution per step and per line-search round, with a per-row
-    Armijo test.  A row leaves the batch when it converges, merges or fails.
-    Rows share no arithmetic, so each row that does not merge ends as it
-    would alone, and a merged row's history is its lone run's up to the
-    merge.  Every start and every line-search trial convolves one row.
-
-    A row at step k searches along d_k = z_k + beta_k s_{k-1} d_{k-1}, where
-    z_k = A^{-1} g_k, s_{k-1} d_{k-1} is its last accepted step and
-    beta_k = <g_k, z_k> / <g_{k-1}, z_{k-1}> (Fletcher-Reeves in the A^{-1}
-    metric, 0 on the first step).  Where <g_k, d_k> <= 0 the row resets to
-    d_k = z_k.  The Armijo test takes <g_k, d_k> as its slope; the stopping
-    test uses the dual residual delta_k = sqrt(<g_k, z_k>).
+    Returns one _Outcome per row: converged, merged into an earlier row,
+    stalled, or inadmissible when the start admits no projection.  A row
+    leaves the batch when it converges, merges or fails.  Rows share no
+    arithmetic, so each row that does not merge ends as it would alone, and
+    a merged row's history is its lone run's up to the merge.  The stopping
+    test uses the dual residual delta_k = sqrt(<g_k, z_k>), z_k = A^{-1} g_k.
 
     A row whose entry of ``mergeable`` is true (none when it is None) merges,
     before its line search, into the first earlier row that has not merged
@@ -276,125 +257,153 @@ def _lockstep_descent(
     R is infinite until two ratios exist and while rho >= 1.  The terms come
     from the Gram matrix of x against A x, one k x k product per step.
     """
-    two_p = 2.0 * prob.p
     outcomes = [None] * len(x0)
     histories = [[] for _ in x0]
     start = _var.project_values(x0, prob)
     admissible = np.isfinite(start.energy)
     for i in np.nonzero(~admissible)[0]:
-        outcomes[i] = NoProjectionError(
-            "pair energy vanishes; no scale meets the constraint"
+        outcomes[i] = _Outcome(
+            STATUS_INADMISSIBLE,
+            reason="pair energy vanishes; no scale meets the constraint"
             if start.vanishes[i]
-            else "squared norm or pair energy is not finite"
+            else "squared norm or pair energy is not finite",
         )
+    mergeable = np.zeros(len(x0), dtype=bool) if mergeable is None else np.asarray(mergeable)
     rows = np.nonzero(admissible)[0]
-    x = start.values[rows]
-    pair = start.pair_energy[rows]
-    conv = start.conv[rows]
-    may_merge = np.zeros(rows.size, dtype=bool) if mergeable is None else np.asarray(mergeable)[rows]
-    # <g, z>, the accepted step s d, the dual residual and its contraction
-    # ratio of each row's previous iteration
-    last_slope = np.zeros(rows.size)
-    last_step = np.zeros_like(x)
-    last_dual = np.zeros(rows.size)
-    last_ratio = np.full(rows.size, np.inf)
+    x, zero = start.values[rows], np.zeros(rows.size)
+    # the rows still descending, one entry per row in every array: batch
+    # position, state, and the previous iteration's <g, z>, accepted step
+    # s d, dual residual and its ratio (none yet: beta 0, reach infinite)
+    live = SimpleNamespace(
+        rows=rows, x=x, pair=start.pair_energy[rows], conv=start.conv[rows],
+        gz=zero, step=np.zeros_like(x), dual=zero, ratio=zero + np.inf,
+    )
     for it in range(1, cfg.max_iterations + 1):
-        if rows.size == 0:
+        if live.rows.size == 0:
             break
-        ax = _var.operator_values(x, prob)
-        a = row_dot(x, ax)
-        level = 0.5 * a - pair / two_p
-        defect = a - pair
-        grad = _var.gradient_values(x, ax, conv, prob)
+        ax = _var.operator_values(live.x, prob)
+        a = row_dot(live.x, ax)
+        level = 0.5 * a - live.pair / (2.0 * prob.p)
+        defect = a - live.pair
+        grad = _var.gradient_values(live.x, ax, live.conv, prob)
         z = linear_solve(grad, prob)
         finite = np.isfinite(z).all(axis=1)
         gz = row_dot(grad, z)
         dual = np.sqrt(np.maximum(gz, 0.0))
-        beta = np.divide(gz, last_slope, out=np.zeros(rows.size), where=last_slope > 0.0)
-        direction = z + beta[:, None] * last_step
-        slope = row_dot(grad, direction)
-        reset = ~(slope > 0.0)
-        direction[reset] = z[reset]
-        slope[reset] = gz[reset]
+        direction, slope = _fr_direction(grad, z, gz, live.gz, live.step)
         # the line search's batched convolutions set the peak memory; free
         # what it does not need
-        del z, last_step
+        del z
+        live.step = None
         done = finite & (dual <= cfg.residual_tol * np.sqrt(a)) & (np.abs(defect) <= _NEHARI_TOL * a)
-        ratio = np.divide(dual, last_dual, out=np.full(rows.size, np.inf), where=last_dual > 0.0)
-        rho = np.maximum(ratio, last_ratio)
-        reach = np.divide(dual, 1.0 - rho, out=np.full(rows.size, np.inf), where=rho < 1.0)
-        into = _merge_targets(x, ax, a, reach, may_merge & finite & ~done)
-
-        # line search, one round of trials at a time for the rows still
-        # searching; near the minimizer the required decrease c*s*slope drops
-        # below the round-off of the energy itself, and the noise allowance
-        # keeps the search from rejecting the (locally contractive) full step
-        searching = finite & ~done & (into < 0)
-        overflow = np.zeros(rows.size, dtype=bool)
-        step = np.ones(rows.size)
-        taken = np.zeros(rows.size)
-        noise = 64.0 * np.finfo(float).eps * (1.0 + np.abs(level))
-        while True:
-            live = np.nonzero(searching & (step >= _MIN_STEP))[0]
-            if live.size == 0:
-                break
-            trial = _var.project_values(x[live] - step[live, None] * direction[live], prob)
-            ok = np.isfinite(trial.energy)
-            bad = ~ok & ~trial.vanishes
-            bound = (level - _SUFFICIENT_DECREASE * step * slope + noise)[live]
-            passed = ok & (trial.energy <= bound)
-            # accepted rows leave the search, so their iterate is replaced in place
-            won = live[passed]
-            x[won] = trial.values[passed]
-            pair[won] = trial.pair_energy[passed]
-            conv[won] = trial.conv[passed]
-            taken[won] = step[won]
-            overflow[live[bad]] = True
-            searching[live[passed | bad]] = False
-            step[live[~passed & ~bad]] *= _SHRINK
-
-        keep = np.zeros(rows.size, dtype=bool)
-        values = zip(rows, level.tolist(), a.tolist(), defect.tolist(), dual.tolist(), taken.tolist())
-        for pos, (i, lv, av, df, du, st) in enumerate(values):
-            history = histories[i]
-            if not finite[pos]:
-                outcomes[i] = ConvergenceError(
-                    f"search direction is not finite at iteration {it}", history=tuple(history)
-                )
-                continue
-            history.append(IterationRecord(it, lv, av, df, du, st))
-            if done[pos]:
-                outcomes[i] = SolveResult(
-                    u=x[pos],
-                    level=lv,
-                    dual_residual=du,
-                    nehari_defect=df,
-                    iterations=it,
-                    converged=True,
-                    history=tuple(history),
-                )
-            elif into[pos] >= 0:
-                outcomes[i] = _Merged(rows[into[pos]], it, lv, tuple(history))
-            elif st > 0.0:
-                keep[pos] = True
-            else:
-                what = "a line-search trial is not finite" if overflow[pos] else "line search stagnated"
-                outcomes[i] = ConvergenceError(
-                    f"{what} at iteration {it} (relative dual residual {du / math.sqrt(av):.3e})",
-                    residual=du / math.sqrt(av),
-                    history=tuple(history),
-                )
-        last_slope, last_step = gz[keep], taken[keep, None] * direction[keep]
-        last_dual, last_ratio, may_merge = dual[keep], ratio[keep], may_merge[keep]
-        rows, x, pair, conv = rows[keep], x[keep], pair[keep], conv[keep]
-    for i in rows:
-        history = histories[i]
-        outcomes[i] = ConvergenceError(
-            f"no convergence within {cfg.max_iterations} iterations",
-            residual=history[-1].dual_residual / math.sqrt(history[-1].norm_sq),
-            history=tuple(history),
-        )
+        ratio = np.divide(dual, live.dual, out=np.full_like(dual, np.inf), where=live.dual > 0.0)
+        rho = np.maximum(ratio, live.ratio)
+        reach = np.divide(dual, 1.0 - rho, out=np.full_like(dual, np.inf), where=rho < 1.0)
+        into = _merge_targets(live.x, ax, a, reach, mergeable[live.rows] & finite & ~done)
+        taken, overflow = _line_search(prob, live, level, direction, slope, finite & ~done & (into < 0))
+        values = np.column_stack((level, a, defect, dual, taken)).tolist()
+        keep = _settle(it, live, values, finite, done, into, overflow, histories, outcomes)
+        live.gz, live.step, live.dual, live.ratio = gz, taken[:, None] * direction, dual, ratio
+        live = SimpleNamespace(**{name: array[keep] for name, array in vars(live).items()})
+    for i in live.rows:
+        reason = f"no convergence within {cfg.max_iterations} iterations"
+        outcomes[i] = _Outcome(STATUS_STALLED, tuple(histories[i]), reason=reason)
     return outcomes
+
+
+def _fr_direction(
+    grad: np.ndarray, z: np.ndarray, gz: np.ndarray, last_gz: np.ndarray, last_step: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's search direction d and its slope <g, d>, by Fletcher-Reeves in the A^{-1} metric.
+
+    d = z + beta s d', where z = A^{-1} g, s d' is the row's last accepted
+    step and beta = <g, z> / <g', z'> (``gz`` over ``last_gz``), 0 on the
+    row's first step, where ``last_gz`` is 0.  A row whose <g, d> <= 0
+    resets to d = z, with slope <g, z>.
+    """
+    beta = np.divide(gz, last_gz, out=np.zeros(gz.size), where=last_gz > 0.0)
+    direction = z + beta[:, None] * last_step
+    slope = row_dot(grad, direction)
+    reset = ~(slope > 0.0)
+    direction[reset] = z[reset]
+    slope[reset] = gz[reset]
+    return direction, slope
+
+
+def _line_search(
+    prob: ProblemSpec, live: SimpleNamespace, level: np.ndarray, d: np.ndarray, slope: np.ndarray, searching: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Armijo backtracking along -d of the rows marked ``searching``, one batched round of trials at a time.
+
+    A row takes the first s = 1, 1/2, ... (down to _MIN_STEP) whose projected
+    x - s d passes the Armijo test, which replaces its x, pair and conv in
+    ``live``.  Near the minimizer the required decrease c*s*slope drops
+    below the round-off of the energy itself, and the noise allowance keeps
+    the search from rejecting the (locally contractive) full step.  Returns
+    each row's step (0 where none passed) and whether a trial was not finite.
+    """
+    searching = searching.copy()
+    overflow = np.zeros(level.size, dtype=bool)
+    step = np.ones(level.size)
+    taken = np.zeros(level.size)
+    noise = 64.0 * np.finfo(float).eps * (1.0 + np.abs(level))
+    while True:
+        trying = np.nonzero(searching & (step >= _MIN_STEP))[0]
+        if trying.size == 0:
+            return taken, overflow
+        trial = _var.project_values(live.x[trying] - step[trying, None] * d[trying], prob)
+        ok = np.isfinite(trial.energy)
+        bad = ~ok & ~trial.vanishes
+        bound = (level - _SUFFICIENT_DECREASE * step * slope + noise)[trying]
+        passed = ok & (trial.energy <= bound)
+        won = trying[passed]
+        live.x[won] = trial.values[passed]
+        live.pair[won] = trial.pair_energy[passed]
+        live.conv[won] = trial.conv[passed]
+        taken[won] = step[won]
+        overflow[trying[bad]] = True
+        searching[trying[passed | bad]] = False
+        step[trying[~passed & ~bad]] *= _SHRINK
+
+
+def _settle(
+    it: int,
+    live: SimpleNamespace,
+    values: list,
+    finite: np.ndarray,
+    done: np.ndarray,
+    into: np.ndarray,
+    overflow: np.ndarray,
+    histories: list,
+    outcomes: list,
+) -> np.ndarray:
+    """Record iteration ``it`` of each live row in ``histories``, or its outcome in ``outcomes``.
+
+    ``values`` holds each row's (level, a, defect, dual residual, step).  A
+    row whose direction is not finite stalls without a record of ``it``; the
+    others converge, merge, go on (a positive step) or stall.  Returns which
+    rows go on.
+    """
+    keep = np.zeros(live.rows.size, dtype=bool)
+    for pos, (i, record) in enumerate(zip(live.rows, values)):
+        history = histories[i]
+        if not finite[pos]:
+            reason = f"search direction is not finite at iteration {it}"
+            outcomes[i] = _Outcome(STATUS_STALLED, tuple(history), reason=reason)
+            continue
+        history.append(IterationRecord(it, *record))
+        level, a, _, dual, step = record
+        if done[pos]:
+            outcomes[i] = _Outcome(STATUS_CONVERGED, tuple(history), level=level, u=live.x[pos])
+        elif into[pos] >= 0:
+            outcomes[i] = _Outcome(STATUS_MERGED, tuple(history), level=level, into=int(live.rows[into[pos]]))
+        elif step > 0.0:
+            keep[pos] = True
+        else:
+            what = "a line-search trial is not finite" if overflow[pos] else "line search stagnated"
+            reason = f"{what} at iteration {it} (relative dual residual {dual / math.sqrt(a):.3e})"
+            outcomes[i] = _Outcome(STATUS_STALLED, tuple(history), reason=reason)
+    return keep
 
 
 def _merge_targets(
@@ -448,57 +457,47 @@ def ground_state(
     position = np.arange(len(starts))
     mergeable = (position >= 1) & (position <= cfg.restarts)
     outcomes = _lockstep_descent(prob, cfg, prob.restrict(np.array(starts)), mergeable)
-    # a target precedes its merged starts, so it is resolved before them
-    for i, out in enumerate(outcomes):
-        if isinstance(out, _Merged) and not isinstance(outcomes[out.into], (SolveResult, _Merged)):
-            last = out.history[-1]
-            outcomes[i] = ConvergenceError(
-                f"merged into {labels[out.into]} at iteration {out.iterations}, which did not converge",
-                residual=last.dual_residual / math.sqrt(last.norm_sq),
-                history=out.history,
-            )
-    records = tuple(_start_record(label, outcome, labels) for label, outcome in zip(labels, outcomes))
-    listed = [(label, out) for label, out in zip(labels, outcomes) if isinstance(out, (SolveResult, _Merged))]
+    records = []
+    for label, out in zip(labels, outcomes):
+        status, level, reason = out.status, out.level, out.reason
+        # a target precedes its merged starts, so its record is made
+        if status == STATUS_MERGED:
+            reason = f"merged into {labels[out.into]} at iteration {len(out.history)}"
+            if records[out.into].status not in (STATUS_CONVERGED, STATUS_MERGED):
+                status, level, reason = STATUS_STALLED, None, f"{reason}, which did not converge"
+        records.append(StartRecord(label, status, len(out.history), level, reason))
+    listed = [k for k, rec in enumerate(records) if rec.status in (STATUS_CONVERGED, STATUS_MERGED)]
     if not listed:
-        stalled = [(label, exc) for label, exc in zip(labels, outcomes) if isinstance(exc, ConvergenceError)]
+        stalled = [k for k, rec in enumerate(records) if rec.status == STATUS_STALLED]
         if not stalled:
-            raise InitializerError(f"no start is admissible; last failure [{labels[-1]}]: {outcomes[-1]}")
-        label, exc = stalled[-1]
+            raise InitializerError(f"no start is admissible; last failure [{labels[-1]}]: {records[-1].reason}")
+        rec, history = records[stalled[-1]], outcomes[stalled[-1]].history
         raise ConvergenceError(
             f"no start converged ({len(stalled)} stalled, "
-            f"{len(outcomes) - len(stalled)} inadmissible); last failure [{label}]: {exc}",
-            residual=exc.residual,
-            history=exc.history,
+            f"{len(records) - len(stalled)} inadmissible); last failure [{rec.label}]: {rec.reason}",
+            residual=history[-1].dual_residual / math.sqrt(history[-1].norm_sq) if history else None,
+            history=history,
         )
 
-    levels = tuple(out.level for _, out in listed)
-    least = min(out.level for _, out in listed if isinstance(out, SolveResult))
-    best_pos = next(
-        i
-        for i, (_, out) in enumerate(listed)
-        if isinstance(out, SolveResult) and out.level <= least + _TIE_TOL * abs(least)
-    )
-    best = listed[best_pos][1]
-    return replace(
-        best,
+    levels = tuple(records[k].level for k in listed)
+    converged = [k for k in listed if records[k].status == STATUS_CONVERGED]
+    least = min(records[k].level for k in converged)
+    first = next(k for k in converged if records[k].level <= least + _TIE_TOL * abs(least))
+    best = outcomes[first]
+    return SolveResult(
         u=Field(prob.window, prob.extend(best.u)),
-        start_labels=tuple(label for label, _ in listed),
+        level=best.level,
+        dual_residual=best.history[-1].dual_residual,
+        nehari_defect=best.history[-1].nehari_defect,
+        iterations=len(best.history),
+        converged=True,
+        history=best.history,
+        start_labels=tuple(labels[k] for k in listed),
         start_levels=levels,
-        start_index=best_pos,
+        start_index=listed.index(first),
         restart_spread=(max(levels) - min(levels)) / abs(min(levels)),
-        starts=records,
+        starts=tuple(records),
     )
-
-
-def _start_record(label: str, outcome, labels: Sequence[str]) -> StartRecord:
-    if isinstance(outcome, SolveResult):
-        return StartRecord(label, STATUS_CONVERGED, outcome.iterations, outcome.level, None)
-    if isinstance(outcome, _Merged):
-        reason = f"merged into {labels[outcome.into]} at iteration {outcome.iterations}"
-        return StartRecord(label, STATUS_MERGED, outcome.iterations, outcome.level, reason)
-    if isinstance(outcome, ConvergenceError):
-        return StartRecord(label, STATUS_STALLED, len(outcome.history), None, str(outcome))
-    return StartRecord(label, STATUS_INADMISSIBLE, 0, None, str(outcome))
 
 
 def sign_aligned_distance(u: Field, ref: Field) -> float:

@@ -355,10 +355,10 @@ def _run_alone(prob, cfg, position):
 def _check_alone_matches(alone, rec):
     """A converged start ends as it does alone; a merged one left its lone run's path at the merge."""
     if rec.status == "converged":
-        assert alone.iterations == rec.iterations
+        assert len(alone.history) == rec.iterations
         assert alone.level == pytest.approx(rec.level, rel=1e-13, abs=0.0)
     else:
-        assert alone.iterations > rec.iterations
+        assert len(alone.history) > rec.iterations
         assert alone.history[rec.iterations - 1].energy == rec.level
 
 
@@ -368,7 +368,7 @@ def test_ground_state_start_alone_matches_its_batch_row(desk_prob, desk_default_
     in_batch = desk_default_solve.starts[position]
     assert in_batch.status == DESK_DEFAULT_STARTS[position][1]
     _check_alone_matches(alone, in_batch)
-    assert alone.iterations == (DESK_ALONE_ITERATIONS if position else 8)
+    assert len(alone.history) == (DESK_ALONE_ITERATIONS if position else 8)
 
 
 # (status, iterations, reason) of each start with backtracking rows
@@ -465,6 +465,28 @@ def test_ground_state_cg_stall_fails_only_its_start(small_cube, monkeypatch):
     assert res.starts[2].iterations == 10
 
 
+def test_fr_direction_beta_and_reset_per_row():
+    # rows: a first step (no previous <g, z>), a conjugate step, a conjugate
+    # direction that points uphill and one orthogonal to g; all values are
+    # dyadic, so every product below is exact
+    grad = np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    z = np.array([[0.5, 1.0], [2.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    gz = (grad * z).sum(axis=1)
+    last_gz = np.array([0.0, 4.0, 0.5, 1.0])
+    last_step = np.array([[3.0, -1.0], [1.0, 2.0], [-4.0, 0.0], [0.0, -1.0]])
+    direction, slope = c.solver._fr_direction(grad, z, gz, last_gz, last_step)
+    # beta = 0 on a first step, even with a nonzero previous step
+    assert direction[0].tolist() == z[0].tolist() and slope[0] == gz[0] == 2.5
+    # beta = <g, z> / the previous <g, z> = 2 / 4
+    assert direction[1].tolist() == (z[1] + 0.5 * last_step[1]).tolist() == [2.5, 2.0]
+    assert slope[1] == 2.5
+    # <g, d> = -7 and = 0: these rows fall back to d = z with slope <g, z>,
+    # while rows 0 and 1 keep their directions
+    assert (z[2] + 2.0 * last_step[2]) @ grad[2] < 0.0 and (z[3] + last_step[3]) @ grad[3] == 0.0
+    assert direction[2:].tolist() == z[2:].tolist()
+    assert slope[2:].tolist() == gz[2:].tolist() == [1.0, 1.0]
+
+
 # the 5-unknown well problem converges slowly near p = 3.23 (up to 873
 # iterations in the pinned examples), so these descents get a budget past
 # the default 400
@@ -484,7 +506,7 @@ def test_descent_safeguard_never_raises_the_energy(small_prob, small_dirichlet, 
     starts = np.random.default_rng(seed).random((3, prob.window.count))
     outcomes = c.solver._lockstep_descent(prob, _LONG_RUN, prob.restrict(starts))
     for outcome in outcomes:
-        assert isinstance(outcome, c.SolveResult)
+        assert outcome.status == "converged"
         history = outcome.history
         for before, after in zip(history, history[1:]):
             noise = 64.0 * np.finfo(float).eps * (1.0 + abs(before.energy))
@@ -509,14 +531,14 @@ def test_merged_start_follows_its_lone_run_into_the_target_basin(small_prob, sma
     cfg = _LONG_RUN
     starts = prob.restrict(np.random.default_rng(seed).random((4, prob.window.count)))
     outcomes = c.solver._lockstep_descent(prob, cfg, starts, np.array([False, True, True, True]))
-    reported = min(out.level for out in outcomes if isinstance(out, c.SolveResult))
+    reported = min(out.level for out in outcomes if out.status == "converged")
     for i, out in enumerate(outcomes):
-        if not isinstance(out, c.solver._Merged):
-            assert isinstance(out, c.SolveResult)
+        if out.status != "merged":
+            assert out.status == "converged"
             continue
         assert out.into < i
         alone, target = (c.solver._lockstep_descent(prob, cfg, starts[[k]])[0] for k in (i, out.into))
-        k = out.iterations
+        k = len(out.history)
         assert alone.history[: k - 1] == out.history[:-1]
         # the merge iteration takes no step
         assert out.history[-1] == dataclasses.replace(alone.history[k - 1], step=0.0)
