@@ -15,7 +15,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError
-from .lattice import LatticeWindow, SiteSet, _as_site, embed_rows, get_window
+from .lattice import LatticeWindow, SiteSet, _as_site, get_window, resize_rows
 
 _FIELD_FORMAT = "lattice-field v1"
 # sites per block of lines that save_field formats at once
@@ -59,7 +59,9 @@ class Field:
         """The same function on a window containing every site of the current one."""
         if target == self.window:
             return self
-        return Field(target, embed_rows(self.values, self.window, target))
+        if target.dim != self.window.dim or target.radius < self.window.radius:
+            raise InputError(f"{target} does not contain {self.window}")
+        return Field(target, resize_rows(self.values, self.window, target))
 
     def support(self) -> SiteSet:
         nz = np.nonzero(self.values)[0]

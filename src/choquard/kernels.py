@@ -44,7 +44,7 @@ from .errors import (
     InternalError,
     ParameterError,
 )
-from .lattice import LatticeWindow, _as_int, _as_site, difference_rows
+from .lattice import LatticeWindow, _as_int, _as_site, difference_rows, resize_rows
 
 _SEGMENT_RATIO = 10.0
 # end of the head segment of the time quadrature
@@ -459,13 +459,10 @@ def convolve_values(
     rows = np.arange(r_in - r_out, r_in + r_out + 1) % size
     for axis in range(-table.dim, -1):
         freq = ifft(freq, axis=axis, overwrite_x=True).take(rows, axis=axis)
-    out = irfft(freq, n=size, overwrite_x=True).take(rows, axis=-1)
+    out = irfft(freq, n=size, overwrite_x=True).take(rows, axis=-1).reshape(lead + (-1,))
     if include_diagonal:
-        m = min(r_in, r_out)
-        out[(Ellipsis,) + (slice(r_out - m, r_out + m + 1),) * table.dim] += (
-            table.diagonal * grid[(Ellipsis,) + (slice(r_in - m, r_in + m + 1),) * table.dim]
-        )
-    return out.reshape(lead + (-1,))
+        out += table.diagonal * resize_rows(values, window, out_w)
+    return out
 
 
 def asymptotics_bracket(table: KernelTable, r_min: int = 5, r_max: int = 30) -> Tuple[float, float]:
@@ -572,9 +569,10 @@ def fractional_laplacian(
         values = -difference_rows(window, values)[0]
         window = window.enlarged(1)
     out_w = out_window or window
+    # u on the output box: the input box cut down or zero-padded
+    here = resize_rows(values, window, out_w)
     if frac == 0.0:
-        idx = window.indices_of(out_w.sites)
-        return Field(out_w, np.where(idx >= 0, values[idx], 0.0))
+        return Field(out_w, here)
 
     s = frac / 2.0
     decades = 4  # the integral is cut at T = 1e4
@@ -583,11 +581,6 @@ def fractional_laplacian(
     r_in, r_out = window.radius, out_w.radius
     side_in, side_out = 2 * r_in + 1, 2 * r_out + 1
     grid = values.reshape((side_in,) * dim)
-    # u on the output box: the input box cut down or zero-padded
-    here = np.zeros((side_out,) * dim)
-    m = min(r_in, r_out)
-    here[(slice(r_out - m, r_out + m + 1),) * dim] = grid[(slice(r_in - m, r_in + m + 1),) * dim]
-    here = here.reshape(-1)
 
     per_node = side_out * side_in + max(side_out**a * side_in ** (dim - a) for a in range(1, dim + 1))
     block = max(1, _BLOCK_VALUES // per_node)

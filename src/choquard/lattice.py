@@ -3,9 +3,10 @@
 The lattice is the Cayley graph of Z^N with generators +/- e_i, so the graph
 distance between sites is the L1 distance and each site has 2N neighbours.
 This module provides balls, vertex boundaries of finite site sets, the indexed
-computational windows (boxes [-R, R]^N) on which fields are stored, the
-cached index maps that embed one window in a larger one, and the difference
-stencils on rows of window values (difference_rows).
+computational windows (boxes [-R, R]^N) on which fields are stored, and, on
+rows of window values read as box grids, the centred crop or zero-pad to
+another box (resize_rows), the neighbour shifts (stencil_rows) and the
+difference stencils (difference_rows).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,6 +105,7 @@ class SiteSet:
 def ball(center: Sequence[int], r: int) -> SiteSet:
     """Closed word-metric ball: all sites within L1 distance r of the center."""
     c = _as_site(center)
+    r = _as_int(r, "radius")
     if not c:
         raise InputError("center must have at least one coordinate")
     if r < 0:
@@ -134,10 +136,9 @@ class LatticeWindow:
     """Indexed finite window of Z^N: the box [-R, R]^N.
 
     Sites are enumerated in C order over the box, so a site's index is its
-    row-major position and sites and indices 0..count-1 are in fixed
-    bijection.  The ``neighbors`` array lists the 2N neighbour indices per
-    site with ``count`` as the sentinel for exterior neighbours, so stencil
-    code can read zero-extended values from a padded array.
+    row-major position, sites and indices 0..count-1 are in fixed bijection,
+    and a row of values is the box grid of shape (2R + 1,)^N flattened; a
+    neighbour of a site is a shift of that grid by one along an axis.
     """
 
     def __init__(self, dim: int, radius: int):
@@ -152,16 +153,6 @@ class LatticeWindow:
         self._count = math.prod(self._grid_shape)
         coords = np.indices(self._grid_shape, dtype=np.int64).reshape(self._dim, -1).T - self._radius
         self._sites = np.ascontiguousarray(coords)
-
-        index = np.arange(self._count)
-        nb = np.empty((self._count, 2 * self._dim), dtype=np.int64)
-        for axis in range(self._dim):
-            stride = math.prod(self._grid_shape[axis + 1:])
-            c = self._sites[:, axis]
-            nb[:, 2 * axis] = np.where(c > -self._radius, index - stride, self._count)
-            nb[:, 2 * axis + 1] = np.where(c < self._radius, index + stride, self._count)
-        self._neighbors = nb
-        self._neighbors.setflags(write=False)
         self._sites.setflags(write=False)
 
     @property
@@ -180,11 +171,6 @@ class LatticeWindow:
     def sites(self) -> np.ndarray:
         """Array of shape (count, dim) listing site coordinates in index order."""
         return self._sites
-
-    @property
-    def neighbors(self) -> np.ndarray:
-        """Array (count, 2*dim) of neighbour indices; ``count`` marks exterior."""
-        return self._neighbors
 
     def contains(self, site: Sequence[int]) -> bool:
         s = _as_site(site)
@@ -248,33 +234,52 @@ def _window(dim: int, radius: int) -> LatticeWindow:
     return LatticeWindow(dim, radius)
 
 
-@lru_cache(maxsize=None)
-def embedding_map(source: LatticeWindow, target: LatticeWindow) -> np.ndarray:
-    """Index in ``target`` of every site of ``source``, built once per pair and read-only."""
-    idx = target.indices_of(source.sites)
-    if np.any(idx < 0):
-        raise InputError(f"{target} does not contain {source}")
-    idx.setflags(write=False)
-    return idx
+def resize_rows(x: np.ndarray, source: LatticeWindow, target: LatticeWindow) -> np.ndarray:
+    """Rows of values on ``source`` (last axis) on the box of ``target``.
+
+    The centred box grid is cropped to ``target`` or zero-padded out to it,
+    in the dtype of x.
+    """
+    lead = x.shape[:-1]
+    m = min(source.radius, target.radius)
+
+    def shared(window):
+        return (Ellipsis,) + (slice(window.radius - m, window.radius + m + 1),) * window.dim
+
+    out = np.zeros(lead + target._grid_shape, dtype=x.dtype)
+    out[shared(target)] = x.reshape(lead + source._grid_shape)[shared(source)]
+    return out.reshape(lead + (target.count,))
 
 
-def embed_rows(x: np.ndarray, source: LatticeWindow, target: LatticeWindow) -> np.ndarray:
-    """Rows of values on ``source`` (last axis), zero-extended to ``target``."""
-    out = np.zeros(x.shape[:-1] + (target.count,))
-    out[..., embedding_map(source, target)] = x
-    return out
+def stencil_rows(window: LatticeWindow, x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Rows x of values on window, as grids on window.enlarged(1) and its neighbour shifts.
+
+    Returns the grid at the sites of the enlarged window, shape leading axes
+    + (2R + 3,)^N, and the grids at their 2N neighbours in the slot order
+    -e_1, +e_1, -e_2, ...; all are views of one copy of x zero-padded by
+    two sites.
+    """
+    pad = window.enlarged(2)
+    grid = resize_rows(x, window, pad).reshape(x.shape[:-1] + pad._grid_shape)
+    inner = (slice(1, -1),) * window.dim
+    around = []
+    for axis in range(window.dim):
+        for shifted in (slice(None, -2), slice(2, None)):
+            around.append(grid[(Ellipsis,) + inner[:axis] + (shifted,) + inner[axis + 1:]])
+    return grid[(Ellipsis,) + inner], around
 
 
-def _slot_sum(g: np.ndarray) -> np.ndarray:
-    """Sum of g over its last axis as one left fold from g[..., 0] + 0.0.
+def _fold(terms: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of the terms as one left fold from the first term + 0.0.
 
     numpy sums a last axis of fewer than 8 entries in the same order from
     +0.0, so for the 2N <= 6 neighbour slots of dims 1-3 the bits, signed
-    zeros included, are those of g.sum(axis=-1), without a reduction per row.
+    zeros included, are those of a sum over the stacked slots.
     """
-    total = g[..., 0] + 0.0
-    for slot in range(1, g.shape[-1]):
-        total += g[..., slot]
+    terms = iter(terms)
+    total = next(terms) + 0.0
+    for term in terms:
+        total += term
     return total
 
 
@@ -282,23 +287,15 @@ def difference_rows(window: LatticeWindow, x: np.ndarray, y: Optional[np.ndarray
     """Rows of Delta x and of Gamma(x, y) (y defaults to x) on window.enlarged(1).
 
     x and y hold rows of zero-extended values on the window (last axis).  Each
-    sum over the neighbours of a site runs over the 2N slots of the neighbour
-    table (``_slot_sum``), and the rows come out C-contiguous (np.take, not
-    fancy indexing), so a row's values do not depend on the batch.
+    sum over the neighbours of a site folds the 2N slots of stencil_rows in
+    order, so a row's values do not depend on the batch.
     """
-    big = window.enlarged(1)
-
-    def around(rows):
-        padded = np.zeros(rows.shape[:-1] + (big.count + 1,))
-        padded[..., embedding_map(window, big)] = rows
-        return padded[..., :-1], np.take(padded, big.neighbors, axis=-1)
-
-    here, gathered = around(x)
-    lap = _slot_sum(gathered) - 2.0 * big.dim * here
-    gathered -= here[..., None]
+    shape = x.shape[:-1] + (window.enlarged(1).count,)
+    here, around = stencil_rows(window, x)
+    lap = _fold(around) - 2.0 * window.dim * here
     if y is None:
-        gathered *= gathered
+        terms = (np.square(nb - here) for nb in around)
     else:
-        y_here, y_gathered = around(y)
-        gathered *= y_gathered - y_here[..., None]
-    return lap, 0.5 * _slot_sum(gathered)
+        y_here, y_around = stencil_rows(window, y)
+        terms = ((nb - here) * (y_nb - y_here) for nb, y_nb in zip(around, y_around))
+    return lap.reshape(shape), (0.5 * _fold(terms)).reshape(shape)

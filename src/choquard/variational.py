@@ -30,7 +30,7 @@ from . import calculus as _calculus
 from . import kernels as _kernels
 from .errors import InputError, NoProjectionError, ParameterError, ProbeInconclusiveError
 from .fields import Field
-from .lattice import LatticeWindow, SiteSet, get_window
+from .lattice import LatticeWindow, SiteSet, get_window, stencil_rows
 
 # random fields are drawn and checked this many rows at a time
 SAMPLE_CHUNK = 8
@@ -54,21 +54,18 @@ def _difference_operator(window: LatticeWindow) -> sparse.spmatrix:
     entries are integers of magnitude at most 4N^2 + 4N, kept as int16 so
     that the cached matrix holds no more memory than the two factors did.
     """
-    big = window.enlarged(1)
-    col = window.indices_of(big.sites)
-    inside = np.nonzero(col >= 0)[0]
-    pad = np.append(col, -1)
-    nb_cols = pad[big.neighbors]
-    valid = nb_cols >= 0
-    rows_nb = np.repeat(np.arange(big.count), 2 * window.dim)[valid.ravel()]
-    cols_nb = nb_cols[valid]
-    rows = np.concatenate([rows_nb, inside])
-    cols = np.concatenate([cols_nb, col[inside]])
-    vals = np.concatenate([np.ones(rows_nb.size), np.full(inside.size, -2.0 * window.dim)])
-    lap = sparse.csr_matrix((vals, (rows, cols)), shape=(big.count, window.count))
-    embed = sparse.csr_matrix(
-        (np.ones(inside.size), (inside, col[inside])), shape=(big.count, window.count)
-    )
+    shape = (window.enlarged(1).count, window.count)
+
+    def taking(grid):
+        # the 0/1 matrix reading each enlarged-window site's entry of grid
+        col = grid.reshape(-1)
+        at = np.flatnonzero(col)
+        return sparse.csr_matrix((np.ones(at.size), (at, col[at] - 1)), shape=shape)
+
+    # 1-based window indices on the grid, so 0 marks a site off the window
+    here, around = stencil_rows(window, np.arange(1, window.count + 1))
+    embed = taking(here)
+    lap = sum(taking(nb) for nb in around) - 2.0 * window.dim * embed
     return (lap.T @ lap - embed.T @ lap).astype(np.int16)
 
 

@@ -21,7 +21,7 @@ from . import kernels as _kernels
 from . import variational as _var
 from .errors import ChoquardError, InputError, NoProjectionError, ParameterError
 from .fields import Field
-from .lattice import ball, difference_rows, embed_rows, get_window
+from .lattice import ball, difference_rows, get_window, resize_rows
 from .solver import brezis_lieb_probe
 from .variational import MODE_FULL, ProblemSpec
 
@@ -46,11 +46,11 @@ def _suite_ops(prob: ProblemSpec, seed: int) -> SuiteResult:
     for chunk in _var.sample_chunks(rng, 50, (2,) + prob.free_indices().shape):
         u, phi = prob.extend(chunk[:, 0]), prob.extend(chunk[:, 1])
         lap, gamma = difference_rows(window, u)
-        rhs = -_calculus.row_dot(embed_rows(u, window, big), lap)
+        rhs = -_calculus.row_dot(resize_rows(u, window, big), lap)
         worst_parts = max(worst_parts, *_rel_gaps(gamma.sum(axis=-1), rhs).tolist())
         bi = difference_rows(big, lap)[0]
         lap_phi = difference_rows(window, phi)[0]
-        lhs2 = _calculus.row_dot(bi, embed_rows(phi, window, big2))
+        lhs2 = _calculus.row_dot(bi, resize_rows(phi, window, big2))
         worst_dist = max(worst_dist, *_rel_gaps(lhs2, _calculus.row_dot(lap, lap_phi)).tolist())
 
     delta_norm = _calculus.w22_norm_sq(Field.delta(window))

@@ -13,7 +13,6 @@ from choquard import (
     load_field,
     save_field,
 )
-from choquard.lattice import embedding_map
 
 
 def test_constructor_validates_shape_and_finiteness():
@@ -57,12 +56,12 @@ def test_embed_restrict_round_trip():
     u = Field.from_sites(small, {(1, -2): 3.5, (0, 0): -1.0})
     lifted = u.embed(big)
     assert lifted.values[big.index_of((1, -2))] == 3.5
-    back = lifted.values[embedding_map(small, big)]
+    back = lifted.values[big.indices_of(small.sites)]
     assert np.array_equal(back, u.values)
     with pytest.raises(InputError):
         u.embed(get_window(2, 1))
     with pytest.raises(InputError):
-        embedding_map(big, small)
+        lifted.embed(small)
 
 
 def test_support_and_radius():
@@ -185,7 +184,7 @@ def test_load_rejects_a_repeated_site_whose_first_value_is_zero(tmp_path):
 
 
 def _embed_by_lookup(u, target):
-    """Zero-extension into ``target`` by a fresh site lookup, as embed did before it cached its maps."""
+    """Zero-extension into ``target`` by a site lookup."""
     values = np.zeros(target.count)
     values[target.indices_of(u.window.sites)] = u.values
     return values
@@ -193,25 +192,22 @@ def _embed_by_lookup(u, target):
 
 def test_embedding_map_is_cached_read_only_and_checks_containment():
     small, big = get_window(2, 3), get_window(2, 5)
-    idx = embedding_map(small, big)
-    assert embedding_map(small, big) is idx
-    assert np.array_equal(idx, big.indices_of(small.sites))
-    assert not idx.flags.writeable
-    with pytest.raises(ValueError):
-        idx[0] = 0
     u = Field(small, np.arange(1.0, small.count + 1.0))
     assert np.array_equal(u.embed(big).values, _embed_by_lookup(u, big))
     assert np.array_equal(u.values, np.arange(1.0, small.count + 1.0))
     with pytest.raises(InputError, match="does not contain"):
         Field.zero(big).embed(small)
     with pytest.raises(InputError, match="does not contain"):
-        embedding_map(big, small)
+        Field.zero(small).embed(get_window(3, 5))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stencils_on_cached_maps_match_the_lookup_embedding(dim):
     w = get_window(dim, 5 if dim == 2 else 3)
     big = w.enlarged(1)
+    # neighbour indices in big, slots -e_1, +e_1, ...; -1 reads the appended 0
+    steps = [sign * e for e in np.eye(dim, dtype=np.int64) for sign in (-1, 1)]
+    neighbors = np.stack([big.indices_of(big.sites + step) for step in steps], axis=1)
     rng = np.random.default_rng(4)
     for _ in range(3):
         u = Field(w, rng.standard_normal(w.count))
@@ -220,7 +216,7 @@ def test_stencils_on_cached_maps_match_the_lookup_embedding(dim):
         up, vp = np.append(ue, 0.0), np.append(ve, 0.0)
         lap = laplacian(u)
         assert lap.window == big
-        assert np.array_equal(lap.values, up[big.neighbors].sum(axis=1) - 2.0 * big.dim * ue)
-        du = up[big.neighbors] - ue[:, None]
-        dv = vp[big.neighbors] - ve[:, None]
+        assert np.array_equal(lap.values, up[neighbors].sum(axis=1) - 2.0 * big.dim * ue)
+        du = up[neighbors] - ue[:, None]
+        dv = vp[neighbors] - ve[:, None]
         assert np.array_equal(gradient_form(u, v).values, 0.5 * (du * dv).sum(axis=1))

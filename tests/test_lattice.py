@@ -8,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from choquard import (
+    Field,
     InputError,
     LatticeWindow,
     PotentialSpec,
     SiteSet,
     ball,
     get_window,
+    gradient_form,
+    laplacian,
     vertex_boundary,
 )
-from choquard.lattice import _slot_sum
+from choquard.lattice import _fold, difference_rows, resize_rows, stencil_rows
+from choquard.variational import _difference_operator
 
 
 def growth_function(r, dim):
@@ -95,15 +100,20 @@ def test_indices_of_marks_outside_sites():
 
 
 def test_neighbors_table_matches_direct_lookup():
+    # stencil_rows reads, at each site of the enlarged window, the value of
+    # each neighbour in the slot order -e_1, +e_1, -e_2, +e_2, and 0 outside
     w = get_window(2, 2)
-    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    for idx in range(w.count):
-        site = tuple(int(x) for x in w.sites[idx])
+    big = w.enlarged(1)
+    _, around = stencil_rows(w, np.arange(1, w.count + 1))
+    slots = np.stack([s.reshape(big.count) for s in around], axis=1)
+    steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    for idx in range(big.count):
+        site = tuple(int(x) for x in big.sites[idx])
         expected = []
         for step in steps:
             nb = tuple(s + d for s, d in zip(site, step))
-            expected.append(w.index_of(nb) if w.contains(nb) else w.count)
-        assert sorted(int(x) for x in w.neighbors[idx]) == sorted(expected)
+            expected.append(w.index_of(nb) + 1 if w.contains(nb) else 0)
+        assert [int(x) for x in slots[idx]] == expected
 
 
 def test_enlarged_window_keeps_shape():
@@ -121,6 +131,13 @@ def test_window_validation():
         LatticeWindow(2, 0)
     with pytest.raises(InputError):
         ball((0, 0), -1)
+
+
+def test_ball_reads_an_integral_float_radius_and_rejects_a_fractional_one():
+    assert ball((0, 0), 2.0) == ball((0, 0), 2)
+    assert ball((1, -1, 0), 3.0) == ball((1, -1, 0), 3)
+    with pytest.raises(InputError, match="radius must be an integer"):
+        ball((0, 0), 2.5)
 
 
 def test_get_window_is_memoised():
@@ -157,11 +174,28 @@ def test_box_indexing_matches_the_c_order_enumeration(dim, radius, seed):
         assert w.contains(p) == (tuple(p) in index)
         if tuple(p) in index:
             assert w.index_of(p) == index[tuple(p)]
-    for i, site in enumerate(sites):
-        for axis in range(dim):
-            for k, delta in enumerate((-1, 1)):
-                nb = site[:axis] + (site[axis] + delta,) + site[axis + 1:]
-                assert w.neighbors[i, 2 * axis + k] == index.get(nb, w.count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    radii=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    dtype=st.sampled_from([np.int16, np.int64, np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resize_rows_matches_the_site_lookup(dim, radii, lead, dtype, seed):
+    # a smaller target crops the centred box, a larger one zero-pads it
+    source, target = get_window(dim, radii[0]), get_window(dim, radii[1])
+    x = np.random.default_rng(seed).integers(-99, 100, size=(*lead, source.count)).astype(dtype)
+    idx = target.indices_of(source.sites)
+    kept = idx >= 0
+    want = np.zeros((*lead, target.count), dtype=dtype)
+    want[..., idx[kept]] = x[..., kept]
+    got = resize_rows(x, source, target)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 _slot_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
@@ -175,6 +209,84 @@ def test_slot_sum_adds_the_neighbour_slots_as_numpy_sums_them(dim, data):
     g = data.draw(arrays(np.float64, (rows, 3, 2 * dim), elements=_slot_values))
     zero_rows = data.draw(st.lists(st.integers(0, rows - 1), max_size=rows))
     g[zero_rows] = -0.0
-    got, want = _slot_sum(g), g.sum(axis=-1)
+    got, want = _fold(g[..., slot] for slot in range(2 * dim)), g.sum(axis=-1)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _neighbour_slots(window):
+    """Index in ``window`` of each site's neighbour in the slots -e_1, +e_1, -e_2, ...; -1 outside."""
+    slots = []
+    for axis in range(window.dim):
+        for delta in (-1, 1):
+            step = np.zeros(window.dim, dtype=np.int64)
+            step[axis] = delta
+            slots.append(window.indices_of(window.sites + step))
+    return np.stack(slots, axis=-1)
+
+
+def _stencils_by_lookup(window, x, y):
+    """Rows of Delta x and Gamma(x, y) on window.enlarged(1) from the neighbour lookup."""
+    big = window.enlarged(1)
+    nb = _neighbour_slots(big)
+
+    def values(rows):
+        on_big = np.zeros(rows.shape[:-1] + (big.count,))
+        on_big[..., big.indices_of(window.sites)] = rows
+        return on_big, np.where(nb >= 0, on_big[..., nb], 0.0)
+
+    # numpy sums the stacked slots over the last axis in slot order from +0.0
+    (xe, xn), (ye, yn) = values(x), values(y)
+    lap = xn.sum(axis=-1) - 2.0 * big.dim * xe
+    return lap, 0.5 * ((xn - xe[..., None]) * (yn - ye[..., None])).sum(axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), radius=st.integers(1, 4), data=st.data())
+def test_stencils_match_the_neighbour_lookup_bit_for_bit(dim, radius, data):
+    w = get_window(dim, radius)
+    k = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.standard_normal((2, k, w.count)) * rng.choice([1.0, 0.0, -0.0], size=(2, k, w.count))
+    # rows of -0.0 have stencils of +0.0
+    zero_rows = data.draw(st.lists(st.integers(0, k - 1), max_size=k))
+    x[zero_rows] = -0.0
+    y[zero_rows] = -0.0
+    lap_xx, gamma_xx = _stencils_by_lookup(w, x, x)
+    gamma_xy = _stencils_by_lookup(w, x, y)[1]
+    assert not np.signbit(np.stack([lap_xx, gamma_xx, gamma_xy])[:, zero_rows]).any()
+    lap, gamma = difference_rows(w, x)
+    assert lap.tobytes() == lap_xx.tobytes()
+    assert gamma.tobytes() == gamma_xx.tobytes()
+    assert difference_rows(w, x, y)[1].tobytes() == gamma_xy.tobytes()
+    for i in range(k):
+        single_lap, single_gamma = difference_rows(w, x[i])
+        assert single_lap.tobytes() == lap_xx[i].tobytes()
+        assert single_gamma.tobytes() == gamma_xx[i].tobytes()
+        u, v = Field(w, x[i]), Field(w, y[i])
+        assert laplacian(u).window == w.enlarged(1)
+        assert laplacian(u).values.tobytes() == lap_xx[i].tobytes()
+        assert gradient_form(u, u).values.tobytes() == gamma_xx[i].tobytes()
+        assert gradient_form(u, v).values.tobytes() == gamma_xy[i].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 5])
+def test_difference_operator_matches_the_neighbour_lookup_matrix(dim, radius):
+    w = get_window(dim, radius)
+    big = w.enlarged(1)
+    # Delta from the window to big reads, at each site of big, the window
+    # index of the site (weight -2N) and of its 2N neighbours (weight 1)
+    col = w.indices_of(big.sites)
+    slots = _neighbour_slots(big)
+    reads = np.concatenate([col[:, None], np.where(slots >= 0, col[slots], -1)], axis=1)
+    rows, slot = np.nonzero(reads >= 0)
+    weights = np.where(slot == 0, -2.0 * dim, 1.0)
+    lap = sparse.csr_matrix((weights, (rows, reads[rows, slot])), shape=(big.count, w.count))
+    want = (lap.T @ lap - lap[big.indices_of(w.sites)]).tocsr().astype(np.int16)
+    want.sort_indices()
+    got = _difference_operator(w)
+    assert got.dtype == np.int16
+    assert got.has_sorted_indices
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), part
