@@ -201,9 +201,10 @@ def cmd_kernel(cfg: Dict[str, Dict[str, object]]) -> int:
     """Build the kernel table and print its summary diagnostics."""
     pb = cfg["problem"]
     table = build_kernel_table(pb["alpha"], get_window(pb["dim"], pb["radius"]))
+    # one symmetry orbit per quadrant point with its coordinates sorted descending
     print(
         f"kernel table: alpha={table.alpha!r} dim={table.dim} "
-        f"radius={table.radius} m_max={table.m_max} orbits={table.orbit_values.size}"
+        f"radius={table.radius} m_max={table.m_max} orbits={math.comb(table.m_max + table.dim, table.dim)}"
     )
     if table.m_max >= 5:
         r_max = min(30, table.m_max)

@@ -14,13 +14,14 @@ for 0 < alpha < N, which decays like |v|^{alpha - N}.  The Bessel factors come
 from ``scipy.special.ive``, and the subordination integral from a
 Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  R_alpha
 is the only convolution kernel: the module tabulates it over all difference
-vectors of a window (reduced to orbits of the coordinate-permutation-and-sign
-symmetry group) and applies the table to fields by windowed convolution.  The
-quadrature sum factorises over coordinates, so a table is one contraction of
-the one-dimensional Bessel profiles, summed in a fixed order without BLAS:
-its values do not depend on the BLAS thread count.  The module also
-implements the fractional Laplacian (-Delta)^{alpha/2} through the semigroup
-integral, which inverts the Green's function on interior sites.
+vectors of a window, on the grid [0, 2R]^N of their absolute coordinates
+(the kernel is even in every coordinate), and applies the table to fields by
+windowed convolution.  The quadrature sum factorises over coordinates, so a
+table is one contraction of the one-dimensional Bessel profiles, summed in a
+fixed order without BLAS: its values do not depend on the BLAS thread count.
+The module also implements the fractional Laplacian (-Delta)^{alpha/2}
+through the semigroup integral, which inverts the Green's function on
+interior sites.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +90,7 @@ def heat_kernel(t: float, v: Sequence[int], dim: int) -> float:
 
     k_t(v) = prod_i e^{-2t} I_{v_i}(2t), the indicator of v = 0 at t = 0.
     """
+    dim = _as_int(dim, "dim")
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     if not 0.0 <= t < math.inf:
@@ -109,6 +110,7 @@ def heat_kernel_spectral(t: float, v: Sequence[int], dim: int, torus_size: int) 
     lambda(theta) = sum_i 2 (1 - cos theta_i); used as an independent
     cross-check of the Bessel product.  The sum factorises over coordinates.
     """
+    dim = _as_int(dim, "dim")
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     if not 0.0 <= t < math.inf:
@@ -200,24 +202,28 @@ def _green_plan(alpha: float, quad: QuadratureSpec, m_max: int):
     return np.concatenate(ts), np.concatenate(ws), _T_SPLIT * _SEGMENT_RATIO**decades
 
 
-def _tail_coefficients(vs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """1/t and 1/t^2 coefficients of k_t(v) (4 pi t)^{N/2} for large t.
+def _axis_sums(row: np.ndarray, dim: int) -> np.ndarray:
+    """row[i_1] + ... + row[i_dim] on the grid of index tuples, added in coordinate order."""
+    total = row
+    for _ in range(dim - 1):
+        total = total[..., None] + row
+    return total
+
+
+def _green_tail(alpha: float, dim: int, m_max: int, T: float) -> np.ndarray:
+    """Closed form of int_T^inf k_t(v) t^{alpha/2 - 1} dt from the large-t expansion, on [0, m_max]^dim.
 
     Per coordinate e^{-2t} I_m(2t) = (4 pi t)^{-1/2} (1 + a1(m)/t + a2(m)/t^2 + ...)
-    with a1(m) = -(4 m^2 - 1)/16 and a2(m) = (4 m^2 - 1)(4 m^2 - 9)/512.
+    with a1(m) = -(4 m^2 - 1)/16 and a2(m) = (4 m^2 - 1)(4 m^2 - 9)/512, so the
+    1/t and 1/t^2 coefficients c1, c2 of k_t(v) (4 pi t)^{N/2} are sums over
+    the coordinates of v.
     """
-    msq = 4.0 * vs.astype(float) ** 2
+    s = (dim - alpha) / 2.0
+    msq = 4.0 * np.arange(m_max + 1, dtype=float) ** 2
     a1 = -(msq - 1.0) / 16.0
     a2 = (msq - 1.0) * (msq - 9.0) / 512.0
-    c1 = a1.sum(axis=1)
-    c2 = a2.sum(axis=1) + 0.5 * (c1**2 - (a1**2).sum(axis=1))
-    return c1, c2
-
-
-def _green_tail(alpha: float, dim: int, vs: np.ndarray, T: float) -> np.ndarray:
-    """Closed form of int_T^inf k_t(v) t^{alpha/2 - 1} dt from the large-t expansion."""
-    s = (dim - alpha) / 2.0
-    c1, c2 = _tail_coefficients(vs)
+    c1 = _axis_sums(a1, dim)
+    c2 = _axis_sums(a2, dim) + 0.5 * (c1**2 - _axis_sums(a1**2, dim))
     base = (4.0 * np.pi) ** (-dim / 2.0)
     return base * (T**-s / s + c1 * T ** (-s - 1.0) / (s + 1.0) + c2 * T ** (-s - 2.0) / (s + 2.0))
 
@@ -240,48 +246,49 @@ def _torus_profile(ts: np.ndarray, m_max: int) -> np.ndarray:
 def _green_values(
     alpha: float,
     dim: int,
-    vs: np.ndarray,
+    m_max: int,
     quad: QuadratureSpec,
     profile: Callable[[np.ndarray, int], np.ndarray],
 ) -> np.ndarray:
-    """Green's function at the rows of vs (nonnegative coordinates).
+    """Green's function on the quadrant grid [0, m_max]^dim.
 
     ``profile(ts, m_max)`` gives, for each quadrature time t, the
     one-dimensional heat kernel k_t at displacements 0..m_max; the product
     over coordinates is k_t(v).  The sum sum_t w_t prod_i k_t(v_i) is one
     separable contraction: the weighted products over the first N - 1 axes
-    are formed by broadcasting on the grid of the coordinate values that
-    occur on each axis, and ``np.einsum`` (no BLAS) contracts them with the
-    last axis's profiles.  Each grid value thus adds its terms in a fixed
-    order that no thread count changes, and the rows of vs read the grid.
+    are formed by broadcasting, and ``np.einsum`` (no BLAS) contracts them
+    with the last axis's profiles, held time-contiguous, which fixes the
+    order in which it adds over t.  Each grid value thus adds its terms in a
+    fixed order that no thread count changes.  Every point reads the value
+    computed at its canonical form (coordinates sorted descending), so all
+    permutations of a vector give the same bits.
     """
-    m_max = int(vs.max()) if vs.size else 0
     ts, ws, T = _green_plan(alpha, quad, m_max)
-    profiles = profile(ts, m_max)
-    axes = [np.unique(vs[:, axis], return_inverse=True) for axis in range(dim)]
+    profiles = np.asfortranarray(profile(ts, m_max))
     head = ws[:, None]
-    for values, _ in axes[:-1]:
-        head = (head[:, :, None] * profiles[:, None, values]).reshape(ts.size, -1)
-    grid = np.einsum("ta,tb->ab", head, profiles[:, axes[-1][0]])
-    at = np.ravel_multi_index([inverse for _, inverse in axes], [values.size for values, _ in axes])
-    integral = grid.reshape(-1)[at] + _green_tail(alpha, dim, vs, T)
-    return integral / math.gamma(alpha / 2.0)
+    for _ in range(dim - 1):
+        head = (head[:, :, None] * profiles[:, None, :]).reshape(ts.size, -1)
+    shape = (m_max + 1,) * dim
+    integral = np.einsum("ta,tb->ab", head, profiles).reshape(shape)
+    del head  # the largest array: free it before the tail and the index arrays
+    integral += _green_tail(alpha, dim, m_max, T)
+    canon = np.sort(np.indices(shape).reshape(dim, -1), axis=0)[::-1]
+    return integral[tuple(canon)].reshape(shape) / math.gamma(alpha / 2.0)
 
 
 def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[QuadratureSpec] = None) -> float:
     """Subordinated lattice Green's function R_alpha(v) for 0 < alpha < dim.
 
-    The value is computed at the orbit key of v (|v| sorted descending), so
-    every permutation and sign flip of v gives the same bits.
+    The value is read at |v| from the quadrant grid of ``_green_values``,
+    so every permutation and sign flip of v gives the same bits.
     """
+    dim = _as_int(dim, "dim")
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     if not 0.0 < alpha < dim:
         raise ParameterError("alpha must lie in (0, N)")
-    vec = _check_vector(v, dim)
-    quad = quad or QuadratureSpec()
-    vs = np.sort(np.abs(np.array([vec], dtype=np.int64)), axis=1)[:, ::-1]
-    return float(_green_values(alpha, dim, vs, quad, _bessel_profile)[0])
+    a = tuple(abs(c) for c in _check_vector(v, dim))
+    return float(_green_values(alpha, dim, max(a), quad or QuadratureSpec(), _bessel_profile)[a])
 
 
 # ---------------------------------------------------------------------------
@@ -292,33 +299,34 @@ def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[Quad
 class KernelTable:
     """Green's function values tabulated over all difference vectors of a window.
 
-    Differences of sites of a radius-R window span [-2R, 2R]^N; values are
-    stored once per orbit of coordinate permutations and sign flips, in the
-    order of ``orbit_keys``, and expanded to an absolute-coordinate lookup
-    grid.  Instances are immutable; the kernel spectra that :func:`convolve`
-    needs are cached lazily, one per reach r_in + r_out of the window pairs
-    it is called on.
+    Differences of sites of a radius-R window span [-2R, 2R]^N; the kernel
+    is even in every coordinate, so ``grid`` holds it on the quadrant
+    [0, 2R]^N, shape (2R + 1,)^N, and a vector reads the point of its
+    absolute coordinates.  Instances are immutable: the table keeps a
+    read-only copy of the grid it is given.  The kernel spectra that
+    :func:`convolve` needs are cached lazily, one per reach r_in + r_out of
+    the window pairs it is called on.
     """
 
-    def __init__(self, alpha: float, dim: int, radius: int, quad: QuadratureSpec, orbit_values: np.ndarray):
+    def __init__(self, alpha: float, dim: int, radius: int, quad: QuadratureSpec, grid: np.ndarray):
         self.alpha = float(alpha)
         self.dim = int(dim)
         self.radius = int(radius)
         self.quad = quad
         self.m_max = 2 * self.radius
-        self.orbit_keys, inverse = _orbit_layout(self.dim, self.m_max)
-        self.orbit_values = np.asarray(orbit_values, dtype=np.float64)
-        if self.orbit_values.shape != (len(self.orbit_keys),):
-            raise InputError(f"expected {len(self.orbit_keys)} orbit values, got {self.orbit_values.shape}")
-        if np.any(self.orbit_values < 0.0) or not np.all(np.isfinite(self.orbit_values)):
+        self.grid = np.array(grid, dtype=np.float64)
+        shape = (self.m_max + 1,) * self.dim
+        if self.grid.shape != shape:
+            raise InputError(f"expected a kernel grid of shape {shape}, got {self.grid.shape}")
+        if np.any(self.grid < 0.0) or not np.all(np.isfinite(self.grid)):
             raise InputError("kernel values must be finite and nonnegative")
-        self._grid = self.orbit_values[inverse].reshape((self.m_max + 1,) * self.dim)
+        self.grid.setflags(write=False)
         self._spectra: dict = {}
 
     @property
     def diagonal(self) -> float:
         """Kernel value at the zero difference."""
-        return float(self._grid[(0,) * self.dim])
+        return float(self.grid[(0,) * self.dim])
 
     def values_at(self, vs: np.ndarray) -> np.ndarray:
         vs = np.asarray(vs, dtype=np.int64)
@@ -329,32 +337,11 @@ class KernelTable:
             raise InternalError(
                 f"kernel table (radius {self.radius}) lacks difference vectors up to {a.max()}"
             )
-        return self._grid[tuple(a.T)]
+        return self.grid[tuple(a.T)]
 
     def value(self, v: Sequence[int]) -> float:
         vec = _check_vector(v, self.dim)
         return float(self.values_at(np.array([vec], dtype=np.int64))[0])
-
-
-@lru_cache(maxsize=None)
-def _orbit_layout(dim: int, m_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Orbit keys and the orbit index of every point of [0, m_max]^dim.
-
-    The keys are the sorted-descending absolute difference vectors, one per
-    orbit of coordinate permutations and sign flips, in increasing
-    lexicographic order; the indices run over the points in C order.  Each
-    canonical point is coded by its C-order index in the grid, whose order is
-    the lexicographic one, so one 1-D ``np.unique`` of the codes finds the
-    orbits.  Both arrays are read-only.
-    """
-    shape = (m_max + 1,) * dim
-    canon = np.sort(np.indices(shape).reshape(dim, -1), axis=0)[::-1]
-    codes = np.ravel_multi_index(canon, shape)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    keys = np.ascontiguousarray(canon[:, first].T)
-    keys.setflags(write=False)
-    inverse.setflags(write=False)
-    return keys, inverse
 
 
 def build_kernel_table(alpha: float, window: LatticeWindow, quad: Optional[QuadratureSpec] = None) -> KernelTable:
@@ -362,9 +349,8 @@ def build_kernel_table(alpha: float, window: LatticeWindow, quad: Optional[Quadr
     if not 0.0 < alpha < window.dim:
         raise ParameterError("alpha must lie in (0, N)")
     quad = quad or QuadratureSpec()
-    orbits = _orbit_layout(window.dim, 2 * window.radius)[0]
-    values = _green_values(alpha, window.dim, orbits, quad, _bessel_profile)
-    return KernelTable(alpha, window.dim, window.radius, quad, values)
+    grid = _green_values(alpha, window.dim, 2 * window.radius, quad, _bessel_profile)
+    return KernelTable(alpha, window.dim, window.radius, quad, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +376,7 @@ def _kernel_spectrum(table: KernelTable, reach: int) -> Tuple[int, np.ndarray]:
     fold = np.minimum(np.arange(size), size - np.arange(size))
     slots = np.flatnonzero(fold <= reach)
     kernel = np.zeros((size,) * table.dim)
-    kernel[np.ix_(*[slots] * table.dim)] = table._grid[np.ix_(*[fold[slots]] * table.dim)]
+    kernel[np.ix_(*[slots] * table.dim)] = table.grid[np.ix_(*[fold[slots]] * table.dim)]
     kernel[(0,) * table.dim] = 0.0
     cached = (size, rfftn(kernel))
     table._spectra[reach] = cached
@@ -466,24 +452,28 @@ def convolve_values(
 
 
 def asymptotics_bracket(table: KernelTable, r_min: int = 5, r_max: int = 30) -> Tuple[float, float]:
-    """Bracket [c1, c2] of value(v) * |v|_1^(N - alpha) over r_min <= |v|_1 <= r_max."""
-    norms = np.abs(table.orbit_keys).sum(axis=1)
+    """Bracket [c1, c2] of value(v) * |v|_1^(N - alpha) over r_min <= |v|_1 <= r_max, r_min >= 1."""
+    if r_min < 1:
+        raise InputError(f"r_min must be >= 1, got {r_min}")
+    norms = _axis_sums(np.arange(table.m_max + 1), table.dim)
     mask = (norms >= r_min) & (norms <= r_max)
     if not mask.any():
         raise InputError(f"table radius {table.radius} holds no vectors with |v|_1 in [{r_min}, {r_max}]")
-    scaled = table.orbit_values[mask] * norms[mask].astype(float) ** (table.dim - table.alpha)
+    scaled = table.grid[mask] * norms[mask].astype(float) ** (table.dim - table.alpha)
     return float(scaled.min()), float(scaled.max())
 
 
 def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
-    """Largest relative gap to the torus-spectral evaluation on |v|_1 <= r_max.
+    """Largest relative gap to the torus-spectral evaluation on |v|_1 <= r_max, r_max >= 0.
 
     The comparison floor 1e-14 absorbs summation round-off on values near zero.
     """
-    norms = np.abs(table.orbit_keys).sum(axis=1)
-    vs = table.orbit_keys[norms <= r_max]
-    reference = table.values_at(vs)
-    other = _green_values(table.alpha, table.dim, np.abs(vs), table.quad, _torus_profile)
+    if r_max < 0:
+        raise InputError(f"r_max must be >= 0, got {r_max}")
+    m = min(r_max, table.m_max)
+    mask = _axis_sums(np.arange(m + 1), table.dim) <= r_max
+    reference = table.grid[(slice(m + 1),) * table.dim][mask]
+    other = _green_values(table.alpha, table.dim, m, table.quad, _torus_profile)[mask]
     return float(np.max(np.abs(other - reference) / np.maximum(np.abs(reference), 1.0e-14)))
 
 

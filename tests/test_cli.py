@@ -415,11 +415,11 @@ def test_verify_detects_tampered_kernel_table(capsys, monkeypatch):
 
     def tampered_build(alpha, window):
         table = build_kernel_table(alpha, window)
-        values = table.orbit_values.copy()
-        nearest = np.flatnonzero((table.orbit_keys == (1, 0)).all(axis=1))
-        assert nearest.size == 1
-        values[nearest] *= 1.001
-        return KernelTable(alpha, table.dim, table.radius, table.quad, values)
+        grid = table.grid.copy()
+        # the nearest-neighbour orbit, both of its points on the quadrant
+        grid[1, 0] *= 1.001
+        grid[0, 1] *= 1.001
+        return KernelTable(alpha, table.dim, table.radius, table.quad, grid)
 
     monkeypatch.setattr(cli, "build_kernel_table", tampered_build)
     assert main(["verify", "--radius", "16", "--suites", "green"]) == 3

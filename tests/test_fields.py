@@ -190,7 +190,7 @@ def _embed_by_lookup(u, target):
     return values
 
 
-def test_embedding_map_is_cached_read_only_and_checks_containment():
+def test_field_embed_matches_the_lookup_and_checks_containment():
     small, big = get_window(2, 3), get_window(2, 5)
     u = Field(small, np.arange(1.0, small.count + 1.0))
     assert np.array_equal(u.embed(big).values, _embed_by_lookup(u, big))
@@ -202,7 +202,7 @@ def test_embedding_map_is_cached_read_only_and_checks_containment():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_stencils_on_cached_maps_match_the_lookup_embedding(dim):
+def test_stencils_match_the_lookup_embedding(dim):
     w = get_window(dim, 5 if dim == 2 else 3)
     big = w.enlarged(1)
     # neighbour indices in big, slots -e_1, +e_1, ...; -1 reads the appended 0

@@ -1,6 +1,7 @@
 """Kernel evaluation against series, special-function, and brute-force oracles."""
 
 import functools
+import itertools
 import math
 import warnings
 
@@ -117,6 +118,18 @@ def test_kernel_inputs_reject_non_integer_vectors_and_sizes(small_table):
     assert np.array_equal(scaled_bessel_profile(1.0, 2.0), scaled_bessel_profile(1.0, 2))
 
 
+def test_point_evaluators_read_an_integral_float_dim_and_reject_a_fractional_one():
+    assert green_function(1.0, (3, 2), 2.0) == green_function(1.0, (3, 2), 2)
+    assert heat_kernel(1.0, (1, 2), 2.0) == heat_kernel(1.0, (1, 2), 2)
+    assert heat_kernel_spectral(1.0, (1, 2), 2.0, 64) == heat_kernel_spectral(1.0, (1, 2), 2, 64)
+    with pytest.raises(InputError, match="dim must be an integer"):
+        green_function(1.0, (3, 2), 2.5)
+    with pytest.raises(InputError, match="dim must be an integer"):
+        heat_kernel(1.0, (1, 2), 2.5)
+    with pytest.raises(InputError, match="dim must be an integer"):
+        heat_kernel_spectral(1.0, (1, 2), 2.5, 64)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_heat_kernel_rejects_a_non_finite_time(t):
     with pytest.raises(InputError, match=f"time must be finite and >= 0, got {t}"):
@@ -209,34 +222,34 @@ def test_table_lookup_matches_direct_evaluation(small_table):
 def test_kernel_table_rejects_bad_orbit_values(small_table):
     t = small_table
 
-    def rebuilt(values):
-        return c.KernelTable(t.alpha, t.dim, t.radius, t.quad, values)
+    def rebuilt(grid):
+        return c.KernelTable(t.alpha, t.dim, t.radius, t.quad, grid)
 
-    assert np.array_equal(rebuilt(t.orbit_values.copy())._grid, t._grid)
-    assert not t.orbit_keys.flags.writeable
-    for values in (t.orbit_values[:-1], np.append(t.orbit_values, 1.0), t.orbit_values[None]):
-        with pytest.raises(InputError, match="orbit values"):
-            rebuilt(values)
+    mine = t.grid.copy()
+    table = rebuilt(mine)
+    assert np.array_equal(table.grid, t.grid)
+    # the table owns a read-only grid and leaves the caller's array writable
+    assert not table.grid.flags.writeable and not t.grid.flags.writeable
+    mine[0, 0] = 7.0
+    assert table.diagonal == t.diagonal
+    for grid in (t.grid[:-1], t.grid[:, :-1], t.grid[0], t.grid[None], t.grid[..., None]):
+        with pytest.raises(InputError, match="kernel grid of shape"):
+            rebuilt(grid)
     for bad in (-1e-300, math.nan, math.inf):
-        values = t.orbit_values.copy()
-        values[7] = bad
+        grid = t.grid.copy()
+        grid[3, 2] = bad
         with pytest.raises(InputError, match="finite and nonnegative"):
-            rebuilt(values)
+            rebuilt(grid)
 
 
 @settings(max_examples=30, deadline=None)
-@given(dim=st.integers(1, 3), m_max=st.integers(0, 9))
-def test_orbit_layout_keys_are_the_sorted_canonical_forms(dim, m_max):
-    keys, inverse = kernels._orbit_layout(dim, m_max)
-    points = np.indices((m_max + 1,) * dim).reshape(dim, -1).T.tolist()
-    canonical = [sorted(p, reverse=True) for p in points]
-    # keys[inverse] is each grid point's canonical form, in C order
-    assert keys[inverse].tolist() == canonical
-    # one key per orbit, in strictly increasing lexicographic order
-    rows = [tuple(k) for k in keys.tolist()]
-    assert all(a < b for a, b in zip(rows, rows[1:]))
-    assert set(rows) == {tuple(p) for p in canonical}
-    assert not keys.flags.writeable and not inverse.flags.writeable
+@given(dim=st.integers(1, 3), m_max=st.integers(0, 9), share=st.floats(0.05, 0.95))
+def test_green_values_grid_is_symmetric_under_axis_permutations(dim, m_max, share):
+    # every point reads its canonical form, so a transposed grid has the same bytes
+    grid = kernels._green_values(share * dim, dim, m_max, QuadratureSpec(), kernels._bessel_profile)
+    assert grid.shape == (m_max + 1,) * dim
+    for perm in itertools.permutations(range(dim)):
+        assert np.transpose(grid, perm).tobytes() == grid.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -245,11 +258,12 @@ def test_green_values_match_a_correctly_rounded_quadrature_sum(dim, share, data)
     alpha = share * dim
     coords = st.lists(st.integers(0, 12), min_size=dim, max_size=dim)
     vs = np.array(data.draw(st.lists(coords, min_size=1, max_size=6)), dtype=np.int64)
+    m_max = int(vs.max())
     quad = QuadratureSpec()
-    got = kernels._green_values(alpha, dim, vs, quad, kernels._bessel_profile)
-    ts, ws, T = kernels._green_plan(alpha, quad, int(vs.max()))
-    profile = kernels._bessel_profile(ts, int(vs.max()))
-    tail = kernels._green_tail(alpha, dim, vs, T)
+    got = kernels._green_values(alpha, dim, m_max, quad, kernels._bessel_profile)[tuple(vs.T)]
+    ts, ws, T = kernels._green_plan(alpha, quad, m_max)
+    profile = kernels._bessel_profile(ts, m_max)
+    tail = kernels._green_tail(alpha, dim, m_max, T)[tuple(vs.T)]
     for v, value, rest in zip(vs, got, tail):
         terms = ws * np.prod(profile[:, v], axis=1)
         want = (math.fsum(terms) + rest) / math.gamma(alpha / 2.0)
@@ -592,6 +606,18 @@ def test_asymptotics_bracket_and_cross_method(small_table):
     assert 0.0 < c1 <= c2
     assert c2 / c1 <= 10.0
     assert c.cross_method_deviation(small_table, 8) <= 1e-6
-    # orbit keys reach word length dim * m_max = 24, so 25 starts past the table
+    # |v|_1 reaches dim * m_max = 24 on the table, so 25 starts past it
     with pytest.raises(InputError):
         c.asymptotics_bracket(small_table, 25, 30)
+
+
+def test_table_diagnostics_reject_empty_or_degenerate_ranges(small_table):
+    # v = 0 would scale to 0 and pull c1 down to 0.0
+    for r_min in (0, -3):
+        with pytest.raises(InputError, match="r_min must be >= 1"):
+            c.asymptotics_bracket(small_table, r_min, 3)
+    assert c.asymptotics_bracket(small_table, 1, 3)[0] > 0.0
+    for r_max in (-1, -5):
+        with pytest.raises(InputError, match="r_max must be >= 0"):
+            c.cross_method_deviation(small_table, r_max)
+    assert 0.0 <= c.cross_method_deviation(small_table, 0) <= 1e-6

@@ -99,7 +99,7 @@ def test_indices_of_marks_outside_sites():
     assert (idx[[0, 1, 3]] >= 0).all()
 
 
-def test_neighbors_table_matches_direct_lookup():
+def test_stencil_rows_slots_match_direct_lookup():
     # stencil_rows reads, at each site of the enlarged window, the value of
     # each neighbour in the slot order -e_1, +e_1, -e_2, +e_2, and 0 outside
     w = get_window(2, 2)
@@ -203,7 +203,7 @@ _slot_values = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
 
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(1, 3), data=st.data())
-def test_slot_sum_adds_the_neighbour_slots_as_numpy_sums_them(dim, data):
+def test_fold_adds_the_slots_as_numpy_sums_them(dim, data):
     # bit for bit, signed zeros included: rows of -0.0 sum to +0.0 both ways
     rows = data.draw(st.integers(1, 5))
     g = data.draw(arrays(np.float64, (rows, 3, 2 * dim), elements=_slot_values))

@@ -314,10 +314,8 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
     base = desk_default_solve
     table = desk_prob.kernel
     rng = np.random.default_rng(seed)
-    factors = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, table.orbit_values.size)
-    nudged = c.KernelTable(
-        table.alpha, table.dim, table.radius, table.quad, table.orbit_values * factors,
-    )
+    factors = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, table.grid.shape)
+    nudged = c.KernelTable(table.alpha, table.dim, table.radius, table.quad, table.grid * factors)
     res = c.ground_state(dataclasses.replace(desk_prob, kernel=nudged), SolverConfig())
     assert res.start_index == base.start_index
     assert res.iterations == base.iterations

@@ -46,6 +46,7 @@ REPORTS = (
         "verify --mode dirichlet --radius 14 --suites ops,hls,brezislieb,lions,nehari,mountainpass --seed 0",
     ),
     ("kernel3", "kernel --dim 3 --radius 6"),
+    ("kernel16", "kernel --radius 16"),
     ("verify_alpha06", "verify --alpha 0.6 --radius 14 --seed 1"),
     ("solve3", "solve --dim 3 --radius 6"),
     ("solve32", "solve --radius 32 --lambda 100"),
