@@ -12,16 +12,18 @@ lattice Green's function of the fractional Laplacian,
 
 for 0 < alpha < N, which decays like |v|^{alpha - N}.  The Bessel factors come
 from ``scipy.special.ive``, and the subordination integral from a
-Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  R_alpha
-is the only convolution kernel: the module tabulates it over all difference
-vectors of a window, on the grid [0, 2R]^N of their absolute coordinates
-(the kernel is even in every coordinate), and applies the table to fields by
-windowed convolution.  The quadrature sum factorises over coordinates, so a
-table is one contraction of the one-dimensional Bessel profiles, summed in a
-fixed order without BLAS: its values do not depend on the BLAS thread count.
-The module also implements the fractional Laplacian (-Delta)^{alpha/2}
-through the semigroup integral, which inverts the Green's function on
-interior sites.
+Gauss-Jacobi/Gauss-Legendre time quadrature with a closed-form tail.  The
+module tabulates R_alpha over all difference vectors of a window, on the grid
+[0, 2R]^N of their absolute coordinates (the kernel is even in every
+coordinate), and applies the table to fields by windowed convolution.  The
+quadrature sum factorises over coordinates, so a table is one contraction of
+the one-dimensional Bessel profiles, summed in a fixed order without BLAS: its
+values do not depend on the BLAS thread count.  The heat semigroup e^{t Delta}
+and the fractional Laplacian (-Delta)^{alpha/2}, through the semigroup
+integral, are convolutions with heat-kernel sums built by the same
+contraction, so convolve_values is the one path that applies a kernel to a
+field.  The fractional Laplacian inverts the Green's function on interior
+sites.
 """
 
 from __future__ import annotations
@@ -210,8 +212,8 @@ def _axis_sums(row: np.ndarray, dim: int) -> np.ndarray:
     return total
 
 
-def _green_tail(alpha: float, dim: int, m_max: int, T: float) -> np.ndarray:
-    """Closed form of int_T^inf k_t(v) t^{alpha/2 - 1} dt from the large-t expansion, on [0, m_max]^dim.
+def _green_tail(alpha: float, dim: int, coords: np.ndarray, T: float) -> np.ndarray:
+    """Closed form of int_T^inf k_t(v) t^{alpha/2 - 1} dt from the large-t expansion, on the grid coords^dim.
 
     Per coordinate e^{-2t} I_m(2t) = (4 pi t)^{-1/2} (1 + a1(m)/t + a2(m)/t^2 + ...)
     with a1(m) = -(4 m^2 - 1)/16 and a2(m) = (4 m^2 - 1)(4 m^2 - 9)/512, so the
@@ -219,7 +221,7 @@ def _green_tail(alpha: float, dim: int, m_max: int, T: float) -> np.ndarray:
     the coordinates of v.
     """
     s = (dim - alpha) / 2.0
-    msq = 4.0 * np.arange(m_max + 1, dtype=float) ** 2
+    msq = 4.0 * np.asarray(coords, dtype=float) ** 2
     a1 = -(msq - 1.0) / 16.0
     a2 = (msq - 1.0) * (msq - 9.0) / 512.0
     c1 = _axis_sums(a1, dim)
@@ -243,52 +245,66 @@ def _torus_profile(ts: np.ndarray, m_max: int) -> np.ndarray:
     return np.array(rows)
 
 
+def _time_sum(ws: np.ndarray, profiles: np.ndarray, dim: int) -> np.ndarray:
+    """sum_t w_t prod_i profiles[t, v_i] on the grid of index tuples v, shape (columns,)^dim.
+
+    Row t of ``profiles`` holds a one-dimensional kernel of time t, so the
+    product over coordinates is its dim-dimensional kernel at v.  The sum is
+    one separable contraction: the weighted products over the first N - 1
+    axes are formed by broadcasting, and ``np.einsum`` (no BLAS) contracts
+    them with the last axis's profiles, held time-contiguous, which fixes
+    the order in which it adds over t.  Each grid value thus adds its terms
+    in a fixed order that no thread count changes.
+    """
+    profiles = np.asfortranarray(profiles)
+    head = ws[:, None]
+    for _ in range(dim - 1):
+        head = (head[:, :, None] * profiles[:, None, :]).reshape(ws.size, -1)
+    return np.einsum("ta,tb->ab", head, profiles).reshape((profiles.shape[1],) * dim)
+
+
 def _green_values(
     alpha: float,
     dim: int,
     m_max: int,
     quad: QuadratureSpec,
     profile: Callable[[np.ndarray, int], np.ndarray],
+    coords: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Green's function on the quadrant grid [0, m_max]^dim.
+    """Green's function on the grid coords^dim, by default the quadrant grid [0, m_max]^dim.
 
     ``profile(ts, m_max)`` gives, for each quadrature time t, the
-    one-dimensional heat kernel k_t at displacements 0..m_max; the product
-    over coordinates is k_t(v).  The sum sum_t w_t prod_i k_t(v_i) is one
-    separable contraction: the weighted products over the first N - 1 axes
-    are formed by broadcasting, and ``np.einsum`` (no BLAS) contracts them
-    with the last axis's profiles, held time-contiguous, which fixes the
-    order in which it adds over t.  Each grid value thus adds its terms in a
-    fixed order that no thread count changes.  Every point reads the value
-    computed at its canonical form (coordinates sorted descending), so all
-    permutations of a vector give the same bits.
+    one-dimensional heat kernel k_t at displacements 0..m_max; ``coords``,
+    ascending and at most m_max, picks the displacements of each axis.  The
+    quadrature sum is ``_time_sum`` plus the closed-form tail.  Every point
+    reads the value computed at its canonical form (coordinates sorted
+    descending), so all permutations of a vector give the same bits.
     """
     ts, ws, T = _green_plan(alpha, quad, m_max)
-    profiles = np.asfortranarray(profile(ts, m_max))
-    head = ws[:, None]
-    for _ in range(dim - 1):
-        head = (head[:, :, None] * profiles[:, None, :]).reshape(ts.size, -1)
-    shape = (m_max + 1,) * dim
-    integral = np.einsum("ta,tb->ab", head, profiles).reshape(shape)
-    del head  # the largest array: free it before the tail and the index arrays
-    integral += _green_tail(alpha, dim, m_max, T)
-    canon = np.sort(np.indices(shape).reshape(dim, -1), axis=0)[::-1]
-    return integral[tuple(canon)].reshape(shape) / math.gamma(alpha / 2.0)
+    coords = np.arange(m_max + 1) if coords is None else coords
+    integral = _time_sum(ws, profile(ts, m_max)[:, coords], dim)
+    integral += _green_tail(alpha, dim, coords, T)
+    canon = np.sort(np.indices(integral.shape).reshape(dim, -1), axis=0)[::-1]
+    return integral[tuple(canon)].reshape(integral.shape) / math.gamma(alpha / 2.0)
 
 
 def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[QuadratureSpec] = None) -> float:
     """Subordinated lattice Green's function R_alpha(v) for 0 < alpha < dim.
 
-    The value is read at |v| from the quadrant grid of ``_green_values``,
-    so every permutation and sign flip of v gives the same bits.
+    The value is read at |v| from ``_green_values`` on the grid of the
+    distinct coordinates of |v| alone, with the plan of the quadrant grid
+    [0, max|v|]^N, so every permutation and sign flip of v gives the same
+    bits, and the cost does not grow with the grid.
     """
     dim = _as_int(dim, "dim")
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
     if not 0.0 < alpha < dim:
         raise ParameterError("alpha must lie in (0, N)")
-    a = tuple(abs(c) for c in _check_vector(v, dim))
-    return float(_green_values(alpha, dim, max(a), quad or QuadratureSpec(), _bessel_profile)[a])
+    a = [abs(c) for c in _check_vector(v, dim)]
+    coords = np.unique(a)
+    grid = _green_values(alpha, dim, max(a), quad or QuadratureSpec(), _bessel_profile, coords)
+    return float(grid[tuple(np.searchsorted(coords, a))])
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +313,10 @@ def green_function(alpha: float, v: Sequence[int], dim: int, quad: Optional[Quad
 
 
 class KernelTable:
-    """Green's function values tabulated over all difference vectors of a window.
+    """Kernel values tabulated over all difference vectors of a window.
 
+    ``build_kernel_table`` tabulates the Green's function R_alpha; the heat
+    semigroup and the fractional Laplacian tabulate heat-kernel sums.
     Differences of sites of a radius-R window span [-2R, 2R]^N; the kernel
     is even in every coordinate, so ``grid`` holds it on the quadrant
     [0, 2R]^N, shape (2R + 1,)^N, and a vector reads the point of its
@@ -482,47 +500,26 @@ def cross_method_deviation(table: KernelTable, r_max: int = 10) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _semigroup_apply(profiles: np.ndarray, grid: np.ndarray, r_out: int) -> np.ndarray:
-    """e^{t Delta} of one box grid for each row of ``profiles``, on the box of radius r_out.
+def _heat_table(grid: np.ndarray) -> KernelTable:
+    """A table around a quadrant grid of heat-kernel sums, so that convolve_values applies it.
 
-    ``grid`` holds a field on the box of radius r_in, shape (2 r_in + 1,)^N,
-    and is zero outside it; row b of ``profiles`` is the one-dimensional heat
-    kernel e^{-2t} I_m(2t) of one time t at displacements m = 0..r_in + r_out.
-    The semigroup factorises over coordinates, so each axis in turn is
-    multiplied by the matrix of kernel values from the input to the output
-    coordinates of that axis, and only output rows are formed.  The result
-    has shape (rows of profiles,) + (2 r_out + 1,)^N.
+    It is not a Green's function: its alpha is nan and its quad the default,
+    and only its grid, dimension and radius are read.
     """
-    r_in = grid.shape[0] // 2
-    gap = np.arange(-r_out, r_out + 1)[:, None] - np.arange(-r_in, r_in + 1)[None, :]
-    mats = profiles[:, np.abs(gap)]
-    out = grid[None]
-    for axis in range(1, grid.ndim + 1):
-        moved = np.moveaxis(out, axis, 1)
-        product = mats @ moved.reshape(moved.shape[:2] + (-1,))
-        out = np.moveaxis(product.reshape(product.shape[:2] + moved.shape[2:]), 1, axis)
-    return out
+    return KernelTable(math.nan, grid.ndim, grid.shape[0] // 2, QuadratureSpec(), grid)
 
 
 def heat_semigroup_apply(u: Field, t: float) -> Field:
     """e^{t Delta} u on the window of u, exact for zero-extended fields.
 
-    The semigroup factorises over coordinates, so the kernel is applied as a
-    dense one-dimensional convolution along each axis in turn.
+    The heat kernel k_t is tabulated over the window's differences and
+    applied by convolve_values, diagonal included.
     """
     if not 0.0 <= t < math.inf:
         raise InputError(f"time must be finite and >= 0, got {t}")
-    if t == 0.0:
-        return Field(u.window, u.values.copy())
-    r = u.window.radius
-    grid = u.values.reshape((2 * r + 1,) * u.window.dim)
-    profile = scaled_bessel_profile(2.0 * t, 2 * r)
-    return Field(u.window, _semigroup_apply(profile[None], grid, r).reshape(-1))
-
-
-# float64 values that the node arrays of one block of quadrature nodes may
-# hold (1 MB): the axis matrices and the largest partial product
-_BLOCK_VALUES = 1 << 17
+    window = u.window
+    grid = _time_sum(np.ones(1), _bessel_profile(np.array([t]), 2 * window.radius), window.dim)
+    return Field(window, convolve_values(_heat_table(grid), window, u.values, True))
 
 
 def fractional_laplacian(
@@ -540,12 +537,15 @@ def fractional_laplacian(
     two.  The output lives on ``out_window``, as in convolve: by default the
     window of u, enlarged by one site per factor -Delta.
     The operator acts on the zero-extended field, so any output window
-    holds the same values at the sites it shares with another; the
-    semigroup is formed only on the output rows of each axis, and a small
-    output window costs a fraction of the default.  Values near the edge of
-    the input window are truncation-limited; interior sites of a
-    sufficiently large window are accurate.  The quadrature nodes run in
-    blocks whose arrays stay near 1 MB whatever the window sizes.
+    holds the same values at the sites it shares with another.  The
+    quadrature sum sum_t c_t (e^{t Delta} u - u) and its tail beyond T,
+    where e^{t Delta} u ~ (sum u) (4 pi t)^{-N/2}, are regrouped as one
+    convolution: the kernel sum_t c_t k_t plus the tail's constant is
+    tabulated over the reach r_in + r_out of the two windows and applied
+    off the diagonal by convolve_values, and the diagonal term
+    sum_t c_t (k_t(0) - 1) plus the tail's is added on the output window.
+    Values near the edge of the input window are truncation-limited;
+    interior sites of a sufficiently large window are accurate.
     """
     if not 0.0 < alpha < math.inf:
         raise ParameterError(f"alpha must be finite and > 0, got {alpha}")
@@ -568,22 +568,17 @@ def fractional_laplacian(
     decades = 4  # the integral is cut at T = 1e4
     T = _T_SPLIT * _SEGMENT_RATIO**decades
     dim = window.dim
-    r_in, r_out = window.radius, out_w.radius
-    side_in, side_out = 2 * r_in + 1, 2 * r_out + 1
-    grid = values.reshape((side_in,) * dim)
-
-    per_node = side_out * side_in + max(side_out**a * side_in ** (dim - a) for a in range(1, dim + 1))
-    block = max(1, _BLOCK_VALUES // per_node)
-    total = np.zeros_like(here)
     # the head segment absorbs t^{-s} of t^{-s} g(t), g(t) = (e^{t Delta} u - u)/t
-    for ts, cs in _time_segments(-s, 1.0 - s, -1.0, quad, decades):
-        profiles = scaled_bessel_profile(2.0 * ts, r_in + r_out)
-        for lo in range(0, ts.size, block):
-            moved = _semigroup_apply(profiles[lo : lo + block], grid, r_out)
-            total += cs[lo : lo + block] @ (moved.reshape(moved.shape[0], -1) - here)
-    # tail: e^{t Delta} u ~ (sum u) (4 pi t)^{-N/2} and the exact -u part
-    mass = float(values.sum())
-    spread = mass * (4.0 * np.pi) ** (-dim / 2.0) * T ** (-(dim / 2.0 + s)) / (dim / 2.0 + s)
-    total += spread - here * T**-s / s
+    ts, cs = (np.concatenate(part) for part in zip(*_time_segments(-s, 1.0 - s, -1.0, quad, decades)))
+    # past T, e^{t Delta} u ~ (sum u) (4 pi t)^{-N/2}: one value at every difference
+    spread = (4.0 * np.pi) ** (-dim / 2.0) * T ** (-(dim / 2.0 + s)) / (dim / 2.0 + s)
+    # the table spans an even 2 radius >= reach = r_in + r_out per axis
+    reach = window.radius + out_w.radius
+    profiles = _bessel_profile(ts, reach + reach % 2)
+    table = _heat_table(_time_sum(cs, profiles, dim) + spread)
+    # sum_t c_t (k_t(0) - 1) adds small terms; sum_t c_t k_t(0) - sum_t c_t
+    # would cancel two large sums
+    diagonal = (cs * (profiles[:, 0] ** dim - 1.0)).sum() + spread - T**-s / s
+    total = convolve_values(table, window, values, False, out_w) + diagonal * here
     coef = 1.0 / math.gamma(-s)  # negative for s in (0, 1)
     return Field(out_w, coef * total)

@@ -51,3 +51,10 @@ def test_text_outputs_compare_by_token():
     cmp = compare("sweep.csv", table, table.replace(b",11,", b",12,").replace(b"10.5", b"10.25"))
     assert cmp.changes == ["line 2 iterations: 11 -> 12"]
     assert cmp.max_rel["level"] == pytest.approx(0.25 / 10.5)
+
+
+def test_the_csv_footer_compares_the_well_level_as_a_float():
+    table = b"lambda,m_lambda\n1.0,10.5\n# m_omega = 36.60104813434396\n"
+    cmp = compare("sweep.csv", table, table.replace(b"396", b"395"))
+    assert not cmp.changes
+    assert cmp.max_rel["level"] == pytest.approx(1e-14 / 36.60104813434396, rel=1e-3)

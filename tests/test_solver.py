@@ -261,12 +261,12 @@ def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, mon
     prob = request.getfixturevalue(name)
     for constant, value in cfg.items():
         monkeypatch.setattr(c.solver, constant, value)
-    rows = []
+    calls = []
     real = c.kernels.convolve_values
 
-    def counting(table, window, values, *args, **kwargs):
-        rows.append(values.size // window.count)
-        return real(table, window, values, *args, **kwargs)
+    def counting(table, window, values, include_diagonal=False, out_window=None):
+        calls.append((table, window, out_window or window, values.size // window.count))
+        return real(table, window, values, include_diagonal, out_window)
 
     monkeypatch.setattr(c.kernels, "convolve_values", counting)
     res = c.ground_state(prob, SolverConfig(restarts=0, residual_tol=1e-10))
@@ -279,7 +279,10 @@ def test_ground_state_convolves_once_per_start_and_trial(request, name, cfg, mon
     if cfg:
         assert any(0.0 < rec.step < 1.0 for rec in res.history)
     # one start: its projection, then one line-search round per trial
-    assert rows == [1] * (1 + trials)
+    assert [n for table, *_, n in calls if table is prob.kernel] == [1] * (1 + trials)
+    # and the well bump's heat convolution: one row on the problem window
+    w = prob.window
+    assert [call[1:] for call in calls if call[0] is not prob.kernel] == [(w, w, 1)]
 
 
 def test_ground_state_converges_with_certificates(small_prob):
@@ -642,16 +645,21 @@ def test_dirichlet_ground_state_convolves_on_the_well_box(small_table, monkeypat
         mode="dirichlet", window=window, potential=PotentialSpec(well=ball((0, 0), 1)), kernel=small_table, p=2.0
     )
     real = c.kernels.convolve_values
-    radii = []
+    radii, others = [], []
 
     def spy(table, window, values, include_diagonal=False, out_window=None):
-        radii.append(max(window.radius, (out_window or window).radius))
+        if table is prob.kernel:
+            radii.append(max(window.radius, (out_window or window).radius))
+        else:
+            others.append((window, out_window or window, values.size // window.count))
         return real(table, window, values, include_diagonal, out_window)
 
     monkeypatch.setattr(c.kernels, "convolve_values", spy)
     res = c.ground_state(prob, SolverConfig(restarts=2))
     assert res.converged
     assert radii and max(radii) == 1
+    # the well bump is smoothed once, one row on the problem window
+    assert others == [(window, window, 1)]
 
 
 def test_ground_state_convergence_error_carries_history(small_prob):

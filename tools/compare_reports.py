@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List
 
 # CI's report set (the reports() function of .github/workflows/tests.yml),
-# then the near-critical sweep and the radius-48 solve: (name, arguments);
+# then the near-critical sweep: (name, arguments);
 # a command without --out has its standard output compared as <name>.txt
 REPORTS = (
     ("solve", "solve --radius 8"),
@@ -56,8 +56,8 @@ REPORTS = (
     ("verify16", "verify --radius 16 --seed 0"),
     ("verify3_green", "verify --dim 3 --radius 14 --seed 0 --suites green"),
     ("solve_nc", "solve --radius 16 --p 1.55 --lambda 1"),
-    ("sweep16_nc", "sweep --radius 16 --p 1.55 --lambda-grid 0.1,1,100"),
     ("solve48", "solve --radius 48 --lambda 100"),
+    ("sweep16_nc", "sweep --radius 16 --p 1.55 --lambda-grid 0.1,1,100"),
 )
 
 
@@ -130,6 +130,10 @@ def _text_cells(name: str, text: str):
         rows = list(csv.reader(io.StringIO(text)))
         header = rows[0] if rows else []
         for n, row in enumerate(rows[1:], 2):
+            if row and row[0].startswith("#"):  # the footer "# m_omega = <well level>"
+                for token in re.split(r"[\s=]+", ",".join(row).strip()):
+                    yield f"line {n}", "level", token
+                continue
             for column, cell in zip(header + [""] * len(row), row):
                 yield f"line {n} {column}".rstrip(), float_class(column), cell
         return
