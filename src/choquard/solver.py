@@ -45,8 +45,10 @@ from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse import diags
 from scipy.sparse.linalg import cg as _scipy_cg
+from scipy.sparse.linalg import splu
 
 from . import variational as _var
 from .calculus import bump_field, pair_sums, row_dot, w22_norm_sq
@@ -67,10 +69,11 @@ _TIE_TOL = 1.0e-12
 # a random start merges into an earlier row once their limits are certified
 # to lie within this relative A-distance of each other (see _lockstep_descent)
 _MERGE_TOL = 1.0e-3
-# dimension >= 3 solves by CG to this relative residual within this many
-# iterations; dimension <= 2 solves with a cached factor of A
+# CG's relative residual and iteration limit, and the widest half-bandwidth
+# of A factored as a band (a box of radius 40 in dimension 2); see _operator_solver
 _CG_TOL = 1.0e-10
 _CG_MAX_ITERATIONS = 5000
+_BAND_MAX_KD = 162
 # the Armijo test's decrease factor, and the step's shrink per rejected trial
 _SUFFICIENT_DECREASE = 1.0e-4
 _SHRINK = 0.5
@@ -187,45 +190,8 @@ def cg_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     return x
 
 
-def linear_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """Solve A x = rhs for every row of free-site values rhs.
-
-    ``rhs`` holds one right-hand side per row of at most one leading axis,
-    each with one value per free site (prob.free_indices()); the solutions
-    come back the same way, and any other shape raises InputError.
-    Dimension <= 2 solves all rows at once with the factor cached on the
-    problem (ProblemSpec.operator_factor), as one (n_free, k) right-hand
-    side whose columns the triangular solves treat one at a time, so a
-    row's solution does not depend on the batch.  Dimension >= 3 runs
-    cg_solve row by row, and a row whose solve stalls comes back as NaN,
-    so that only that row fails.  Runs on a 2-core VM at lam = 100 set the
-    crossovers:
-
-    - band Cholesky against sparse LU, in dimension 2, where a box of
-      radius r has half-bandwidth kd = 2(2r + 1).  The band factor takes
-      2.7 ms at radius 16 against 5.7 ms, and 12 ms at radius 32 against
-      28 ms.  Each band solve reads the whole band, so past radius 32 the
-      solves lose what the factor gains.  In ``solve --lambda 100`` (8
-      calls, 43 rows) factor and solves together take 44 against 69 ms at
-      radius 36, 95 against 118 ms at radius 40 (kd = 162), 114 against
-      94 ms at radius 44 and 147 against 133 ms at radius 48 (medians of
-      5), so bands up to kd = 162 use the band factor.  From radius 40 on
-      the band also raises the command's peak RSS: by 1.8 MB at radius 40
-      and by 7.8 MB at radius 64;
-    - sparse LU against CG: the LU factor takes 7 ms at radius 16, 33 ms
-      at radius 32 and 0.25 s at radius 64; a solve then takes 0.20, 0.98
-      and 7.3 ms against 1.7, 2.8 and 10.7 ms for CG;
-    - dimension 3: the fill grows too fast.  At radius 8 the factor takes
-      0.40 s and 38 MB, and a solve 8.4 ms against 5.6 ms for CG; at radius
-      12 the factor takes 5.3 s and 0.53 GB, and at radius 16 36 s and
-      1.8 GB.  The whole ``solve --dim 3 --radius 8 --lambda 100`` command
-      took 1.0-1.2 s and 80 MB with CG against 2.3-2.4 s and 110 MB with LU.
-    """
-    n_free = prob.free_indices().size
-    if rhs.ndim not in (1, 2) or rhs.shape[-1] != n_free:
-        raise InputError(f"expected one or more rows of {n_free} free-site values, got shape {rhs.shape}")
-    if prob.dim <= 2:
-        return prob.operator_factor()(rhs.T).T
+def _cg_rows(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """cg_solve of each row of rhs, with NaN in a row whose solve stalls."""
     rows = np.atleast_2d(rhs)
     out = np.empty_like(rows)
     for i, row in enumerate(rows):
@@ -234,6 +200,80 @@ def linear_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
         except ConvergenceError:
             out[i] = np.nan
     return out.reshape(rhs.shape)
+
+
+def _operator_solver(prob: ProblemSpec):
+    """The function (rows, prob) -> A^{-1} rows for the problem's operator A, built once and cached.
+
+    A is symmetric positive definite and banded in the window's site order,
+    with half-bandwidth kd = 2(2r + 1) on a box of radius r in dimension 2.
+    Dimension >= 3 solves row by row (_cg_rows).  Up to kd = _BAND_MAX_KD a
+    LAPACK band Cholesky factor solves all rows as the columns of one
+    right-hand side, one column at a time; wider bands use a sparse LU
+    factor, whose minimum-degree ordering of A + A^T with diagonal pivots
+    keeps the fill low: 11.9M nonzeros at radius 128 in dimension 2,
+    against 34M in the band.  The function takes the problem as an
+    argument, so the cache holds no reference back to it.  Runs on a
+    2-core VM at lam = 100 set the crossovers:
+
+    - band Cholesky against sparse LU, in dimension 2.  The band factor
+      takes 2.7 ms at radius 16 against 5.7 ms, and 12 ms at radius 32
+      against 28 ms.  Each band solve reads the whole band, so past radius
+      32 the solves lose what the factor gains.  In ``solve --lambda 100``
+      (8 calls, 43 rows) factor and solves together take 44 against 69 ms
+      at radius 36, 95 against 118 ms at radius 40 (kd = 162), 114 against
+      94 ms at radius 44 and 147 against 133 ms at radius 48 (medians of
+      5), so bands up to kd = 162 use the band factor.  From radius 40 on
+      the band also raises the command's peak RSS: by 1.8 MB at radius 40
+      and by 7.8 MB at radius 64;
+    - sparse LU against CG: the LU factor takes 7 ms at radius 16, 33 ms
+      at radius 32 and 0.25 s at radius 64; a solve then takes 0.20, 0.98
+      and 7.3 ms against 1.7, 2.8 and 10.7 ms for CG;
+    - dimension 3: the fill grows too fast.  At radius 8 the LU factor
+      takes 0.40 s and 38 MB, and a solve 8.4 ms against 5.6 ms for CG; at
+      radius 12 the factor takes 5.3 s and 0.53 GB, and at radius 16 36 s
+      and 1.8 GB.  The whole ``solve --dim 3 --radius 8 --lambda 100``
+      command took 1.0-1.2 s and 80 MB with CG against 2.3-2.4 s and
+      110 MB with LU.
+    """
+
+    def build():
+        if prob.dim >= 3:
+            return _cg_rows
+        a = prob.operator_matrix()
+        # indices are sorted, so each row's first entry is its leftmost
+        kd = int((np.arange(a.shape[0]) - a.indices[a.indptr[:-1]]).max())
+        if kd > _BAND_MAX_KD:
+            lu = splu(
+                a.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0,
+                options={"SymmetricMode": True},
+            )
+            return lambda rhs, _prob: lu.solve(rhs.T).T
+        coo = a.tocoo()
+        lower = coo.row >= coo.col
+        band = np.zeros((kd + 1, a.shape[0]), order="F")
+        band[(coo.row - coo.col)[lower], coo.col[lower]] = coo.data[lower]
+        chol = (cholesky_banded(band, overwrite_ab=True, lower=True), True)
+        return lambda rhs, _prob: cho_solve_banded(chol, rhs.T, check_finite=False).T
+
+    return prob._cached("solver", build)
+
+
+def linear_solve(rhs: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+    """Solve A x = rhs for every row of free-site values rhs.
+
+    ``rhs`` holds one right-hand side per row of at most one leading axis,
+    each with one value per free site (prob.free_indices()); the solutions
+    come back the same way, and any other shape raises InputError.  Each
+    row is solved on its own, so it does not depend on the batch, by the
+    band Cholesky, sparse LU or CG path that _operator_solver picks.
+    """
+    n_free = prob.free_indices().size
+    if rhs.ndim not in (1, 2) or rhs.shape[-1] != n_free:
+        raise InputError(f"expected one or more rows of {n_free} free-site values, got shape {rhs.shape}")
+    return _operator_solver(prob)(rhs, prob)
 
 
 def _lockstep_descent(

@@ -305,6 +305,21 @@ def test_sweep_false_verdict_exits_three_once_every_row_converged(tmp_path, monk
     assert captured.err == ("failed verdicts: distance_decreasing\n" if all_converged else "")
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 29: outside_mass_decreasing is observed, not proved, and the raw outside mass "
+    "grows with lambda near the critical exponent, so this sweep exits 3 with every row converged",
+)
+def test_near_critical_sweep_with_every_row_converged_exits_zero(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    argv = ["sweep", "--radius", "6", "--alpha", "0.568", "--p", "1.34", "--lambda-grid", "0.1,1,100"]
+    code = main(argv + ["--out", str(out)])
+    if not json.loads(out.read_text())["report"]["all_converged"]:
+        pytest.fail("a row did not converge, which is not the pinned failure")
+    assert code == 0
+
+
 def test_sweep_non_finite_direction_is_a_convergence_failure(tmp_path, monkeypatch, capsys):
     real = solver.linear_solve
 
@@ -419,7 +434,7 @@ def test_verify_detects_tampered_kernel_table(capsys, monkeypatch):
         # the nearest-neighbour orbit, both of its points on the quadrant
         grid[1, 0] *= 1.001
         grid[0, 1] *= 1.001
-        return KernelTable(alpha, table.dim, table.radius, table.quad, grid)
+        return KernelTable(alpha, table.dim, table.radius, grid)
 
     monkeypatch.setattr(cli, "build_kernel_table", tampered_build)
     assert main(["verify", "--radius", "16", "--suites", "green"]) == 3

@@ -46,7 +46,8 @@ def test_text_outputs_compare_by_token():
     field = b"lattice-field v1\ndim 2\nradius 1\n0.5\n-0.25\n"
     moved = field.replace(b"-0.25", b"-0.2500001")
     cmp = compare("solve.field.txt", field, moved)
-    assert not cmp.changes and cmp.max_rel["field"] == pytest.approx(4e-7, rel=1e-6)
+    # measured against the file's max|value|, 0.5
+    assert not cmp.changes and cmp.max_rel["field"] == pytest.approx(2e-7, rel=1e-6)
     table = b"lambda,m_lambda,iterations,residual\n1.0,10.5,11,1e-08\n"
     cmp = compare("sweep.csv", table, table.replace(b",11,", b",12,").replace(b"10.5", b"10.25"))
     assert cmp.changes == ["line 2 iterations: 11 -> 12"]
@@ -58,3 +59,27 @@ def test_the_csv_footer_compares_the_well_level_as_a_float():
     cmp = compare("sweep.csv", table, table.replace(b"396", b"395"))
     assert not cmp.changes
     assert cmp.max_rel["level"] == pytest.approx(1e-14 / 36.60104813434396, rel=1e-3)
+
+
+FIELD_HEADER = "lattice-field v1\ndim 2\nradius 8\nshape box\nsupport 3\n"
+
+
+def _field_file(*values):
+    sites = ("0 0", "0 1", "1 0")
+    return (FIELD_HEADER + "".join(f"{site} {value!r}\n" for site, value in zip(sites, values))).encode()
+
+
+def test_field_tail_round_off_reads_as_round_off():
+    # tail values near 1e-28 change sign and the largest value moves by
+    # 3e-16 of itself, as between two orders of the same sums
+    before = _field_file(1.5, 2.5e-28, 0.75)
+    after = _field_file(1.5 + 4.5e-16, -2.5e-28, 0.75)
+    cmp = compare("solve.field.txt", before, after)
+    assert not cmp.identical and not cmp.changes
+    assert cmp.max_rel["field"] <= 1e-15
+
+
+def test_a_field_moved_by_1e_6_of_its_max_reads_1e_6():
+    cmp = compare("solve.field.txt", _field_file(1.5, 2.5e-28, 0.75), _field_file(1.5, 2.5e-28, 0.75 + 1.5e-6))
+    assert not cmp.changes
+    assert cmp.max_rel["field"] == pytest.approx(1e-6, rel=1e-6)

@@ -237,7 +237,7 @@ def test_kernel_table_rejects_bad_grids(small_table):
     t = small_table
 
     def rebuilt(grid):
-        return c.KernelTable(t.alpha, t.dim, t.radius, t.quad, grid)
+        return c.KernelTable(t.alpha, t.dim, t.radius, grid)
 
     mine = t.grid.copy()
     table = rebuilt(mine)

@@ -115,7 +115,7 @@ def test_linear_solve_factor_residual_and_agreement_with_cg(request, name, monke
     prob = request.getfixturevalue(name)
     rhs = np.random.default_rng(33).standard_normal(prob.free_indices().size)
     x = c.linear_solve(rhs, prob)
-    assert prob.operator_factor() is prob.operator_factor()
+    assert c.solver._operator_solver(prob) is c.solver._operator_solver(prob)
     assert x.shape == rhs.shape
     residual = prob.operator_matrix() @ x - rhs
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
@@ -144,26 +144,30 @@ FACTOR_PATHS = {"band": 10**9, "lu": -1}
 
 def _on_factor_path(prob, path, monkeypatch):
     """A fresh copy of prob, whose operator factor is built on the given path."""
-    monkeypatch.setattr(c.variational, "_BAND_MAX_KD", FACTOR_PATHS[path])
+    monkeypatch.setattr(c.solver, "_BAND_MAX_KD", FACTOR_PATHS[path])
     fresh = dataclasses.replace(prob)
-    fresh.operator_factor()
+    c.linear_solve(np.zeros(fresh.free_indices().size), fresh)
     return fresh
 
 
 def test_operator_factor_is_a_band_cholesky_up_to_the_crossover(small_prob, monkeypatch):
     built = []
     for name in ("cholesky_banded", "splu"):
-        real = getattr(c.variational, name)
+        real = getattr(c.solver, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
             built.append(_name)
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(c.variational, name, spy)
+        monkeypatch.setattr(c.solver, name, spy)
     kd = 2 * (2 * small_prob.window.radius + 1)
+    rhs = np.random.default_rng(38).standard_normal((2, small_prob.free_indices().size))
     for limit in (kd, kd - 1):
-        monkeypatch.setattr(c.variational, "_BAND_MAX_KD", limit)
-        dataclasses.replace(small_prob).operator_factor()
+        monkeypatch.setattr(c.solver, "_BAND_MAX_KD", limit)
+        prob = dataclasses.replace(small_prob)
+        # the factor is built on the first solve of a problem and only then
+        for rows in (rhs, rhs[0], rhs):
+            c.linear_solve(rows, prob)
     assert built == ["cholesky_banded", "splu"]
 
 
@@ -318,7 +322,7 @@ def test_ground_state_report_is_stable_under_kernel_round_off(desk_prob, desk_de
     table = desk_prob.kernel
     rng = np.random.default_rng(seed)
     factors = 1.0 + 1e-13 * rng.uniform(-1.0, 1.0, table.grid.shape)
-    nudged = c.KernelTable(table.alpha, table.dim, table.radius, table.quad, table.grid * factors)
+    nudged = c.KernelTable(table.alpha, table.dim, table.radius, table.grid * factors)
     res = c.ground_state(dataclasses.replace(desk_prob, kernel=nudged), SolverConfig())
     assert res.start_index == base.start_index
     assert res.iterations == base.iterations

@@ -10,9 +10,12 @@ same relative ``--out`` path at both revisions, so the echoed configuration
 matches.  For every file either revision wrote, the script prints whether
 the bytes are identical, every non-float value that differs (statuses,
 labels, reasons, iteration counts, verdicts, exit codes), and the largest
-relative change |a - b| / max(|a|, |b|) of each float class: levels (level,
-energy and m_lambda entries), residuals (dual residuals and constraint
-defects), field-file values and other floats.  The exit status is 0 when
+relative change of each float class: levels (level, energy and m_lambda
+entries), residuals (dual residuals and constraint defects), field-file
+values and other floats.  A field-file value is measured against the larger
+max|value| of the two files, |a - b| / max|u|, so that round-off in the
+field's tail does not read as a change; every other float is measured
+against itself, |a - b| / max(|a|, |b|).  The exit status is 0 when
 every file is byte-identical and 1 otherwise.  To compare uncommitted work,
 pass ``$(git stash create)`` as a revision.
 """
@@ -70,11 +73,12 @@ class Comparison:
     changes: List[str] = field(default_factory=list)
     max_rel: Dict[str, float] = field(default_factory=dict)
 
-    def add_float(self, kind: str, a: float, b: float) -> None:
+    def add_float(self, kind: str, a: float, b: float, scale: float = 0.0) -> None:
+        """Record |a - b| relative to scale, or to max(|a|, |b|) when scale is 0."""
         if a == b or (math.isnan(a) and math.isnan(b)):
             rel = 0.0
         else:
-            rel = abs(a - b) / max(abs(a), abs(b))
+            rel = abs(a - b) / (scale or max(abs(a), abs(b)))
             rel = rel if math.isfinite(rel) else math.inf  # an inf or a NaN on one side
         self.max_rel[kind] = max(self.max_rel.get(kind, 0.0), rel)
 
@@ -155,10 +159,12 @@ def compare(name: str, a: bytes, b: bytes) -> Comparison:
     cells_b = list(_text_cells(name, b.decode()))
     if len(cells_a) != len(cells_b):
         cmp.changes.append(f"token count {len(cells_a)} -> {len(cells_b)}")
+    field_values = (_number(token) for _, kind, token in cells_a + cells_b if kind == "field")
+    field_scale = max((abs(v) for v in field_values if isinstance(v, float)), default=0.0)
     for (where, kind, x), (_, _, y) in zip(cells_a, cells_b):
         x, y = _number(x), _number(y)
         if isinstance(x, float) and isinstance(y, float):
-            cmp.add_float(kind, x, y)
+            cmp.add_float(kind, x, y, field_scale if kind == "field" else 0.0)
         elif type(x) is not type(y) or x != y:
             cmp.changes.append(f"{where}: {x!r} -> {y!r}")
     return cmp
